@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 from .exactlinalg import (
     IntMatrix,
+    _column_hermite,
     integer_kernel,
     hermite_row_basis,
     kron,
@@ -106,16 +107,16 @@ class CommutatorLattice:
 @functools.lru_cache(maxsize=None)
 def commutator_lattice(a: AdjacencyMatrix) -> CommutatorLattice:
     k = a.size
-    cmap = commutator_map(a)
-    # the image lattice is spanned by the columns of the commutator map
-    canonical = hermite_row_basis([cmap.column(j) for j in range(k * k)], k * k)
+    # The column Hermite form W . cmap^T = H that centralizer_basis reads for
+    # the kernel also gives the image: its nonzero rows are the canonical
+    # basis of the column lattice, and h_i = cmap . w_i makes w_i a witness.
+    form = _column_hermite(commutator_map(a))
     basis = []
     witnesses = []
-    for row in canonical:
-        wit = solve_integer_linear(cmap, row)
-        assert wit is not None  # rows lie in the image by construction
-        basis.append(IntMatrix.from_vec(row, k, k))
-        witnesses.append(IntMatrix.from_vec(wit, k, k))
+    for row, wit in zip(form.h, form.w):
+        if any(row):
+            basis.append(IntMatrix.from_vec(row, k, k))
+            witnesses.append(IntMatrix.from_vec(wit, k, k))
     return CommutatorLattice(basis=tuple(basis), witnesses=tuple(witnesses), rank=len(basis))
 
 

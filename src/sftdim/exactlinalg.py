@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 
@@ -381,7 +380,6 @@ class RowHermiteForm:
     pivots: tuple  # pivot column per nonzero row of h
 
 
-@functools.lru_cache(maxsize=None)
 def row_hermite_with_transform(m: IntMatrix) -> RowHermiteForm:
     builder = _HnfBuilder(m.cols + m.rows)
     for i in range(m.rows):
@@ -402,7 +400,8 @@ def row_hermite_with_transform(m: IntMatrix) -> RowHermiteForm:
 @functools.lru_cache(maxsize=None)
 def _column_hermite(m: IntMatrix) -> RowHermiteForm:
     # Row form of the transpose: W . M^T = H, so M . W^T = H^T gives the
-    # column structure used by kernels and solving.
+    # column structure that kernels, images, solving and the first Smith
+    # pass all read.
     return row_hermite_with_transform(m.transpose())
 
 
@@ -423,7 +422,10 @@ def integer_kernel(m: IntMatrix) -> tuple:
     return hermite_row_basis(kernel_rows, m.cols)
 
 
-def _solve_by_substitution(m: IntMatrix, b: Sequence[int], exact: bool):
+def solve_integer_linear(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
+    """Some integer x with M x = b, or None when no integer solution exists."""
+    if len(b) != m.rows:
+        raise DimensionMismatchError("right-hand side length mismatch")
     form = _column_hermite(m)
     nonzero = [i for i in range(len(form.h)) if any(form.h[i])]
     ys = []
@@ -435,42 +437,21 @@ def _solve_by_substitution(m: IntMatrix, b: Sequence[int], exact: bool):
             if coeff:
                 acc -= coeff * ys[prev_idx]
         d = form.h[i][pivot_col]
-        if exact:
-            if acc % d:
-                return None
-            ys.append(acc // d)
-        else:
-            ys.append(Fraction(acc, d))
+        if acc % d:
+            return None
+        ys.append(acc // d)
     # consistency on the remaining coordinates
     for col in range(m.rows):
         total = sum(form.h[i][col] * y for i, y in zip(nonzero, ys))
         if total != b[col]:
             return None
-    return [*zip(nonzero, ys)]
-
-
-def solve_integer_linear(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
-    """Some integer x with M x = b, or None when no integer solution exists."""
-    if len(b) != m.rows:
-        raise DimensionMismatchError("right-hand side length mismatch")
-    pairs = _solve_by_substitution(m, b, exact=True)
-    if pairs is None:
-        return None
-    form = _column_hermite(m)
     x = [0] * m.cols
-    for i, y in pairs:
+    for i, y in zip(nonzero, ys):
         if y:
             wrow = form.w[i]
             for t in range(m.cols):
                 x[t] += y * wrow[t]
     return tuple(x)
-
-
-def has_rational_solution(m: IntMatrix, b: Sequence[int]) -> bool:
-    """Whether M x = b is solvable over the rationals."""
-    if len(b) != m.rows:
-        raise DimensionMismatchError("right-hand side length mismatch")
-    return _solve_by_substitution(m, b, exact=False) is not None
 
 
 def determinant(m: IntMatrix) -> int:
@@ -508,14 +489,22 @@ class SmithDecomposition:
     """U . M . V = D with U, V unimodular and D diagonal (divisibility chain).
 
     ``u_inv`` and ``v_inv`` are exact inverses, so M = u_inv . D . v_inv.
+    They are computed on first read: inverting costs more than the whole
+    reduction, and the invariants need only D.
     """
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
     invariant_factors: tuple
+
+    @functools.cached_property
+    def u_inv(self) -> IntMatrix:
+        return unimodular_inverse(self.u)
+
+    @functools.cached_property
+    def v_inv(self) -> IntMatrix:
+        return unimodular_inverse(self.v)
 
     @property
     def rank(self) -> int:
@@ -558,24 +547,27 @@ _SNF_PASS_CAP = 1000
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form via alternating Hermite passes.
 
-    Row and column Hermite reductions alternate until the matrix is diagonal
+    Column and row Hermite reductions alternate until the matrix is diagonal
     (Kannan-Bachem), after which 2x2 unimodular merges repair the
     divisibility chain.  Total on every integer matrix.
     """
     d = m
     u = IntMatrix.identity(m.rows)
     v = IntMatrix.identity(m.cols)
-    for _ in range(_SNF_PASS_CAP):
+    for step in range(_SNF_PASS_CAP):
+        if _is_diagonal(d):
+            break
+        # Only the first column pass goes through the shared cache: for the
+        # commutator map it is the factorisation that kernel and image read,
+        # while later passes see intermediate matrices no caller asks for.
+        form = _column_hermite(d) if step == 0 else row_hermite_with_transform(d.transpose())
+        d = IntMatrix.from_rows([list(r) for r in form.h]).transpose()
+        v = v @ IntMatrix.from_rows([list(r) for r in form.w]).transpose()
         if _is_diagonal(d):
             break
         form = row_hermite_with_transform(d)
         d = IntMatrix.from_rows([list(r) for r in form.h])
         u = IntMatrix.from_rows([list(r) for r in form.w]) @ u
-        if _is_diagonal(d):
-            break
-        form = row_hermite_with_transform(d.transpose())
-        d = IntMatrix.from_rows([list(r) for r in form.h]).transpose()
-        v = v @ IntMatrix.from_rows([list(r) for r in form.w]).transpose()
     else:
         raise RuntimeError("Smith reduction did not converge")
 
@@ -634,8 +626,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         u=u,
         d=d,
         v=v,
-        u_inv=unimodular_inverse(u),
-        v_inv=unimodular_inverse(v),
         invariant_factors=tuple(factors),
     )
 

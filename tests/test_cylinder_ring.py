@@ -1,6 +1,8 @@
 import random
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import invariant_factors
 
 from sftdim import (
     CylinderK0Element,
@@ -39,8 +41,9 @@ from sftdim import (
     ra_to_cylinder,
     validate,
 )
-from sftdim.cylinder_ring import alpha_k0
-from sftdim.exactlinalg import solve_integer_linear
+from sftdim import cylinder_ring, exactlinalg
+from sftdim.cylinder_ring import alpha_k0, commutator_map
+from sftdim.exactlinalg import hermite_row_basis, smith_normal_form, solve_integer_linear
 
 from conftest import random_centralizer_element, random_matrix
 
@@ -112,6 +115,60 @@ class TestCommutatorAndK1Structure:
         for a in primitive_pool:
             k = a.size
             assert centralizer_basis(a).rank + commutator_lattice(a).rank == k * k
+
+    def test_one_factorisation_matches_independent_paths(self, primitive_pool):
+        # the commutator lattice read off the shared column Hermite form must
+        # equal a fresh Hermite basis of the map's columns with one solve per
+        # row, and the Smith diagonal must agree with sympy's
+        cj_plus_di = validate([[3, 2, 2, 2], [2, 3, 2, 2], [2, 2, 3, 2], [2, 2, 2, 3]])
+        repeated_row = validate([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
+        for a in [*primitive_pool, cj_plus_di, repeated_row]:
+            k = a.size
+            cmap = commutator_map(a)
+            rows = hermite_row_basis([cmap.column(j) for j in range(k * k)], k * k)
+            lattice = commutator_lattice(a)
+            assert tuple(b.vec() for b in lattice.basis) == rows
+            assert tuple(y.vec() for y in lattice.witnesses) == tuple(
+                solve_integer_linear(cmap, row) for row in rows
+            )
+            reference = invariant_factors(sympy.Matrix(cmap.to_rows()), domain=sympy.ZZ)
+            assert k1_group_structure(a).snf_diagonal == tuple(abs(int(d)) for d in reference)
+
+
+class TestSharedFactorisation:
+    def test_commutator_map_is_factored_once(self, monkeypatch):
+        # a cold matrix: centraliser, B(A) and the Smith form share one
+        # factorisation, and the Smith inverses wait until they are read
+        a = validate([[1, 2, 0, 1], [1, 0, 3, 1], [2, 1, 1, 0], [0, 1, 2, 1]])
+        for cached in (exactlinalg._column_hermite, exactlinalg.integer_kernel,
+                       smith_normal_form, centralizer_basis, commutator_lattice,
+                       k1_group_structure):
+            cached.cache_clear()
+
+        def counted(module, name):
+            seen = []
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                seen.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+            return seen
+
+        factored = counted(exactlinalg, "row_hermite_with_transform")
+        solves = counted(cylinder_ring, "solve_integer_linear")
+        inverses = counted(exactlinalg, "unimodular_inverse")
+        cmap = commutator_map(a)
+        centralizer_basis(a)
+        commutator_lattice(a)
+        assert solves == []
+        k1_group_structure(a)
+        assert sum(args[0] in (cmap, cmap.transpose()) for args in factored) == 1
+        assert inverses == []
+        snf = smith_normal_form(cmap)
+        assert snf.u @ snf.u_inv == IntMatrix.identity(16)
+        assert len(inverses) == 1
 
 
 class TestCylinderElements:
