@@ -12,10 +12,15 @@ and the stable/unstable limit groups are right/left modules via
 [v, N] * [X, M] = [vX, N + 2M] and [X, M] * [w, N] = [Xw, N + 2M].
 
 Degree-one equality has no single-shot test like the degree-zero one, but it
-is still decidable: the sublattices {Z : (A . A)^m Z in B(A)} form an
-ascending chain that stabilises, and membership of the difference in the
-stabilised closure settles equality outright.  The same closure idea decides
-membership in the polynomial subring generated by [A, 0] and [A, 1].
+is still decidable in the level group Q = M_K(Z)/B(A) itself.  The cached
+Hermite basis of B(A) presents Q as Z^J modulo a few relations: a basis row
+with pivot 1 eliminates its coordinate, and J keeps the rest (usually far
+fewer than K^2).  The preimages of the relations under the map induced by
+X -> AXA form an ascending chain that stabilises; membership of the
+projected difference in the stabilised closure settles equality outright,
+and applying the induced map until the relations are reached gives the
+merge depth.  The same closure idea, in M_K(Z), decides membership in the
+polynomial subring generated by [A, 0] and [A, 1].
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .exactlinalg import (
     poly_mod,
     poly_eval_matrix,
     poly_mul,
+    row_hermite_with_transform,
     smith_normal_form,
     solve_integer_linear,
 )
@@ -243,53 +249,97 @@ def alpha_k0(x: CylinderK0Element) -> CylinderK0Element:
 
 
 # ---------------------------------------------------------------------------
-# degree-one equality (decided via a stabilised closure lattice)
+# degree-one equality (decided in cokernel coordinates)
 # ---------------------------------------------------------------------------
 
 
 class Verdict(enum.Enum):
     EQUAL = "equal"
     NOT_EQUAL = "not_equal"
-    UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
 class K1Decision:
     verdict: Verdict
     witness_level: Optional[int] = None
-    searched_to: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class K1Quotient:
+    """The level group Q = M_K(Z)/B(A) presented as Z^J / <relations>.
+
+    Read off the cached Hermite basis of B(A): a row with pivot 1 eliminates
+    its pivot coordinate, and J keeps every other coordinate.  A unit pivot's
+    column is zero in every other Hermite row, so projecting a vector onto
+    Z^J subtracts v[p] times each unit row at once.  The remaining rows,
+    restricted to J, are a Hermite basis of B(A) intersected with Z^J, and
+    ``psi`` is X -> AXA induced on Z^J.  ``closure`` is the stabilised
+    preimage closure of the relations under ``psi`` and ``depth`` its
+    stabilisation depth.
+    """
+
+    coords: tuple
+    unit_rows: tuple  # (pivot, row restricted to coords) per unit pivot
+    relations: tuple
+    psi: IntMatrix
+    closure: tuple
+    depth: int
+
+    def project(self, v: Sequence[int]) -> tuple:
+        """Coordinates on Z^J of the class of ``v`` (row-major) in Q."""
+        return _project(self.coords, self.unit_rows, v)
+
+
+def _project(coords: tuple, unit_rows: tuple, v: Sequence[int]) -> tuple:
+    out = [v[j] for j in coords]
+    for p, row in unit_rows:
+        c = v[p]
+        if c:
+            for t, x in enumerate(row):
+                if x:
+                    out[t] -= c * x
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
-def _commutator_closure(a: AdjacencyMatrix) -> tuple:
-    """Closure of B(A) under division by X -> AXA, with its stabilisation depth."""
-    psi = kron(a.matrix, a.matrix.transpose())
-    seed = tuple(b.vec() for b in commutator_lattice(a).basis)
-    return lattice_closure_under_preimage(psi, seed)
+def _k1_quotient(a: AdjacencyMatrix) -> K1Quotient:
+    form = _column_hermite(commutator_map(a))
+    unit = {p: row for row, p in zip(form.h, form.pivots) if row[p] == 1}
+    coords = tuple(j for j in range(a.size * a.size) if j not in unit)
+    unit_rows = tuple((p, tuple(row[j] for j in coords)) for p, row in unit.items())
+    relations = tuple(
+        tuple(row[j] for j in coords) for row, p in zip(form.h, form.pivots) if p not in unit
+    )
+    psi = kron(a.matrix, a.matrix.transpose())  # vec(AXA) = psi . vec(X)
+    induced = IntMatrix.from_columns(
+        [_project(coords, unit_rows, psi.column(j)) for j in coords], len(coords)
+    )
+    closure, depth = lattice_closure_under_preimage(induced, relations)
+    return K1Quotient(coords, unit_rows, relations, induced, closure, depth)
 
 
 def k1_equal(x: CylinderK1Element, y: CylinderK1Element) -> K1Decision:
     """Equality in the degree-one limit group.
 
-    EQUAL comes with the merge depth at which the difference lands in B(A);
-    NOT_EQUAL is certified by non-membership in the stabilised closure.  The
-    UNDECIDED arm survives in the API for defensive reasons only.
+    The difference is projected into Q once.  NOT_EQUAL is certified by
+    non-membership in the stabilised closure; otherwise applying X -> AXA in
+    Q reaches the relations within the closure depth, and the number of
+    applications is the merge depth at which the difference lands in B(A).
     """
     _same_ambient(x, y)
-    amb = x.ambient
     ma, mb, _ = _align_pair(x, y)
     diff = ma - mb
     if diff.is_zero:
         return K1Decision(Verdict.EQUAL, witness_level=0)
-    closure, depth = _commutator_closure(amb)
-    if not lattice_contains(closure, diff.vec()):
+    q = _k1_quotient(x.ambient)
+    v = q.project(diff.vec())
+    if not lattice_contains(q.closure, v):
         return K1Decision(Verdict.NOT_EQUAL)
-    cmap = commutator_map(amb)
-    for j in range(depth + 1):
-        p = matrix_power(amb.matrix, j)
-        if solve_integer_linear(cmap, (p @ diff @ p).vec()) is not None:
-            return K1Decision(Verdict.EQUAL, witness_level=j)
-    return K1Decision(Verdict.UNDECIDED, searched_to=depth)
+    for level in range(q.depth + 1):
+        if lattice_contains(q.relations, v):
+            return K1Decision(Verdict.EQUAL, witness_level=level)
+        v = q.psi.col_apply(v)
+    raise RuntimeError("closure membership without a witness level")
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +528,16 @@ def center_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     k = a.size
     if r == 0:
         return CentralizerLattice(basis=(), rank=0)
-    columns = []
+    # row i lists [b_i, b_j] for every j; the combinations of rows that
+    # vanish are the left kernel, factored once and not cached
+    commutators = []
     for i in range(r):
-        col = []
+        row = []
         for j in range(r):
             comm = cent.basis[i] @ cent.basis[j] - cent.basis[j] @ cent.basis[i]
-            col.extend(comm.vec())
-        columns.append(col)
-    system = IntMatrix.from_columns(columns, r * k * k)
-    combos = integer_kernel(system)
+            row.extend(comm.vec())
+        commutators.append(row)
+    combos = row_hermite_with_transform(IntMatrix.from_rows(commutators)).left_kernel()
     vectors = []
     for combo in combos:
         acc = IntMatrix.zeros(k, k)

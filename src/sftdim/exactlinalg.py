@@ -202,15 +202,6 @@ class IntMatrix:
         ents = tuple(self.entry(i, j) for i in row_idx for j in col_idx)
         return IntMatrix(len(row_idx), len(col_idx), ents)
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise DimensionMismatchError("hstack row mismatch")
-        ents = []
-        for i in range(self.rows):
-            ents.extend(self.row(i))
-            ents.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, tuple(ents))
-
 
 @functools.lru_cache(maxsize=None)
 def matrix_power(m: IntMatrix, e: int) -> IntMatrix:
@@ -379,6 +370,35 @@ class RowHermiteForm:
     w: tuple
     pivots: tuple  # pivot column per nonzero row of h
 
+    def left_kernel(self) -> tuple:
+        """Canonical Hermite basis of {y : y . M = 0}.
+
+        The W rows beside the zero rows of H already are that basis: the
+        augmented form is fully reduced, and their pivots lie in W.
+        """
+        return tuple(wr for hr, wr in zip(self.h, self.w) if not any(hr))
+
+    def left_solve(self, b: Sequence[int]) -> Optional[tuple]:
+        """Some integer y with y . M = b, or None when no integer solution exists."""
+        v = list(b)
+        ys = []
+        for row, p in zip(self.h, self.pivots):
+            q, r = divmod(v[p], row[p])
+            if r:
+                return None
+            ys.append(q)
+            if q:
+                for t in range(p, len(v)):
+                    v[t] -= q * row[t]
+        if any(v):
+            return None
+        y = [0] * (len(self.w[0]) if self.w else 0)
+        for q, wrow in zip(ys, self.w):
+            if q:
+                for t, x in enumerate(wrow):
+                    y[t] += q * x
+        return tuple(y)
+
 
 def row_hermite_with_transform(m: IntMatrix) -> RowHermiteForm:
     builder = _HnfBuilder(m.cols + m.rows)
@@ -401,11 +421,11 @@ def row_hermite_with_transform(m: IntMatrix) -> RowHermiteForm:
 def _column_hermite(m: IntMatrix) -> RowHermiteForm:
     # Row form of the transpose: W . M^T = H, so M . W^T = H^T gives the
     # column structure that kernels, images, solving and the first Smith
-    # pass all read.
+    # pass all read.  Only matrices that are read again belong here; a
+    # one-shot caller factors M^T with row_hermite_with_transform instead.
     return row_hermite_with_transform(m.transpose())
 
 
-@functools.lru_cache(maxsize=None)
 def integer_kernel(m: IntMatrix) -> tuple:
     """Canonical basis of the saturated lattice {x : M x = 0}.
 
@@ -413,45 +433,14 @@ def integer_kernel(m: IntMatrix) -> tuple:
     kernel of an integer matrix contains every integer vector that is
     rationally in it.
     """
-    form = _column_hermite(m)
-    kernel_rows = [
-        form.w[i]
-        for i in range(len(form.h))
-        if all(x == 0 for x in form.h[i])
-    ]
-    return hermite_row_basis(kernel_rows, m.cols)
+    return _column_hermite(m).left_kernel()
 
 
 def solve_integer_linear(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     """Some integer x with M x = b, or None when no integer solution exists."""
     if len(b) != m.rows:
         raise DimensionMismatchError("right-hand side length mismatch")
-    form = _column_hermite(m)
-    nonzero = [i for i in range(len(form.h)) if any(form.h[i])]
-    ys = []
-    for idx, i in enumerate(nonzero):
-        pivot_col = form.pivots[idx]
-        acc = b[pivot_col]
-        for prev_idx, prev_i in enumerate(nonzero[:idx]):
-            coeff = form.h[prev_i][pivot_col]
-            if coeff:
-                acc -= coeff * ys[prev_idx]
-        d = form.h[i][pivot_col]
-        if acc % d:
-            return None
-        ys.append(acc // d)
-    # consistency on the remaining coordinates
-    for col in range(m.rows):
-        total = sum(form.h[i][col] * y for i, y in zip(nonzero, ys))
-        if total != b[col]:
-            return None
-    x = [0] * m.cols
-    for i, y in zip(nonzero, ys):
-        if y:
-            wrow = form.w[i]
-            for t in range(m.cols):
-                x[t] += y * wrow[t]
-    return tuple(x)
+    return _column_hermite(m).left_solve(b)
 
 
 def determinant(m: IntMatrix) -> int:
@@ -647,16 +636,15 @@ def lattice_closure_under_preimage(
     if not psi.is_square:
         raise DimensionMismatchError("closure needs a square map")
     d = psi.rows
+    # psi x lies in L iff (x, c) . [psi^T; -L] = 0 for some c: each step is
+    # the left kernel of this stack, a one-shot factorisation left uncached.
+    psi_rows = psi.transpose().to_rows()
     current = hermite_row_basis(seed_rows, d)
     steps = 0
     while True:
-        if current:
-            stacked = psi.hstack(IntMatrix.from_columns([list(r) for r in current], d).scale(-1))
-            kernel = integer_kernel(stacked)
-            pre_rows = [k[:d] for k in kernel]
-        else:
-            pre_rows = [list(r) for r in integer_kernel(psi)]
-        new = hermite_row_basis(list(pre_rows) + [list(r) for r in current], d)
+        stacked = IntMatrix.from_rows(psi_rows + [[-x for x in r] for r in current])
+        kernel = row_hermite_with_transform(stacked).left_kernel()
+        new = hermite_row_basis([k[:d] for k in kernel] + [list(r) for r in current], d)
         if new == current:
             return current, steps
         current = new
@@ -781,8 +769,9 @@ def minimal_polynomial(m: IntMatrix) -> MinPolyData:
     powers = [IntMatrix.identity(n)]
     for deg in range(1, n + 1):
         powers.append(powers[-1] @ m)
-        w = IntMatrix.from_columns([p.vec() for p in powers[:-1]], n * n)
-        sol = solve_integer_linear(w, powers[-1].vec())
+        # each stack of powers is solved once, so its form is not cached
+        form = row_hermite_with_transform(IntMatrix.from_rows([p.vec() for p in powers[:-1]]))
+        sol = form.left_solve(powers[-1].vec())
         if sol is not None:
             m_coeffs = tuple(-x for x in sol) + (1,)
             l = 0

@@ -75,41 +75,9 @@ def validate(raw: Union[IntMatrix, Sequence[Sequence[int]]]) -> AdjacencyMatrix:
     return AdjacencyMatrix(m)
 
 
-def _bool_rows(a: AdjacencyMatrix) -> list:
-    m = a.matrix
-    return [[m.entry(i, j) > 0 for j in range(a.size)] for i in range(a.size)]
-
-
-def _bool_product(x: list, y: list) -> list:
-    n = len(x)
-    out = [[False] * n for _ in range(n)]
-    for i in range(n):
-        xi = x[i]
-        oi = out[i]
-        for s in range(n):
-            if xi[s]:
-                ys = y[s]
-                for j in range(n):
-                    if ys[j]:
-                        oi[j] = True
-    return out
-
-
 def wielandt_bound(k: int) -> int:
     """Smallest exponent that must be entrywise positive for a primitive matrix."""
     return (k - 1) ** 2 + 1
-
-
-@functools.lru_cache(maxsize=None)
-def is_primitive(a: AdjacencyMatrix) -> bool:
-    """True iff some power up to the Wielandt bound is entrywise positive."""
-    b = _bool_rows(a)
-    p = b
-    for _ in range(wielandt_bound(a.size)):
-        if all(all(row) for row in p):
-            return True
-        p = _bool_product(p, b)
-    return False
 
 
 def _successors(a: AdjacencyMatrix, v: int) -> list:
@@ -164,6 +132,17 @@ def period(a: AdjacencyMatrix) -> int:
             if m.entry(u, v) > 0:
                 g = math.gcd(g, levels[u] + 1 - levels[v])
     return g
+
+
+@functools.lru_cache(maxsize=None)
+def is_primitive(a: AdjacencyMatrix) -> bool:
+    """True iff some power is entrywise positive.
+
+    That holds iff the graph is strongly connected with period 1, which two
+    graph searches decide; squaring boolean powers up to
+    :func:`wielandt_bound` would cost O(K^5).
+    """
+    return is_irreducible(a) and period(a) == 1
 
 
 @dataclass(frozen=True)

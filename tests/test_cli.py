@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from sftdim import exactlinalg
 from sftdim.cli import main
 from sftdim import IntMatrix, StableElement, validate
 from sftdim.serialization import (
@@ -128,6 +129,16 @@ class TestInfoAndReports:
             capsys, "--format", "json", "kgroups", matrix_file([[1, 0], [0, 1]])
         )
         assert code == 2
+
+    def test_iteration_cap_exits_cleanly(self, capsys, matrix_file, monkeypatch):
+        # a Smith reduction with no passes left raises RuntimeError; the CLI
+        # reports it with exit 4 instead of a traceback
+        monkeypatch.setattr(exactlinalg, "_SNF_PASS_CAP", 0)
+        path = matrix_file([[1, 2, 0], [0, 1, 3], [2, 0, 1]])
+        code, out, err = run_cli(capsys, "--format", "json", "kgroups", path)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_decompose(self, capsys, matrix_file):
         code, out, _ = run_cli(

@@ -2,6 +2,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
 from sftdim import (
@@ -43,9 +45,16 @@ from sftdim import (
 )
 from sftdim import cylinder_ring, exactlinalg
 from sftdim.cylinder_ring import alpha_k0, commutator_map
-from sftdim.exactlinalg import hermite_row_basis, smith_normal_form, solve_integer_linear
+from sftdim.exactlinalg import (
+    hermite_row_basis,
+    kron,
+    lattice_closure_under_preimage,
+    lattice_contains,
+    smith_normal_form,
+    solve_integer_linear,
+)
 
-from conftest import random_centralizer_element, random_matrix
+from conftest import random_centralizer_element, random_matrix, random_primitive_adjacency
 
 X1 = IntMatrix.from_rows([[1, -1, 0], [-1, 1, 0], [0, 0, 0]])
 X2 = IntMatrix.from_rows([[0, 1, -1], [0, -1, 1], [0, 0, 0]])
@@ -140,9 +149,8 @@ class TestSharedFactorisation:
         # a cold matrix: centraliser, B(A) and the Smith form share one
         # factorisation, and the Smith inverses wait until they are read
         a = validate([[1, 2, 0, 1], [1, 0, 3, 1], [2, 1, 1, 0], [0, 1, 2, 1]])
-        for cached in (exactlinalg._column_hermite, exactlinalg.integer_kernel,
-                       smith_normal_form, centralizer_basis, commutator_lattice,
-                       k1_group_structure):
+        for cached in (exactlinalg._column_hermite, smith_normal_form, centralizer_basis,
+                       commutator_lattice, k1_group_structure):
             cached.cache_clear()
 
         def counted(module, name):
@@ -169,6 +177,24 @@ class TestSharedFactorisation:
         snf = smith_normal_form(cmap)
         assert snf.u @ snf.u_inv == IntMatrix.identity(16)
         assert len(inverses) == 1
+
+    def test_one_shot_factorisations_are_not_cached(self):
+        # per cold matrix only the commutator map and the subring span are
+        # factored into the shared cache; minimal polynomials, closure steps
+        # and the centre factor their one-shot systems without keeping them
+        rng = random.Random(20261018)
+        matrices = [random_primitive_adjacency(rng, k) for k in (4, 5, 4, 5)]
+        before = exactlinalg._column_hermite.cache_info().currsize
+        for a in matrices:
+            k = a.size
+            centralizer_basis(a)
+            commutator_lattice(a)
+            k1_group_structure(a)
+            center_basis(a)
+            x = CylinderK1Element(a, IntMatrix.identity(k), 0)
+            k1_equal(x, CylinderK1Element(a, IntMatrix.zeros(k, k), 0))
+            ra_membership(CylinderK0Element(a, a.matrix, 1))
+        assert exactlinalg._column_hermite.cache_info().currsize - before <= 2 * len(matrices)
 
 
 class TestCylinderElements:
@@ -251,6 +277,146 @@ def _commutator_map(a):
     from sftdim.cylinder_ring import commutator_map
 
     return commutator_map(a)
+
+
+def _k1_closure_oracle(a):
+    """The closure of B(A) under division by X -> AXA, in all of M_K(Z)."""
+    psi = kron(a.matrix, a.matrix.transpose())
+    seed = tuple(b.vec() for b in commutator_lattice(a).basis)
+    return lattice_closure_under_preimage(psi, seed)
+
+
+def _k1_equal_oracle(x, y):
+    """Verdict and merge depth through the K^2-dimensional closure and solves."""
+    amb = x.ambient
+    level = max(x.level, y.level)
+    px = matrix_power(amb.matrix, level - x.level)
+    py = matrix_power(amb.matrix, level - y.level)
+    diff = px @ x.matrix @ px - py @ y.matrix @ py
+    if diff.is_zero:
+        return Verdict.EQUAL, 0
+    closure, depth = _k1_closure_oracle(amb)
+    if not lattice_contains(closure, diff.vec()):
+        return Verdict.NOT_EQUAL, None
+    for j in range(depth + 1):
+        p = matrix_power(amb.matrix, j)
+        if solve_integer_linear(commutator_map(amb), (p @ diff @ p).vec()) is not None:
+            return Verdict.EQUAL, j
+    raise AssertionError("oracle closure member without a merge depth")
+
+
+def _k1_pairs(rng, a, count):
+    """Pairs of degree-one classes: unrelated, shifted copies plus commutators,
+    with and without a multiple of I, and rank-one payloads killed by A."""
+    k = a.size
+    kernel = [IntMatrix.column_vector(v) for v in exactlinalg.integer_kernel(a.matrix)]
+    for _ in range(count):
+        x = CylinderK1Element(a, random_matrix(rng, k, k, lo=-3, hi=3), rng.randint(0, 2))
+        j = rng.randint(0, 2)
+        p = matrix_power(a.matrix, j)
+        w = random_matrix(rng, k, k, lo=-2, hi=2)
+        payload = p @ x.matrix @ p + (a.matrix @ w - w @ a.matrix)
+        payload = payload + IntMatrix.identity(k).scale(rng.choice((0, 0, 1, -2)))
+        yield x, CylinderK1Element(a, payload, x.level + j)
+        yield x, CylinderK1Element(a, random_matrix(rng, k, k, lo=-3, hi=3), rng.randint(0, 2))
+        if kernel:
+            u = rng.choice(kernel)
+            v = random_matrix(rng, 1, k, lo=-2, hi=2)
+            yield x, CylinderK1Element(a, x.matrix + u @ v, x.level)
+
+
+CJ_PLUS_DI = validate([[3, 2, 2], [2, 3, 2], [2, 2, 3]])
+REPEATED_ROW = validate([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
+BIPARTITE = validate([[0, 0, 1, 1], [0, 0, 1, 2], [1, 2, 0, 0], [1, 1, 0, 0]])
+
+
+@st.composite
+def _adjacency(draw):
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k), min_size=k, max_size=k))
+    try:
+        return validate(rows)
+    except ValueError:
+        assume(False)
+
+
+class TestK1CokernelCoordinates:
+    def _assert_agrees(self, a, rng, count=12):
+        for x, y in _k1_pairs(rng, a, count):
+            decision = k1_equal(x, y)
+            assert (decision.verdict, decision.witness_level) == _k1_equal_oracle(x, y)
+
+    def test_matches_full_closure_on_pool(self, primitive_pool):
+        rng = random.Random(131)
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
+            self._assert_agrees(a, rng)
+
+    def test_membership_matches_full_closure(self, primitive_pool):
+        rng = random.Random(137)
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
+            k = a.size
+            q = cylinder_ring._k1_quotient(a)
+            closure, depth = _k1_closure_oracle(a)
+            assert q.depth <= depth
+            members = [b.vec() for b in commutator_lattice(a).basis] + list(closure)
+            for _ in range(20):
+                v = random_matrix(rng, k, k, lo=-3, hi=3).vec()
+                assert lattice_contains(q.closure, q.project(v)) == lattice_contains(closure, v)
+            for v in members:
+                assert lattice_contains(q.closure, q.project(v))
+
+    def test_relations_are_the_commutators_inside_the_coordinates(self, primitive_pool):
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
+            q = cylinder_ring._k1_quotient(a)
+            assert hermite_row_basis(q.relations, len(q.coords)) == q.relations
+            for b in commutator_lattice(a).basis:
+                assert lattice_contains(q.relations, q.project(b.vec()))
+
+    def test_scaled_all_ones_keeps_every_coordinate(self):
+        # B(cJ + dI) = c B(J): no pivot is 1, so Q keeps all K^2 coordinates
+        q = cylinder_ring._k1_quotient(CJ_PLUS_DI)
+        assert len(q.coords) == 9 and not q.unit_rows
+
+    def test_singular_matrix_merges_one_level_up(self):
+        # X = u v^T with A u = 0 dies under X -> AXA but has trace v.u != 0
+        u = IntMatrix.column_vector((0, 1, -1))
+        v = IntMatrix.row_vector((0, 1, 0))
+        x = CylinderK1Element(REPEATED_ROW, u @ v, 0)
+        zero = CylinderK1Element(REPEATED_ROW, IntMatrix.zeros(3, 3), 0)
+        decision = k1_equal(x, zero)
+        assert (decision.verdict, decision.witness_level) == (Verdict.EQUAL, 1)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_adjacency(), seed=st.integers(0, 2**16))
+    def test_matches_full_closure_on_generated_matrices(self, a, seed):
+        self._assert_agrees(a, random.Random(seed), count=3)
+
+    def test_cold_call_solves_nothing_in_fewer_coordinates(self, monkeypatch):
+        a = validate([
+            [1, 2, 0, 1, 3, 1], [2, 1, 1, 0, 1, 2], [0, 3, 1, 2, 1, 1],
+            [1, 1, 2, 1, 0, 3], [2, 0, 1, 3, 1, 1], [1, 1, 3, 0, 2, 1],
+        ])
+        cylinder_ring._k1_quotient.cache_clear()
+        solves = []
+        dims = []
+        closure = cylinder_ring.lattice_closure_under_preimage
+
+        def count_solve(*args):
+            solves.append(args)
+            return solve_integer_linear(*args)
+
+        def record_closure(psi, seed):
+            dims.append(psi.rows)
+            return closure(psi, seed)
+
+        monkeypatch.setattr(cylinder_ring, "solve_integer_linear", count_solve)
+        monkeypatch.setattr(exactlinalg, "solve_integer_linear", count_solve)
+        monkeypatch.setattr(cylinder_ring, "lattice_closure_under_preimage", record_closure)
+        x = CylinderK1Element(a, IntMatrix.identity(6), 0)
+        y = CylinderK1Element(a, IntMatrix.zeros(6, 6), 0)
+        assert k1_equal(x, y).verdict is Verdict.NOT_EQUAL  # trace vanishes on B(A)
+        assert solves == []
+        assert len(dims) == 1 and dims[0] < 36
 
 
 class TestProducts:

@@ -183,6 +183,15 @@ class TestKernel:
                 assert all(d == 1 for d in smith_normal_form(stacked).invariant_factors)
 
 
+    def test_kernel_is_already_in_hermite_form(self):
+        # the transform rows beside zero Hermite rows are read off as is
+        rng = random.Random(204)
+        for _ in range(60):
+            m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6), lo=-3, hi=3)
+            kernel = integer_kernel(m)
+            assert hermite_row_basis(kernel, m.cols) == kernel
+
+
 class TestSolve:
     def test_identity(self):
         m = IntMatrix.identity(3)

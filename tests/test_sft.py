@@ -70,6 +70,33 @@ class TestPrimitivity:
                 assert not is_primitive(a)
 
 
+    def test_matches_wielandt_power_oracle(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            a = random_valid_adjacency(rng, rng.randint(1, 6), hi=rng.choice((1, 2)))
+            assert is_primitive(a) == _wielandt_primitive(a)
+
+    def test_cyclic_permutation_plus_chord(self):
+        # a K-cycle with one chord i -> i + 2 has cycle lengths K and K - 1
+        k = 20
+        rows = [[1 if j == (i + 1) % k else 0 for j in range(k)] for i in range(k)]
+        rows[0][2] = 1
+        a = validate(rows)
+        assert is_primitive(a) and _wielandt_primitive(a)
+
+
+def _wielandt_primitive(a):
+    """Some boolean power up to the Wielandt bound is entrywise positive."""
+    k = a.size
+    b = [[a.matrix.entry(i, j) > 0 for j in range(k)] for i in range(k)]
+    p = b
+    for _ in range(wielandt_bound(k)):
+        if all(all(row) for row in p):
+            return True
+        p = [[any(p[i][s] and b[s][j] for s in range(k)) for j in range(k)] for i in range(k)]
+    return False
+
+
 class TestIrreducibility:
     def test_swap_is_irreducible_period_two(self):
         a = validate([[0, 1], [1, 0]])
