@@ -11,16 +11,20 @@ matrices by the commutator lattice B(A) = {AY - YA}.  The product is
 and the stable/unstable limit groups are right/left modules via
 [v, N] * [X, M] = [vX, N + 2M] and [X, M] * [w, N] = [Xw, N + 2M].
 
-Degree-one equality has no single-shot test like the degree-zero one, but it
-is still decidable in the level group Q = M_K(Z)/B(A) itself.  The cached
-Hermite basis of B(A) presents Q as Z^J modulo a few relations: a basis row
-with pivot 1 eliminates its coordinate, and J keeps the rest (usually far
-fewer than K^2).  The preimages of the relations under the map induced by
-X -> AXA form an ascending chain that stabilises; membership of the
-projected difference in the stabilised closure settles equality outright,
-and applying the induced map until the relations are reached gives the
-merge depth.  The same closure idea, in M_K(Z), decides membership in the
-polynomial subring generated by [A, 0] and [A, 1].
+Each per-matrix invariant is computed in the smallest space that holds it.
+The cached Hermite basis of B(A) presents the level group Q = M_K(Z)/B(A)
+as Z^J modulo a few relations: a basis row with pivot 1 eliminates its
+coordinate, and J keeps the rest (usually far fewer than K^2).  The torsion
+of Q is read off the Smith form of those relations.  Degree-one equality
+has no single-shot test like the degree-zero one: the preimages of the
+relations under the map induced by X -> AXA form an ascending chain that
+stabilises, membership of the projected difference in the stabilised
+closure settles equality outright, and applying the induced map until the
+relations are reached gives the merge depth.  Membership in the polynomial
+subring generated by [A, 0] and [A, 1] uses the same closure idea in the
+coordinates of C(A), which Y -> A^2 Y maps into itself.  The matrix-level
+center of C(A) is M_K(Z) intersected with Q[A] (double centraliser), so it
+is C(A) itself whenever A is non-derogatory.
 """
 
 from __future__ import annotations
@@ -75,21 +79,44 @@ def commutator_map(a: AdjacencyMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class CentralizerLattice:
-    """Saturated basis of a sublattice of the commuting matrices."""
+    """Saturated Hermite basis of a sublattice of the commuting matrices."""
 
     basis: tuple
     rank: int
 
+    @functools.cached_property
+    def _pivots(self) -> tuple:
+        return tuple(next(j for j, x in enumerate(b.vec()) if x) for b in self.basis)
+
     def contains(self, x: IntMatrix) -> bool:
-        rows = tuple(b.vec() for b in self.basis)
-        return lattice_contains(rows, x.vec())
+        return self.coordinates(x) is not None
 
     def coordinates(self, x: IntMatrix) -> Optional[tuple]:
-        if not self.basis:
-            return () if x.is_zero else None
-        k2 = len(self.basis[0].vec())
-        m = IntMatrix.from_columns([b.vec() for b in self.basis], k2)
-        return solve_integer_linear(m, x.vec())
+        """The integer c with x = sum c_i basis_i, or None when x is not in the lattice.
+
+        Read off the pivots: basis row i vanishes before its pivot, so its
+        coefficient is fixed by x's entry there once the earlier rows are
+        taken out; x is a member iff nothing is left over.
+        """
+        v = list(x.vec())
+        coords = []
+        for b, p in zip(self.basis, self._pivots):
+            row = b.vec()
+            c = v[p] // row[p]
+            coords.append(c)
+            if c:
+                for t in range(p, len(v)):
+                    v[t] -= c * row[t]
+        return None if any(v) else tuple(coords)
+
+    def combine(self, coords: Sequence[int]) -> tuple:
+        """The row-major vector sum c_i basis_i."""
+        out = [0] * (len(self.basis[0].vec()) if self.basis else 0)
+        for c, b in zip(coords, self.basis):
+            if c:
+                for t, x in enumerate(b.vec()):
+                    out[t] += c * x
+        return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,7 +155,10 @@ def commutator_lattice(a: AdjacencyMatrix) -> CommutatorLattice:
 
 @dataclass(frozen=True)
 class K1Structure:
-    """Shape of the level group M_K(Z)/B(A): free rank plus torsion factors."""
+    """Shape of the level group M_K(Z)/B(A): free rank plus torsion factors.
+
+    ``snf_diagonal`` is the Smith diagonal of the commutator map.
+    """
 
     free_rank: int
     torsion: tuple
@@ -137,13 +167,23 @@ class K1Structure:
 
 @functools.lru_cache(maxsize=None)
 def k1_group_structure(a: AdjacencyMatrix) -> K1Structure:
-    k = a.size
-    snf = smith_normal_form(commutator_map(a))
-    diag = snf.diagonal()
+    """Q = M_K(Z)/B(A) is Z^J modulo the relations, so its torsion is theirs.
+
+    The relations are independent, so each gives one invariant factor; the
+    non-unit ones are the torsion, and every other nonzero factor of the
+    commutator map is 1.
+    """
+    pres = _k1_presentation(a)
+    rel = IntMatrix(
+        len(pres.relations), len(pres.coords), tuple(x for r in pres.relations for x in r)
+    )
+    torsion = tuple(d for d in smith_normal_form(rel).invariant_factors if d > 1)
+    k2 = a.size * a.size
+    rank_b = k2 - len(pres.coords) + len(pres.relations)
     return K1Structure(
-        free_rank=k * k - snf.rank,
-        torsion=tuple(d for d in snf.invariant_factors if d > 1),
-        snf_diagonal=diag,
+        free_rank=k2 - rank_b,
+        torsion=torsion,
+        snf_diagonal=(1,) * (rank_b - len(torsion)) + torsion + (0,) * (k2 - rank_b),
     )
 
 
@@ -265,29 +305,36 @@ class K1Decision:
 
 
 @dataclass(frozen=True)
-class K1Quotient:
+class K1Presentation:
     """The level group Q = M_K(Z)/B(A) presented as Z^J / <relations>.
 
     Read off the cached Hermite basis of B(A): a row with pivot 1 eliminates
     its pivot coordinate, and J keeps every other coordinate.  A unit pivot's
     column is zero in every other Hermite row, so projecting a vector onto
     Z^J subtracts v[p] times each unit row at once.  The remaining rows,
-    restricted to J, are a Hermite basis of B(A) intersected with Z^J, and
-    ``psi`` is X -> AXA induced on Z^J.  ``closure`` is the stabilised
-    preimage closure of the relations under ``psi`` and ``depth`` its
-    stabilisation depth.
+    restricted to J, are a Hermite basis of B(A) intersected with Z^J.
     """
 
     coords: tuple
     unit_rows: tuple  # (pivot, row restricted to coords) per unit pivot
     relations: tuple
-    psi: IntMatrix
-    closure: tuple
-    depth: int
 
     def project(self, v: Sequence[int]) -> tuple:
         """Coordinates on Z^J of the class of ``v`` (row-major) in Q."""
         return _project(self.coords, self.unit_rows, v)
+
+
+@dataclass(frozen=True)
+class K1Quotient(K1Presentation):
+    """The presentation of Q with X -> AXA induced on it as ``psi``.
+
+    ``closure`` is the stabilised preimage closure of the relations under
+    ``psi`` and ``depth`` its stabilisation depth.
+    """
+
+    psi: IntMatrix
+    closure: tuple
+    depth: int
 
 
 def _project(coords: tuple, unit_rows: tuple, v: Sequence[int]) -> tuple:
@@ -302,7 +349,7 @@ def _project(coords: tuple, unit_rows: tuple, v: Sequence[int]) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _k1_quotient(a: AdjacencyMatrix) -> K1Quotient:
+def _k1_presentation(a: AdjacencyMatrix) -> K1Presentation:
     form = _column_hermite(commutator_map(a))
     unit = {p: row for row, p in zip(form.h, form.pivots) if row[p] == 1}
     coords = tuple(j for j in range(a.size * a.size) if j not in unit)
@@ -310,12 +357,18 @@ def _k1_quotient(a: AdjacencyMatrix) -> K1Quotient:
     relations = tuple(
         tuple(row[j] for j in coords) for row, p in zip(form.h, form.pivots) if p not in unit
     )
+    return K1Presentation(coords, unit_rows, relations)
+
+
+@functools.lru_cache(maxsize=None)
+def _k1_quotient(a: AdjacencyMatrix) -> K1Quotient:
+    pres = _k1_presentation(a)
     psi = kron(a.matrix, a.matrix.transpose())  # vec(AXA) = psi . vec(X)
     induced = IntMatrix.from_columns(
-        [_project(coords, unit_rows, psi.column(j)) for j in coords], len(coords)
+        [pres.project(psi.column(j)) for j in pres.coords], len(pres.coords)
     )
-    closure, depth = lattice_closure_under_preimage(induced, relations)
-    return K1Quotient(coords, unit_rows, relations, induced, closure, depth)
+    closure, depth = lattice_closure_under_preimage(induced, pres.relations)
+    return K1Quotient(pres.coords, pres.unit_rows, pres.relations, induced, closure, depth)
 
 
 def k1_equal(x: CylinderK1Element, y: CylinderK1Element) -> K1Decision:
@@ -472,14 +525,22 @@ def ra_to_cylinder(x: RAElement) -> CylinderK0Element:
 
 @functools.lru_cache(maxsize=None)
 def _ra_closure(a: AdjacencyMatrix) -> tuple:
-    """Closure of span{A^(2l+i) : i < k} under division by Y -> A^2 Y."""
+    """Closure of span{A^(2l+i) : i < k} under division by Y -> A^2 Y, within C(A).
+
+    Only payloads in C(A) are ever tested, and Y -> A^2 Y maps C(A) into
+    itself, so the closure runs on C(A) coordinates (dimension rank C(A),
+    not K^2) and its stabilised basis is lifted back once.  Returns the
+    Hermite basis of the lifted closure and the stabilisation depth.
+    """
     mp = minimal_polynomial(a.matrix)
-    k = a.size
-    seed = tuple(
-        matrix_power(a.matrix, 2 * mp.l + i).vec() for i in range(mp.k)
-    )
-    psi = kron(matrix_power(a.matrix, 2), IntMatrix.identity(k))
-    return lattice_closure_under_preimage(psi, seed)
+    cent = centralizer_basis(a)
+    a2 = matrix_power(a.matrix, 2)
+    seed = [
+        cent.coordinates(matrix_power(a.matrix, 2 * mp.l + i)) for i in range(mp.k)
+    ]
+    psi = IntMatrix.from_columns([cent.coordinates(a2 @ b) for b in cent.basis], cent.rank)
+    closure, depth = lattice_closure_under_preimage(psi, seed)
+    return hermite_row_basis([cent.combine(c) for c in closure], a.size * a.size), depth
 
 
 def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
@@ -518,32 +579,33 @@ def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
 
 @functools.lru_cache(maxsize=None)
 def center_basis(a: AdjacencyMatrix) -> CentralizerLattice:
-    """Sublattice of C(A) commuting with every basis element of C(A).
+    """Sublattice of C(A) commuting with every element of C(A).
 
     This is the center at the matrix level; it is reported next to the rank
-    of the polynomial subring for comparison.
+    of the polynomial subring for comparison.  Over Q the matrices commuting
+    with everything that commutes with A are exactly the polynomials in A
+    (the double centraliser theorem), so the center is M_K(Z) meet Q[A], of
+    rank deg m_A.  When that equals rank C(A) (A is non-derogatory) the
+    center is C(A) itself.  Otherwise the C(A) coordinates of I, A, ...,
+    A^(deg m_A - 1) are saturated in Z^r as the kernel of their kernel; that
+    is exact because C(A) is saturated, so every integer matrix in Q[A] has
+    integer coordinates in its basis.
     """
     cent = centralizer_basis(a)
-    r = cent.rank
+    mp = minimal_polynomial(a.matrix)
+    degree = mp.k + mp.l
+    if degree == cent.rank:
+        return cent
+    powers = [IntMatrix.identity(a.size)]
+    for _ in range(degree - 1):
+        powers.append(powers[-1] @ a.matrix)
+    span = [cent.coordinates(p) for p in powers]
+    # each system is solved once, so neither form is cached
+    relations = row_hermite_with_transform(IntMatrix.from_columns(span, cent.rank)).left_kernel()
+    saturated = row_hermite_with_transform(
+        IntMatrix.from_columns(relations, cent.rank)
+    ).left_kernel()
     k = a.size
-    if r == 0:
-        return CentralizerLattice(basis=(), rank=0)
-    # row i lists [b_i, b_j] for every j; the combinations of rows that
-    # vanish are the left kernel, factored once and not cached
-    commutators = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            comm = cent.basis[i] @ cent.basis[j] - cent.basis[j] @ cent.basis[i]
-            row.extend(comm.vec())
-        commutators.append(row)
-    combos = row_hermite_with_transform(IntMatrix.from_rows(commutators)).left_kernel()
-    vectors = []
-    for combo in combos:
-        acc = IntMatrix.zeros(k, k)
-        for c, b in zip(combo, cent.basis):
-            acc = acc + b.scale(c)
-        vectors.append(acc.vec())
-    rows = hermite_row_basis(vectors, k * k)
+    rows = hermite_row_basis([cent.combine(c) for c in saturated], k * k)
     basis = tuple(IntMatrix.from_vec(rw, k, k) for rw in rows)
     return CentralizerLattice(basis=basis, rank=len(basis))

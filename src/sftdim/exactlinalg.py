@@ -420,9 +420,9 @@ def row_hermite_with_transform(m: IntMatrix) -> RowHermiteForm:
 @functools.lru_cache(maxsize=None)
 def _column_hermite(m: IntMatrix) -> RowHermiteForm:
     # Row form of the transpose: W . M^T = H, so M . W^T = H^T gives the
-    # column structure that kernels, images, solving and the first Smith
-    # pass all read.  Only matrices that are read again belong here; a
-    # one-shot caller factors M^T with row_hermite_with_transform instead.
+    # column structure that kernels, images and solving all read.  Only
+    # matrices that are read again belong here; a one-shot caller factors
+    # M^T with row_hermite_with_transform instead.
     return row_hermite_with_transform(m.transpose())
 
 
@@ -532,7 +532,6 @@ def unimodular_inverse(u: IntMatrix) -> IntMatrix:
 _SNF_PASS_CAP = 1000
 
 
-@functools.lru_cache(maxsize=None)
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form via alternating Hermite passes.
 
@@ -543,13 +542,10 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     d = m
     u = IntMatrix.identity(m.rows)
     v = IntMatrix.identity(m.cols)
-    for step in range(_SNF_PASS_CAP):
+    for _ in range(_SNF_PASS_CAP):
         if _is_diagonal(d):
             break
-        # Only the first column pass goes through the shared cache: for the
-        # commutator map it is the factorisation that kernel and image read,
-        # while later passes see intermediate matrices no caller asks for.
-        form = _column_hermite(d) if step == 0 else row_hermite_with_transform(d.transpose())
+        form = row_hermite_with_transform(d.transpose())
         d = IntMatrix.from_rows([list(r) for r in form.h]).transpose()
         v = v @ IntMatrix.from_rows([list(r) for r in form.w]).transpose()
         if _is_diagonal(d):

@@ -54,22 +54,37 @@ def element_to_dict(e: Element) -> dict:
     return {"payload": payload, "level": e.level, "flavor": flavor}
 
 
+def _int(x) -> int:
+    """``x`` itself when it is an int; JSON true/false and floats are refused."""
+    if type(x) is not int:
+        raise TypeError(f"integer expected, got {x!r}")
+    return x
+
+
+def _ints(xs) -> tuple:
+    return tuple(_int(x) for x in xs)
+
+
+def _int_rows(rows) -> list:
+    return [_ints(row) for row in rows]
+
+
 def element_from_dict(a: AdjacencyMatrix, d: dict) -> Element:
     flavor = d["flavor"]
-    level = int(d["level"])
+    level = _int(d["level"])
     payload = d["payload"]
     if flavor == "s":
-        return StableElement(a, tuple(int(x) for x in payload), level)
+        return StableElement(a, _ints(payload), level)
     if flavor == "u":
-        return UnstableElement(a, tuple(int(x) for x in payload), level)
+        return UnstableElement(a, _ints(payload), level)
     if flavor == "h":
-        return HomoclinicElement(a, IntMatrix.from_rows(payload), level)
+        return HomoclinicElement(a, IntMatrix.from_rows(_int_rows(payload)), level)
     if flavor == "k0":
-        return CylinderK0Element(a, IntMatrix.from_rows(payload), level)
+        return CylinderK0Element(a, IntMatrix.from_rows(_int_rows(payload)), level)
     if flavor == "k1":
-        return CylinderK1Element(a, IntMatrix.from_rows(payload), level)
+        return CylinderK1Element(a, IntMatrix.from_rows(_int_rows(payload)), level)
     if flavor == "ra":
-        return RAElement(a, tuple(int(x) for x in payload), level)
+        return RAElement(a, _ints(payload), level)
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
@@ -78,7 +93,7 @@ def hom_to_dict(phi: StableHom) -> dict:
 
 
 def hom_from_dict(a: AdjacencyMatrix, d: dict) -> StableHom:
-    return StableHom(a, tuple(int(x) for x in d["z"]), int(d["level"]))
+    return StableHom(a, _ints(d["z"]), _int(d["level"]))
 
 
 def witness_to_dict(w: ShiftEquivalenceWitness) -> dict:
@@ -87,7 +102,9 @@ def witness_to_dict(w: ShiftEquivalenceWitness) -> dict:
 
 def witness_from_dict(d: dict) -> ShiftEquivalenceWitness:
     return ShiftEquivalenceWitness(
-        r=IntMatrix.from_rows(d["R"]), s=IntMatrix.from_rows(d["S"]), k=int(d["k"])
+        r=IntMatrix.from_rows(_int_rows(d["R"])),
+        s=IntMatrix.from_rows(_int_rows(d["S"])),
+        k=_int(d["k"]),
     )
 
 
@@ -104,9 +121,8 @@ def parse_matrix_text(text: str) -> tuple:
         data = json.loads(stripped)
         if isinstance(data, dict):
             label = data.get("label")
-            rows = data["matrix"]
-        else:
-            rows = data
+            data = data["matrix"]
+        rows = _int_rows(data)
     else:
         rows = [
             [int(tok) for tok in line.split()]

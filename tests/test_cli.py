@@ -245,6 +245,47 @@ class TestElementCommands:
         assert report["result"] == {"payload": [60], "level": 3, "flavor": "ra"}
 
 
+class TestStrictParsing:
+    """Every value that must be an integer is refused with exit 2 when it is a
+    float or a JSON boolean, instead of being truncated or read as 0/1."""
+
+    def _assert_refused(self, code, out, err):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_float_payload_is_refused(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        v = json.dumps({"payload": [1.5, 0], "level": 0, "flavor": "s"})
+        w = json.dumps({"payload": [1, 0], "level": 0, "flavor": "s"})
+        self._assert_refused(*run_cli(capsys, "--format", "json", "equal", path, v, w))
+
+    def test_boolean_level_is_refused(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        v = json.dumps({"payload": [1, 0], "level": True, "flavor": "s"})
+        w = json.dumps({"payload": [1, 0], "level": 1, "flavor": "s"})
+        self._assert_refused(*run_cli(capsys, "--format", "json", "equal", path, v, w))
+
+    def test_boolean_matrix_entry_is_refused(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, True]])
+        self._assert_refused(*run_cli(capsys, "--format", "json", "info", path))
+
+    def test_every_parser_refuses_non_integers(self, fib):
+        for bad in (True, 2.0, "2", None):
+            with pytest.raises(TypeError):
+                element_from_dict(fib, {"payload": [[1, bad], [0, 1]], "level": 0, "flavor": "k1"})
+            with pytest.raises(TypeError):
+                element_from_dict(fib, {"payload": [1, bad], "level": 0, "flavor": "ra"})
+            with pytest.raises(TypeError):
+                hom_from_dict(fib, {"z": [1, 0], "level": bad})
+            with pytest.raises(TypeError):
+                witness_from_dict({"R": [[1, 0], [0, 1]], "S": [[1, 1], [1, bad]], "k": 1})
+            with pytest.raises(TypeError):
+                witness_from_dict({"R": [[1, 0], [0, 1]], "S": [[1, 1], [1, 0]], "k": bad})
+            with pytest.raises(TypeError):
+                parse_matrix_text(json.dumps({"matrix": [[1, 1], [1, bad]]}))
+
+
 class TestShiftEquivalenceCommands:
     def test_verify_valid(self, capsys, matrix_file, tmp_path):
         path = matrix_file([[1, 1], [1, 0]])

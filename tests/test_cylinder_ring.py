@@ -96,6 +96,22 @@ class TestCentralizer:
             for b in centralizer_basis(a).basis:
                 assert a.matrix @ b == b @ a.matrix
 
+    def test_coordinates_read_off_the_pivots(self, primitive_pool):
+        rng = random.Random(29)
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
+            cent = centralizer_basis(a)
+            r = cent.rank
+            for i, b in enumerate(cent.basis):
+                assert cent.coordinates(b) == tuple(int(t == i) for t in range(r))
+            c = tuple(rng.randint(-3, 3) for _ in range(r))
+            x = IntMatrix.from_vec(cent.combine(c), a.size, a.size)
+            assert cent.coordinates(x) == c and cent.contains(x)
+            # C(A) is saturated, so its non-members are the non-commuting matrices
+            if a.size > 1:
+                e01 = IntMatrix.from_vec((0, 1) + (0,) * (a.size * a.size - 2), a.size, a.size)
+                assert cent.coordinates(e01) is None and not cent.contains(e01)
+                assert cent.coordinates(x + e01) is None
+
 
 class TestCommutatorAndK1Structure:
     def test_scalar_commutators_vanish(self, two):
@@ -149,7 +165,7 @@ class TestSharedFactorisation:
         # a cold matrix: centraliser, B(A) and the Smith form share one
         # factorisation, and the Smith inverses wait until they are read
         a = validate([[1, 2, 0, 1], [1, 0, 3, 1], [2, 1, 1, 0], [0, 1, 2, 1]])
-        for cached in (exactlinalg._column_hermite, smith_normal_form, centralizer_basis,
+        for cached in (exactlinalg._column_hermite, centralizer_basis,
                        commutator_lattice, k1_group_structure):
             cached.cache_clear()
 
@@ -670,3 +686,151 @@ class TestCenter:
             for c in center_basis(a).basis:
                 for b in cent.basis:
                     assert c @ b == b @ c
+
+    def test_center_is_not_all_of_a_derogatory_centralizer(self, sym3):
+        center = center_basis(sym3)
+        assert center.coordinates(X1) is None
+        assert center.coordinates(IntMatrix.identity(3)) is not None
+
+
+def _center_oracle(a):
+    """The elements of C(A) commuting with every basis element of C(A), as the
+    left kernel of the r x r*K^2 system of commutators."""
+    cent = centralizer_basis(a)
+    k = a.size
+    rows = []
+    for bi in cent.basis:
+        row = []
+        for bj in cent.basis:
+            row.extend((bi @ bj - bj @ bi).vec())
+        rows.append(row)
+    combos = exactlinalg.row_hermite_with_transform(IntMatrix.from_rows(rows)).left_kernel()
+    vectors = []
+    for combo in combos:
+        acc = IntMatrix.zeros(k, k)
+        for c, b in zip(combo, cent.basis):
+            acc = acc + b.scale(c)
+        vectors.append(acc.vec())
+    return hermite_row_basis(vectors, k * k)
+
+
+def _ra_closure_oracle(a):
+    """The closure of span{A^(2l+i)} under division by Y -> A^2 Y in all of M_K(Z)."""
+    mp = exactlinalg.minimal_polynomial(a.matrix)
+    seed = [matrix_power(a.matrix, 2 * mp.l + i).vec() for i in range(mp.k)]
+    psi = kron(matrix_power(a.matrix, 2), IntMatrix.identity(a.size))
+    return lattice_closure_under_preimage(psi, seed)
+
+
+def _ra_membership_oracle(x):
+    """(coefficients, level) of the witness through the K^2 closure, or None."""
+    amb = x.ambient
+    mp = exactlinalg.minimal_polynomial(amb.matrix)
+    p_l = matrix_power(amb.matrix, mp.l)
+    y = p_l @ x.matrix @ p_l
+    closure, depth = _ra_closure_oracle(amb)
+    if not lattice_contains(closure, y.vec()):
+        return None
+    span = IntMatrix.from_columns(
+        [matrix_power(amb.matrix, 2 * mp.l + i).vec() for i in range(mp.k)], amb.size ** 2
+    )
+    for m in range(depth + 1):
+        sol = solve_integer_linear(span, y.vec())
+        if sol is not None:
+            return sol, x.level + m
+        y = matrix_power(amb.matrix, 2) @ y
+    raise AssertionError("oracle closure member without a witness level")
+
+
+class TestSmallestSpaces:
+    """The centre, the K1 torsion and subring membership against the old
+    K^2-sized computations, kept here as oracles."""
+
+    def _assert_agrees(self, a, rng):
+        k = a.size
+        cent = centralizer_basis(a)
+        assert tuple(b.vec() for b in center_basis(a).basis) == _center_oracle(a)
+        reference = invariant_factors(sympy.Matrix(commutator_map(a).to_rows()), domain=sympy.ZZ)
+        structure = k1_group_structure(a)
+        assert structure.snf_diagonal == tuple(abs(int(d)) for d in reference)
+        assert structure.torsion == tuple(d for d in structure.snf_diagonal if d > 1)
+        assert structure.free_rank == cent.rank
+        assert cylinder_ring._ra_closure(a)[1] <= _ra_closure_oracle(a)[1]
+        payloads = list(cent.basis[:4])
+        payloads.append(random_centralizer_element(rng, a, 2))
+        coeffs = [rng.randint(-2, 2) for _ in range(k)]
+        payloads.append(exactlinalg.poly_eval_matrix(coeffs, a.matrix))
+        for payload in payloads:
+            x = CylinderK0Element(a, payload, rng.randint(0, 2))
+            witness = ra_membership(x)
+            got = None if witness is None else (witness.coeffs, witness.level)
+            assert got == _ra_membership_oracle(x)
+
+    def test_matches_old_paths_on_pool(self, primitive_pool):
+        rng = random.Random(149)
+        doubled_ones = validate([[3, 2, 2, 2], [2, 3, 2, 2], [2, 2, 3, 2], [2, 2, 2, 3]])
+        for a in [*primitive_pool, CJ_PLUS_DI, doubled_ones, REPEATED_ROW, BIPARTITE]:
+            self._assert_agrees(a, rng)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_adjacency(), seed=st.integers(0, 2**16))
+    def test_matches_old_paths_on_generated_matrices(self, a, seed):
+        self._assert_agrees(a, random.Random(seed))
+
+    def test_scaled_all_ones_has_torsion_and_saturated_center(self):
+        # 2J + I: B(A) = 2 B(J), so Q has Z/2 torsion, and the center is
+        # span{I, J}, the saturation of Z[A] = span{I, 2J}
+        structure = k1_group_structure(CJ_PLUS_DI)
+        assert structure.torsion and set(structure.torsion) == {2}
+        center = center_basis(CJ_PLUS_DI)
+        assert center.rank == 2
+        assert center.contains(IntMatrix.from_rows([[1, 1, 1]] * 3))
+
+    def test_non_derogatory_center_factors_nothing(self, monkeypatch):
+        a = validate([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [3, 1, 2, 1]])  # companion
+        centralizer_basis(a)
+        exactlinalg.minimal_polynomial(a.matrix)
+        center_basis.cache_clear()
+        factored = []
+        original = exactlinalg.row_hermite_with_transform
+
+        def counted(m):
+            factored.append(m)
+            return original(m)
+
+        monkeypatch.setattr(cylinder_ring, "row_hermite_with_transform", counted)
+        monkeypatch.setattr(exactlinalg, "row_hermite_with_transform", counted)
+        assert center_basis(a) is centralizer_basis(a)
+        assert factored == []
+
+    def test_k1_structure_skips_the_full_map(self, monkeypatch):
+        a = validate([
+            [1, 2, 0, 1, 3, 1], [2, 1, 1, 0, 1, 2], [0, 3, 1, 2, 1, 1],
+            [1, 1, 2, 1, 0, 3], [2, 0, 1, 3, 1, 1], [1, 1, 3, 0, 2, 1],
+        ])
+        k1_group_structure.cache_clear()
+        widths = []
+
+        def record(m):
+            widths.append(m.cols)
+            return smith_normal_form(m)
+
+        monkeypatch.setattr(cylinder_ring, "smith_normal_form", record)
+        structure = k1_group_structure(a)
+        assert len(widths) == 1 and widths[0] < 36
+        assert len(structure.snf_diagonal) == 36
+
+    def test_ra_closure_runs_in_centralizer_coordinates(self, monkeypatch, primitive_pool):
+        dims = []
+        closure = cylinder_ring.lattice_closure_under_preimage
+
+        def record(psi, seed):
+            dims.append(psi.rows)
+            return closure(psi, seed)
+
+        monkeypatch.setattr(cylinder_ring, "lattice_closure_under_preimage", record)
+        for a in [*primitive_pool, CJ_PLUS_DI]:
+            cylinder_ring._ra_closure.cache_clear()
+            dims.clear()
+            cylinder_ring._ra_closure(a)
+            assert dims == [centralizer_basis(a).rank]
