@@ -6,7 +6,9 @@ the mapping-cylinder K-groups together with its module actions, the trace
 maps coming from the dominant eigen-data, the polynomial subring and the
 stable/unstable duality, and shift-equivalence certificates with the
 isomorphisms they induce.  All group-level arithmetic is exact (unbounded
-integers); floating point is confined to the eigen-data.
+integers).  The dominant eigenvalue is located exactly, as a root of the
+characteristic polynomial, and rounded once; floating point is confined to
+that rounding and to the eigenvectors and traces built on it.
 """
 
 __version__ = "0.1.0"
@@ -38,7 +40,7 @@ from .sft import (
     spectral_decomposition,
     validate,
 )
-from .traces import NoConvergenceError, PerronData, perron, trace_ch, trace_s, trace_u
+from .traces import PerronData, perron, trace_ch, trace_s, trace_u
 from .dimension_groups import (
     AmbientMismatchError,
     HomoclinicElement,
@@ -81,6 +83,7 @@ from .cylinder_ring import (
     alpha_k0,
     center_basis,
     centralizer_basis,
+    centralizer_rank,
     commutator_lattice,
     k0_add,
     k0_equal,

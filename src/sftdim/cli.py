@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation or usage error, 3 a result was left
-undecided, 4 a property violation was detected (failing witness equations or
-numerical self-checks) or an iteration cap was hit.  JSON reports are byte-identical across identical
-invocations: bases are emitted in canonical order and floats print with
-round-trip precision.
+Exit codes: 0 success, 2 validation or usage error (an input too large for
+the float traces included), 3 a result was left undecided, 4 a property
+violation was detected (failing witness equations or numerical self-checks)
+or an iteration cap was hit.  JSON reports are byte-identical across
+identical invocations: bases are emitted in canonical order and floats print
+with round-trip precision.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ VIOLATION_EXIT = 4
 def _load_matrix(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return ser.parse_matrix_text(fh.read())
-
-
-def _perron_tol(args) -> float:
-    return args.tol if args.tol is not None else traces.DEFAULT_TOL
 
 
 def _positivity_tol(args) -> float:
@@ -92,9 +89,9 @@ def cmd_info(args) -> int:
     if report["irreducible"]:
         report["period"] = period(a)
     report["minimal_polynomial"] = _min_poly_dict(a)
-    report["centralizer_rank"] = cyl.centralizer_basis(a).rank
+    report["centralizer_rank"] = cyl.centralizer_rank(a)
     if report["primitive"]:
-        data = traces.perron(a, _perron_tol(args))
+        data = traces.perron(a)
         report["perron"] = {
             "eigenvalue": data.eigenvalue,
             "left": list(data.left),
@@ -160,10 +157,10 @@ def cmd_decompose(args) -> int:
     report["component"] = dec.component.matrix.to_rows()
     report["component_primitive"] = is_primitive(dec.component)
     if is_primitive(dec.component):
-        lam_comp = traces.perron(dec.component, _perron_tol(args)).eigenvalue
+        lam_comp = traces.perron(dec.component).eigenvalue
         report["component_eigenvalue"] = lam_comp
         if is_primitive(a):
-            report["eigenvalue"] = traces.perron(a, _perron_tol(args)).eigenvalue
+            report["eigenvalue"] = traces.perron(a).eigenvalue
     _emit(report, args.format)
     return 0
 
@@ -182,7 +179,7 @@ def cmd_mul(args) -> int:
         report["equals_identity"] = cyl.k0_equal(result, cyl.k0_identity(a))
         report["equals_zero"] = cyl.k0_equal(result, cyl.k0_zero(a))
         if is_primitive(a):
-            report["trace"] = traces.trace_ch(result, _perron_tol(args))
+            report["trace"] = traces.trace_ch(result)
     elif isinstance(x, cyl.CylinderK0Element) and isinstance(y, cyl.CylinderK1Element):
         result = cyl.mul_01(x, y)
     elif isinstance(x, cyl.CylinderK1Element) and isinstance(y, cyl.CylinderK0Element):
@@ -208,12 +205,12 @@ def cmd_act(args) -> int:
         result = cyl.act_s(x, h)
         report["normalized"] = ser.element_to_dict(dg.normalize_s(result))
         if is_primitive(a):
-            report["trace"] = traces.trace_s(result, _perron_tol(args))
+            report["trace"] = traces.trace_s(result)
     elif isinstance(x, dg.UnstableElement):
         result = cyl.act_u(h, x)
         report["normalized"] = ser.element_to_dict(dg.normalize_u(result))
         if is_primitive(a):
-            report["trace"] = traces.trace_u(result, _perron_tol(args))
+            report["trace"] = traces.trace_u(result)
     else:
         raise ValueError("act needs a stable or unstable element")
     report["result"] = ser.element_to_dict(result)
@@ -226,11 +223,11 @@ def cmd_trace(args) -> int:
     x = _parse_element(a, args.element)
     report = _base_report("trace", a, label)
     if isinstance(x, dg.StableElement):
-        report["trace"] = traces.trace_s(x, _perron_tol(args))
+        report["trace"] = traces.trace_s(x)
     elif isinstance(x, dg.UnstableElement):
-        report["trace"] = traces.trace_u(x, _perron_tol(args))
+        report["trace"] = traces.trace_u(x)
     elif isinstance(x, cyl.CylinderK0Element):
-        report["trace"] = traces.trace_ch(x, _perron_tol(args))
+        report["trace"] = traces.trace_ch(x)
     else:
         raise ValueError("trace needs flavor s, u, or k0")
     _emit(report, args.format)
@@ -376,18 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
             "{\"payload\": ..., \"level\": N, \"flavor\": \"s|u|h|k0|k1|ra\"}, "
             "passed inline or as @file."
         ),
-        epilog=(
-            "The environment variable SFTDIM_MAX_ITERS caps power iteration "
-            "(default 1000000)."
-        ),
     )
     parser.add_argument(
         "--format", choices=("json", "text"), default="text", help="report format"
     )
     parser.add_argument(
         "--tol", type=float, default=None,
-        help="override the float tolerance (power iteration default 1e-12, "
-        "positivity boundary default 1e-9)",
+        help="float tolerance of the positivity boundary (default 1e-9)",
     )
     parser.add_argument(
         "--jmax", type=int, default=64,
@@ -489,11 +481,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError, OverflowError) as exc:
+        # OverflowError: an input too large for the float traces
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # iteration caps: power iteration, Smith passes, closures, minimal polynomial
+        # iteration caps: Smith passes, closures, minimal polynomial
         print(f"error: {exc}", file=sys.stderr)
         return VIOLATION_EXIT
 

@@ -128,6 +128,16 @@ def centralizer_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     return CentralizerLattice(basis=basis, rank=len(basis))
 
 
+def centralizer_rank(a: AdjacencyMatrix) -> int:
+    """rank C(A), which is at least K with equality exactly when A is
+    non-derogatory (deg m_A = K); only the derogatory case factors the
+    commutator map."""
+    mp = minimal_polynomial(a.matrix)
+    if mp.k + mp.l == a.size:
+        return a.size
+    return centralizer_basis(a).rank
+
+
 @dataclass(frozen=True)
 class CommutatorLattice:
     """Basis of B(A) together with a witness Y per basis element (AY - YA)."""

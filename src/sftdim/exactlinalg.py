@@ -753,26 +753,31 @@ class MinPolyData:
 def minimal_polynomial(m: IntMatrix) -> MinPolyData:
     """Minimal polynomial via the first linear dependency among powers of M.
 
-    The dependency is found with an exact integer solve; the solution is the
-    minimal polynomial's coefficient vector (monic and integral because the
-    minimal polynomial is a monic divisor of the characteristic polynomial).
+    The rows vec(M^d) | e_d go one at a time into a single Hermite builder.
+    Its rows with pivots right of the matrix part are a basis of the
+    relations sum c_d vec(M^d) = 0 found so far, so the first such row holds
+    the minimal polynomial's primitive coefficient vector (monic up to sign,
+    because the minimal polynomial is a monic integer divisor of the
+    characteristic polynomial).
     """
     if not m.is_square:
         raise DimensionMismatchError("minimal polynomial needs a square matrix")
     n = m.rows
     if n == 0:
         raise DimensionMismatchError("empty matrix")
-    powers = [IntMatrix.identity(n)]
-    for deg in range(1, n + 1):
-        powers.append(powers[-1] @ m)
-        # each stack of powers is solved once, so its form is not cached
-        form = row_hermite_with_transform(IntMatrix.from_rows([p.vec() for p in powers[:-1]]))
-        sol = form.left_solve(powers[-1].vec())
-        if sol is not None:
-            m_coeffs = tuple(-x for x in sol) + (1,)
+    width = n * n
+    builder = _HnfBuilder(width + n + 1)
+    power = IntMatrix.identity(n)
+    for deg in range(n + 1):
+        builder.insert(power.vec() + tuple(1 if t == deg else 0 for t in range(n + 1)))
+        last = builder.rows[-1]
+        if builder.pivots[-1] >= width:
+            sign = 1 if last[width + deg] > 0 else -1
+            m_coeffs = tuple(sign * x for x in last[width : width + deg + 1])
             l = 0
             while m_coeffs[l] == 0:
                 l += 1
             p_coeffs = m_coeffs[l:]
             return MinPolyData(l=l, k=len(p_coeffs) - 1, p_coeffs=p_coeffs, m_coeffs=m_coeffs)
+        power = power @ m
     raise RuntimeError("no annihilating polynomial up to the matrix size")

@@ -1,8 +1,16 @@
 """Perron-Frobenius data and the trace maps on the limit groups.
 
 Floating point lives here and only here.  The dominant eigenvalue is an
-algebraic irrational in general, so the eigen-data is computed in binary64 by
-power iteration and every downstream assertion carries an explicit tolerance.
+algebraic irrational in general.  For primitive A it is a simple root of the
+characteristic polynomial p and every other root has smaller real part, so
+p(x + lambda) has non-negative coefficients: p is convex and increasing to
+the right of lambda.  Newton's method from the maximum row sum (an upper
+bound) therefore decreases monotonically to lambda; it runs in integers on
+dyadics m / 2^64, each step rounded down so that every iterate stays an upper
+bound, and stops when the step is zero.  The result is rounded once to
+binary64.  Each eigenvector is then one Gaussian elimination of A - lambda I
+(or its transpose) in binary64, and every downstream assertion carries an
+explicit tolerance.
 
 Normalisation convention: the left eigenvector is scaled to sum to 1 and the
 right eigenvector is then scaled so that (left . right) = 1.  Only the second
@@ -13,25 +21,20 @@ reported vectors (and therefore golden tests) deterministic.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
-import numpy as np
-
+from .exactlinalg import characteristic_polynomial
 from .sft import AdjacencyMatrix, NotPrimitiveError, is_primitive
 
-DEFAULT_TOL = 1e-12
-MAX_ITERS_ENV = "SFTDIM_MAX_ITERS"
-_DEFAULT_MAX_ITERS = 1_000_000
-
-
-class NoConvergenceError(RuntimeError):
-    """Power iteration failed to converge within the iteration cap."""
+_FRACTION_BITS = 64
 
 
 @dataclass(frozen=True)
 class PerronData:
-    """Dominant eigenvalue with left/right eigenvectors and a residual bound."""
+    """Dominant eigenvalue with left/right eigenvectors and a residual bound.
+
+    ``iterations`` counts the Newton steps that located the eigenvalue.
+    """
 
     eigenvalue: float
     left: tuple
@@ -40,43 +43,83 @@ class PerronData:
     iterations: int
 
 
-def _max_iters() -> int:
-    raw = os.environ.get(MAX_ITERS_ENV)
-    return int(raw) if raw else _DEFAULT_MAX_ITERS
+def _newton_root(coeffs: tuple, start: int) -> tuple:
+    """(m, steps) with m / 2^64 the largest real root of p, from above.
+
+    ``coeffs`` are p's integer coefficients, low degree first, and ``start``
+    is an integer upper bound on a root right of which p is convex and
+    increasing.  Horner's rule evaluates the pair
+    (2^(64 d) p(x), 2^(64 (d - 1)) p'(x)) at x = m / 2^64 exactly.
+    """
+    m = start << _FRACTION_BITS
+    steps = 0
+    while True:
+        val, der, scale = coeffs[-1], 0, 1
+        for c in reversed(coeffs[:-1]):
+            scale <<= _FRACTION_BITS
+            der = der * m + val
+            val = val * m + c * scale
+        step = val // der
+        if step == 0:
+            return m, steps
+        m -= step
+        steps += 1
 
 
-def _power_iterate(mat: np.ndarray, tol: float) -> tuple:
-    n = mat.shape[0]
-    x = np.full(n, 1.0 / n)
-    cap = _max_iters()
-    for it in range(cap):
-        y = x @ mat
-        s = y.sum()
-        y = y / s
-        if np.abs(y - x).sum() < tol:
-            return y, it + 1
-        x = y
-    raise NoConvergenceError(f"no convergence within {cap} iterations (tol={tol})")
+def _null_vector(rows: list, lam: float) -> list:
+    """x with (M - lam I) x ~ 0 and x[-1] = 1, for rows of M.
+
+    Gaussian elimination with partial pivoting.  The null space of
+    A - lambda I is spanned by a positive vector, so no null vector vanishes
+    in the last coordinate and the first K - 1 columns are independent:
+    every pivot but the last is nonzero, and the last (rounding noise) is
+    dropped.
+    """
+    n = len(rows)
+    m = [[float(x) for x in row] for row in rows]
+    for i in range(n):
+        m[i][i] -= lam
+    for col in range(n - 1):
+        p = max(range(col, n), key=lambda r: abs(m[r][col]))
+        m[col], m[p] = m[p], m[col]
+        pivot_row = m[col]
+        for r in range(col + 1, n):
+            f = m[r][col] / pivot_row[col]
+            if f:
+                row = m[r]
+                for t in range(col + 1, n):
+                    row[t] -= f * pivot_row[t]
+    x = [0.0] * n
+    x[-1] = 1.0
+    for i in range(n - 2, -1, -1):
+        row = m[i]
+        x[i] = -sum(row[t] * x[t] for t in range(i + 1, n)) / row[i]
+    return x
 
 
 @functools.lru_cache(maxsize=None)
-def perron(a: AdjacencyMatrix, tol: float = DEFAULT_TOL) -> PerronData:
-    """Dominant eigen-data of a primitive matrix by power iteration."""
+def perron(a: AdjacencyMatrix) -> PerronData:
+    """Dominant eigen-data of a primitive matrix."""
     if not is_primitive(a):
         raise NotPrimitiveError("Perron data needs a primitive matrix")
-    mat = np.array(a.matrix.to_rows(), dtype=np.float64)
-    left, it_l = _power_iterate(mat, tol)
-    right, it_r = _power_iterate(mat.T, tol)
-    lam = float((left @ mat).sum())  # left sums to 1, so sum(left A) = lambda
-    right = right / float(left @ right)
-    res_l = float(np.abs(left @ mat - lam * left).max())
-    res_r = float(np.abs(mat @ right - lam * right).max())
+    rows = a.matrix.to_rows()
+    cols = a.matrix.transpose().to_rows()
+    m, steps = _newton_root(characteristic_polynomial(a.matrix), max(map(sum, rows)))
+    lam = m / (1 << _FRACTION_BITS)
+    left = _null_vector(cols, lam)
+    right = _null_vector(rows, lam)
+    total = sum(left)
+    left = [x / total for x in left]
+    dot = _dot(left, right)
+    right = [x / dot for x in right]
+    res_l = max(abs(_dot(left, col) - lam * x) for col, x in zip(cols, left))
+    res_r = max(abs(_dot(row, right) - lam * x) for row, x in zip(rows, right))
     return PerronData(
         eigenvalue=lam,
-        left=tuple(float(v) for v in left),
-        right=tuple(float(v) for v in right),
+        left=tuple(left),
+        right=tuple(right),
         residual=max(res_l, res_r),
-        iterations=it_l + it_r,
+        iterations=steps,
     )
 
 
@@ -84,23 +127,23 @@ def _dot(u, v) -> float:
     return float(sum(float(a) * float(b) for a, b in zip(u, v)))
 
 
-def trace_s(element, tol: float = DEFAULT_TOL) -> float:
+def trace_s(element) -> float:
     """lambda^-N * (v . right) for a stable element [v, N]."""
-    data = perron(element.ambient, tol)
-    return _dot(element.vector, data.right) / data.eigenvalue**element.level
+    data = perron(element.ambient)
+    return _dot(element.vector, data.right) * data.eigenvalue ** -element.level
 
 
-def trace_u(element, tol: float = DEFAULT_TOL) -> float:
+def trace_u(element) -> float:
     """lambda^-N * (left . w) for an unstable element [w, N]."""
-    data = perron(element.ambient, tol)
-    return _dot(data.left, element.vector) / data.eigenvalue**element.level
+    data = perron(element.ambient)
+    return _dot(data.left, element.vector) * data.eigenvalue ** -element.level
 
 
-def trace_ch(element, tol: float = DEFAULT_TOL) -> float:
+def trace_ch(element) -> float:
     """lambda^-2N * (left . X . right) for a cylinder class [X, N]."""
-    data = perron(element.ambient, tol)
+    data = perron(element.ambient)
     xw = [
         sum(element.matrix.entry(i, j) * data.right[j] for j in range(element.matrix.cols))
         for i in range(element.matrix.rows)
     ]
-    return _dot(data.left, xw) / data.eigenvalue ** (2 * element.level)
+    return _dot(data.left, xw) * data.eigenvalue ** (-2 * element.level)

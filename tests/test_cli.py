@@ -286,6 +286,32 @@ class TestStrictParsing:
                 parse_matrix_text(json.dumps({"matrix": [[1, 1], [1, bad]]}))
 
 
+class TestTraceOverflow:
+    """trace scales by lambda^-N, so deep levels underflow to 0.0 instead of
+    overflowing, and an input too large for a float exits 2."""
+
+    def test_deep_stable_level_underflows(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        x = json.dumps({"payload": [1, 0], "level": 2000, "flavor": "s"})
+        code, out, err = run_cli(capsys, "--format", "json", "trace", path, x)
+        assert code == 0 and err == ""
+        assert json.loads(out)["trace"] == 0.0
+
+    def test_deep_cylinder_level_underflows(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        x = json.dumps({"payload": [[1, 0], [0, 1]], "level": 800, "flavor": "k0"})
+        code, out, err = run_cli(capsys, "--format", "json", "trace", path, x)
+        assert code == 0 and err == ""
+        assert json.loads(out)["trace"] == 0.0
+
+    def test_huge_payload_exits_2(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        x = json.dumps({"payload": [10**320, 0], "level": 0, "flavor": "s"})
+        code, out, err = run_cli(capsys, "--format", "json", "trace", path, x)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestShiftEquivalenceCommands:
     def test_verify_valid(self, capsys, matrix_file, tmp_path):
         path = matrix_file([[1, 1], [1, 0]])
@@ -339,3 +365,12 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["primitive"] is True
+
+    def test_cli_import_leaves_numpy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, sftdim.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

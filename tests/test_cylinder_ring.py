@@ -20,6 +20,7 @@ from sftdim import (
     alpha_s_inv,
     center_basis,
     centralizer_basis,
+    centralizer_rank,
     commutator_lattice,
     equal_s,
     equal_u,
@@ -834,3 +835,29 @@ class TestSmallestSpaces:
             dims.clear()
             cylinder_ring._ra_closure(a)
             assert dims == [centralizer_basis(a).rank]
+
+
+class TestCentralizerRank:
+    def test_matches_the_basis(self, primitive_pool):
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
+            assert centralizer_rank(a) == centralizer_basis(a).rank
+
+    def test_non_derogatory_rank_factors_nothing(self, monkeypatch):
+        k = 12
+        rows = [[1 if j == (i + 1) % k else 0 for j in range(k)] for i in range(k)]
+        rows[0][2] = 1
+        a = validate(rows)  # chord cycle: companion-like, so non-derogatory
+        exactlinalg.minimal_polynomial.cache_clear()
+        centralizer_basis.cache_clear()
+        exactlinalg._column_hermite.cache_clear()
+        factored = []
+        original = exactlinalg.row_hermite_with_transform
+
+        def counted(m):
+            factored.append(m)
+            return original(m)
+
+        monkeypatch.setattr(cylinder_ring, "row_hermite_with_transform", counted)
+        monkeypatch.setattr(exactlinalg, "row_hermite_with_transform", counted)
+        assert centralizer_rank(a) == k
+        assert factored == []

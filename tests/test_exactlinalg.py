@@ -2,6 +2,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftdim.exactlinalg import (
     DimensionMismatchError,
@@ -262,6 +264,23 @@ class TestPolynomials:
             assert g >= 0 and x * a + y * b == g
 
 
+@st.composite
+def _square(draw):
+    """A K <= 6 integer matrix; half are block diagonal diag(B, B), hence derogatory."""
+    k = draw(st.integers(1, 6))
+    if k % 2 == 0 and draw(st.booleans()):
+        h = k // 2
+        block = draw(st.lists(st.lists(st.integers(-2, 2), min_size=h, max_size=h), min_size=h, max_size=h))
+        rows = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                if i // h == j // h:
+                    rows[i][j] = block[i % h][j % h]
+        return IntMatrix.from_rows(rows)
+    entries = st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k)
+    return IntMatrix.from_rows(draw(entries))
+
+
 class TestCharPoly:
     def test_against_sympy(self):
         rng = random.Random(505)
@@ -303,6 +322,18 @@ class TestMinimalPolynomial:
             assert mp.p_coeffs[0] != 0 and mp.p_coeffs[-1] == 1
             ref = _min_annihilating_divisor(m)
             assert list(mp.m_coeffs) == ref
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=_square())
+    def test_divides_charpoly_annihilates_and_is_minimal(self, m):
+        mp = minimal_polynomial(m)
+        assert mp.m_coeffs[-1] == 1
+        assert poly_mod(characteristic_polynomial(m), mp.m_coeffs) == ()
+        assert poly_eval_matrix(mp.m_coeffs, m).is_zero
+        # minimality: I, M, ..., M^(deg - 1) are linearly independent
+        degree = len(mp.m_coeffs) - 1
+        powers = sympy.Matrix([matrix_power(m, i).vec() for i in range(degree)])
+        assert powers.rank() == degree
 
     def test_divisor_lattice_minimality(self):
         # No proper monic divisor of the characteristic polynomial of lower

@@ -1,7 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from sftdim import (
     CylinderK0Element,
@@ -9,6 +13,8 @@ from sftdim import (
     NotPrimitiveError,
     StableElement,
     UnstableElement,
+    characteristic_polynomial,
+    is_primitive,
     mul_00,
     perron,
     trace_ch,
@@ -51,6 +57,79 @@ class TestPerron:
     def test_rejects_non_primitive(self):
         with pytest.raises(NotPrimitiveError):
             perron(validate([[0, 1], [1, 0]]))
+
+
+def _largest_real_root(a) -> float:
+    """The largest real root of the characteristic polynomial, by sympy, to 30 digits."""
+    x = sympy.symbols("x")
+    poly = sympy.Poly(list(reversed(characteristic_polynomial(a.matrix))), x)
+    return float(max(poly.real_roots()).evalf(30))
+
+
+def _numpy_perron(a):
+    """numpy.linalg.eig eigenvectors of the dominant eigenvalue, normalised as perron's."""
+    mat = np.array(a.matrix.to_rows(), dtype=float)
+    vals, vecs = np.linalg.eig(mat)
+    right = np.real(vecs[:, np.argmax(np.real(vals))])
+    vals, vecs = np.linalg.eig(mat.T)
+    left = np.real(vecs[:, np.argmax(np.real(vals))])
+    left = left / left.sum()
+    return left, right / (left @ right)
+
+
+def _chord_cycle(k):
+    """A k-cycle with one chord 0 -> 2; its characteristic polynomial is x^k - x - 1."""
+    rows = [[1 if j == (i + 1) % k else 0 for j in range(k)] for i in range(k)]
+    rows[0][2] = 1
+    return validate(rows)
+
+
+@st.composite
+def _primitive(draw):
+    k = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 1, 1, 2, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    try:
+        a = validate(rows)
+    except ValueError:
+        assume(False)
+    assume(is_primitive(a))
+    return a
+
+
+class TestPerronOracles:
+    """The eigenvalue against sympy's exact real roots, the eigenvectors
+    against numpy.linalg.eig."""
+
+    def _assert_agrees(self, a):
+        data = perron(a)
+        lam = _largest_real_root(a)
+        assert abs(data.eigenvalue - lam) <= 2 * math.ulp(lam)
+        left, right = _numpy_perron(a)
+        for mine, ref in ((data.left, left), (data.right, right)):
+            assert all(math.isclose(x, float(y), rel_tol=1e-12) for x, y in zip(mine, ref))
+        assert data.residual < 1e-12
+
+    def test_pool(self, primitive_pool):
+        for a in primitive_pool:
+            self._assert_agrees(a)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_primitive())
+    def test_generated_primitive_matrices(self, a):
+        self._assert_agrees(a)
+
+    @pytest.mark.parametrize("k", [12, 20, 40, 60])
+    def test_chord_cycles(self, k):
+        # power iteration needed 73k steps at K = 20 and about 2M at K = 60
+        a = _chord_cycle(k)
+        x = sympy.symbols("x")
+        lam = float(max(sympy.Poly(x**k - x - 1, x).real_roots()).evalf(30))
+        data = perron(a)
+        assert abs(data.eigenvalue - lam) <= 2 * math.ulp(lam)
+        assert data.residual < 1e-12
+        assert all(v > 0 for v in data.left + data.right)
+        assert data.iterations < 100
 
 
 class TestTraceFormulas:
