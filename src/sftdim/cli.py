@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -42,6 +43,20 @@ def _load_matrix(path: str):
 
 def _positivity_tol(args) -> float:
     return args.tol if args.tol is not None else 1e-9
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
 
 
 def _load_json_arg(arg: str):
@@ -278,7 +293,7 @@ def cmd_ra(args) -> int:
     a, label = _load_matrix(args.matrix)
     report = _base_report("ra", a, label)
     if args.ra_command == "reduce":
-        coeffs = [int(c) for c in _load_json_arg(args.coeffs)]
+        coeffs = ser._ints(_load_json_arg(args.coeffs))
         result = cyl.ra_reduce(a, coeffs, args.level)
         report["result"] = ser.element_to_dict(result)
         report["is_zero"] = result.is_zero
@@ -378,11 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "text"), default="text", help="report format"
     )
     parser.add_argument(
-        "--tol", type=float, default=None,
+        "--tol", type=_non_negative_float, default=None,
         help="float tolerance of the positivity boundary (default 1e-9)",
     )
     parser.add_argument(
-        "--jmax", type=int, default=64,
+        "--jmax", type=_non_negative_int, default=64,
         help="bounded-search depth for positivity (default 64)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -43,6 +43,7 @@ from .exactlinalg import (
     lattice_closure_under_preimage,
     lattice_contains,
     matrix_power,
+    memo,
     minimal_polynomial,
     poly_mod,
     poly_eval_matrix,
@@ -53,10 +54,14 @@ from .exactlinalg import (
 )
 from .sft import AdjacencyMatrix
 from .dimension_groups import (
+    MatrixPayload,
     StableElement,
     UnstableElement,
     _same_ambient,
-    two_sided_equal,
+    add,
+    align,
+    equal,
+    neg,
 )
 
 
@@ -69,7 +74,7 @@ class NotCentralizedError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def commutator_map(a: AdjacencyMatrix) -> IntMatrix:
     """Matrix of X -> AX - XA on row-major coordinates (size K^2)."""
     k = a.size
@@ -119,7 +124,7 @@ class CentralizerLattice:
         return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def centralizer_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     """Canonical saturated basis of C(A), the kernel of the commutator map."""
     k = a.size
@@ -147,7 +152,7 @@ class CommutatorLattice:
     rank: int
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def commutator_lattice(a: AdjacencyMatrix) -> CommutatorLattice:
     k = a.size
     # The column Hermite form W . cmap^T = H that centralizer_basis reads for
@@ -175,7 +180,7 @@ class K1Structure:
     snf_diagonal: tuple
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def k1_group_structure(a: AdjacencyMatrix) -> K1Structure:
     """Q = M_K(Z)/B(A) is Z^J modulo the relations, so its torsion is theirs.
 
@@ -203,7 +208,7 @@ def k1_group_structure(a: AdjacencyMatrix) -> K1Structure:
 
 
 @dataclass(frozen=True)
-class CylinderK0Element:
+class CylinderK0Element(MatrixPayload):
     """[X, N] with X in C(A); construction rejects non-commuting payloads."""
 
     ambient: AdjacencyMatrix
@@ -211,42 +216,23 @@ class CylinderK0Element:
     level: int
 
     def __post_init__(self):
-        k = self.ambient.size
-        if self.matrix.rows != k or self.matrix.cols != k:
-            raise ValueError("payload shape must match the ambient size")
-        if self.level < 0:
-            raise ValueError("level must be non-negative")
+        super().__post_init__()
         a = self.ambient.matrix
         if a @ self.matrix != self.matrix @ a:
             raise NotCentralizedError("payload does not commute with the matrix")
 
-    def __add__(self, other: "CylinderK0Element") -> "CylinderK0Element":
-        return k0_add(self, other)
-
-    def __neg__(self) -> "CylinderK0Element":
-        return k0_neg(self)
+    @classmethod
+    def _lattice(cls, a: AdjacencyMatrix) -> tuple:
+        return tuple(b.vec() for b in centralizer_basis(a).basis)
 
 
 @dataclass(frozen=True)
-class CylinderK1Element:
+class CylinderK1Element(MatrixPayload):
     """[Y + B(A), N]: a coset representative at level N (Y unconstrained)."""
 
     ambient: AdjacencyMatrix
     matrix: IntMatrix
     level: int
-
-    def __post_init__(self):
-        k = self.ambient.size
-        if self.matrix.rows != k or self.matrix.cols != k:
-            raise ValueError("payload shape must match the ambient size")
-        if self.level < 0:
-            raise ValueError("level must be non-negative")
-
-    def __add__(self, other: "CylinderK1Element") -> "CylinderK1Element":
-        return k1_add(self, other)
-
-    def __neg__(self) -> "CylinderK1Element":
-        return k1_neg(self)
 
 
 def k0_identity(a: AdjacencyMatrix) -> CylinderK0Element:
@@ -254,41 +240,14 @@ def k0_identity(a: AdjacencyMatrix) -> CylinderK0Element:
 
 
 def k0_zero(a: AdjacencyMatrix) -> CylinderK0Element:
-    return CylinderK0Element(a, IntMatrix.zeros(a.size, a.size), 0)
+    return CylinderK0Element.zero(a)
 
 
-def k0_equal(x: CylinderK0Element, y: CylinderK0Element) -> bool:
-    """Inherited from the homoclinic tower (the inclusion is injective)."""
-    _same_ambient(x, y)
-    return two_sided_equal(x.ambient, x.matrix, x.level, y.matrix, y.level)
-
-
-def _align_pair(a, b):
-    amb = a.ambient
-    level = max(a.level, b.level)
-    pa = matrix_power(amb.matrix, level - a.level)
-    pb = matrix_power(amb.matrix, level - b.level)
-    return pa @ a.matrix @ pa, pb @ b.matrix @ pb, level
-
-
-def k0_add(x: CylinderK0Element, y: CylinderK0Element) -> CylinderK0Element:
-    _same_ambient(x, y)
-    ma, mb, level = _align_pair(x, y)
-    return CylinderK0Element(x.ambient, ma + mb, level)
-
-
-def k0_neg(x: CylinderK0Element) -> CylinderK0Element:
-    return CylinderK0Element(x.ambient, -x.matrix, x.level)
-
-
-def k1_add(x: CylinderK1Element, y: CylinderK1Element) -> CylinderK1Element:
-    _same_ambient(x, y)
-    ma, mb, level = _align_pair(x, y)
-    return CylinderK1Element(x.ambient, ma + mb, level)
-
-
-def k1_neg(x: CylinderK1Element) -> CylinderK1Element:
-    return CylinderK1Element(x.ambient, -x.matrix, x.level)
+# degree zero inherits equality from the homoclinic tower (the inclusion is
+# injective); degree one adds and negates representatives in the same tower
+k0_equal = equal
+k0_add = k1_add = add
+k0_neg = k1_neg = neg
 
 
 def alpha_k0(x: CylinderK0Element) -> CylinderK0Element:
@@ -358,7 +317,7 @@ def _project(coords: tuple, unit_rows: tuple, v: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _k1_presentation(a: AdjacencyMatrix) -> K1Presentation:
     form = _column_hermite(commutator_map(a))
     unit = {p: row for row, p in zip(form.h, form.pivots) if row[p] == 1}
@@ -370,7 +329,7 @@ def _k1_presentation(a: AdjacencyMatrix) -> K1Presentation:
     return K1Presentation(coords, unit_rows, relations)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _k1_quotient(a: AdjacencyMatrix) -> K1Quotient:
     pres = _k1_presentation(a)
     psi = kron(a.matrix, a.matrix.transpose())  # vec(AXA) = psi . vec(X)
@@ -389,13 +348,12 @@ def k1_equal(x: CylinderK1Element, y: CylinderK1Element) -> K1Decision:
     Q reaches the relations within the closure depth, and the number of
     applications is the merge depth at which the difference lands in B(A).
     """
-    _same_ambient(x, y)
-    ma, mb, _ = _align_pair(x, y)
-    diff = ma - mb
-    if diff.is_zero:
+    px, py, _ = align(x, y)
+    diff = [s - t for s, t in zip(px, py)]
+    if not any(diff):
         return K1Decision(Verdict.EQUAL, witness_level=0)
     q = _k1_quotient(x.ambient)
-    v = q.project(diff.vec())
+    v = q.project(diff)
     if not lattice_contains(q.closure, v):
         return K1Decision(Verdict.NOT_EQUAL)
     for level in range(q.depth + 1):
@@ -533,7 +491,7 @@ def ra_to_cylinder(x: RAElement) -> CylinderK0Element:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _ra_closure(a: AdjacencyMatrix) -> tuple:
     """Closure of span{A^(2l+i) : i < k} under division by Y -> A^2 Y, within C(A).
 
@@ -553,6 +511,15 @@ def _ra_closure(a: AdjacencyMatrix) -> tuple:
     return hermite_row_basis([cent.combine(c) for c in closure], a.size * a.size), depth
 
 
+@memo
+def _ra_span(a: AdjacencyMatrix) -> IntMatrix:
+    """The columns vec(A^(2l + i)), i < k: the subring's payloads in the stable range."""
+    mp = minimal_polynomial(a.matrix)
+    return IntMatrix.from_columns(
+        [matrix_power(a.matrix, 2 * mp.l + i).vec() for i in range(mp.k)], a.size * a.size
+    )
+
+
 def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
     """Witness [p(A), N + m] equal to [X, N], or None when no such class exists.
 
@@ -568,10 +535,7 @@ def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
     closure, depth = _ra_closure(amb)
     if not lattice_contains(closure, y.vec()):
         return None
-    k = amb.size
-    span = IntMatrix.from_columns(
-        [matrix_power(amb.matrix, 2 * mp.l + i).vec() for i in range(mp.k)], k * k
-    )
+    span = _ra_span(amb)
     a2 = matrix_power(amb.matrix, 2)
     cur = y
     for m in range(depth + 1):
@@ -587,7 +551,7 @@ def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def center_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     """Sublattice of C(A) commuting with every element of C(A).
 

@@ -4,7 +4,10 @@ A class is a pair (payload, level): a row vector for the stable group, a
 column vector for the unstable group, a square matrix for the homoclinic
 group.  Raising the level by one multiplies the payload by A (stable), by A
 on the left (unstable), or conjugates it to A X A (homoclinic); two pairs are
-equal when they merge somewhere down the tower.
+equal when they merge somewhere down the tower.  The cylinder K-groups and
+the stable homomorphisms are towers of the same kind, so one base class,
+:class:`TowerElement`, carries the group law, equality and normalisation of
+all of them; each element class gives only its payload and its push map.
 
 Equality is decidable in one shot: with l the multiplicity of 0 as a root of
 the minimal polynomial, the kernels of multiplication by A^j stabilise at
@@ -27,8 +30,8 @@ from typing import Optional
 
 from .exactlinalg import (
     IntMatrix,
-    kron,
     matrix_power,
+    memo,
     minimal_polynomial,
     solve_integer_linear,
 )
@@ -53,175 +56,201 @@ def _apow(a: AdjacencyMatrix, j: int) -> IntMatrix:
     return matrix_power(a.matrix, j)
 
 
+# ---------------------------------------------------------------------------
+# the tower
+# ---------------------------------------------------------------------------
+
+
+class TowerElement:
+    """A class [payload, level] of an inductive limit along one push map.
+
+    Subclasses are frozen dataclasses with the fields ``ambient``, a payload
+    and ``level``.  Each supplies ``_push(j)``, its payload j levels further
+    up as a flat tuple (matrices row-major); the two payload bases below
+    supply the shape check and the way back from a flat tuple.  The group
+    law, equality and normalisation are shared by every tower.
+    """
+
+    def __post_init__(self):
+        if not self._fits():
+            raise ValueError(self._shape_error)
+        if self.level < 0:
+            raise ValueError("level must be non-negative")
+
+    @classmethod
+    def zero(cls, a: AdjacencyMatrix):
+        return cls._make(a, (0,) * cls._width(a.size), 0)
+
+    @classmethod
+    def _lattice(cls, a: AdjacencyMatrix) -> tuple:
+        """Flat basis of the admissible payloads: all of them unless overridden."""
+        n = cls._width(a.size)
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    def __add__(self, other):
+        return add(self, other)
+
+    def __neg__(self):
+        return neg(self)
+
+
+class VectorPayload(TowerElement):
+    """Payload: an integer vector of length K, in the field named ``_field``."""
+
+    _field = "vector"
+    _shape_error = "vector length must match the matrix size"
+
+    @property
+    def _flat(self) -> tuple:
+        return getattr(self, self._field)
+
+    def _fits(self) -> bool:
+        return len(self._flat) == self.ambient.size
+
+    @staticmethod
+    def _width(k: int) -> int:
+        return k
+
+    @classmethod
+    def _make(cls, a: AdjacencyMatrix, flat, level: int):
+        return cls(a, tuple(flat), level)
+
+
+class MatrixPayload(TowerElement):
+    """Payload: an integer K x K matrix in the field ``matrix``."""
+
+    _shape_error = "payload shape must match the ambient size"
+
+    @property
+    def _flat(self) -> tuple:
+        return self.matrix.entries
+
+    def _fits(self) -> bool:
+        k = self.ambient.size
+        return self.matrix.rows == k and self.matrix.cols == k
+
+    @staticmethod
+    def _width(k: int) -> int:
+        return k * k
+
+    @classmethod
+    def _make(cls, a: AdjacencyMatrix, flat, level: int):
+        return cls(a, IntMatrix(a.size, a.size, tuple(flat)), level)
+
+    def _push(self, j: int) -> tuple:
+        """X -> A^j X A^j, the push of every matrix tower."""
+        p = _apow(self.ambient, j)
+        return (p @ self.matrix @ p).entries
+
+
 @dataclass(frozen=True)
-class StableElement:
-    """[v, N]: an integer row vector at level N."""
+class StableElement(VectorPayload):
+    """[v, N]: an integer row vector at level N, pushed by v -> vA."""
 
     ambient: AdjacencyMatrix
     vector: tuple
     level: int
 
-    def __post_init__(self):
-        if len(self.vector) != self.ambient.size:
-            raise ValueError("vector length must match the matrix size")
-        if self.level < 0:
-            raise ValueError("level must be non-negative")
-
-    @classmethod
-    def zero(cls, a: AdjacencyMatrix) -> "StableElement":
-        return cls(a, (0,) * a.size, 0)
-
-    def __add__(self, other: "StableElement") -> "StableElement":
-        return add_s(self, other)
-
-    def __neg__(self) -> "StableElement":
-        return neg_s(self)
+    def _push(self, j: int) -> tuple:
+        return _apow(self.ambient, j).row_apply(self.vector)
 
 
 @dataclass(frozen=True)
-class UnstableElement:
-    """[w, N]: an integer column vector at level N."""
+class UnstableElement(VectorPayload):
+    """[w, N]: an integer column vector at level N, pushed by w -> Aw."""
 
     ambient: AdjacencyMatrix
     vector: tuple
     level: int
 
-    def __post_init__(self):
-        if len(self.vector) != self.ambient.size:
-            raise ValueError("vector length must match the matrix size")
-        if self.level < 0:
-            raise ValueError("level must be non-negative")
-
-    @classmethod
-    def zero(cls, a: AdjacencyMatrix) -> "UnstableElement":
-        return cls(a, (0,) * a.size, 0)
-
-    def __add__(self, other: "UnstableElement") -> "UnstableElement":
-        return add_u(self, other)
-
-    def __neg__(self) -> "UnstableElement":
-        return neg_u(self)
+    def _push(self, j: int) -> tuple:
+        return _apow(self.ambient, j).col_apply(self.vector)
 
 
 @dataclass(frozen=True)
-class HomoclinicElement:
-    """[X, N]: an integer square matrix at level N."""
+class HomoclinicElement(MatrixPayload):
+    """[X, N]: an integer square matrix at level N, pushed by X -> AXA."""
 
     ambient: AdjacencyMatrix
     matrix: IntMatrix
     level: int
 
-    def __post_init__(self):
-        if self.matrix.rows != self.ambient.size or self.matrix.cols != self.ambient.size:
-            raise ValueError("matrix shape must match the ambient size")
-        if self.level < 0:
-            raise ValueError("level must be non-negative")
 
-    @classmethod
-    def zero(cls, a: AdjacencyMatrix) -> "HomoclinicElement":
-        return cls(a, IntMatrix.zeros(a.size, a.size), 0)
-
-    def __add__(self, other: "HomoclinicElement") -> "HomoclinicElement":
-        return add_h(self, other)
-
-    def __neg__(self) -> "HomoclinicElement":
-        return neg_h(self)
+def align(x: TowerElement, y: TowerElement) -> tuple:
+    """The flat payloads of x and y pushed to their common level, and that level."""
+    _same_ambient(x, y)
+    level = max(x.level, y.level)
+    return x._push(level - x.level), y._push(level - y.level), level
 
 
-# ---------------------------------------------------------------------------
-# equality
-# ---------------------------------------------------------------------------
+def equal(x: TowerElement, y: TowerElement) -> bool:
+    """Whether [x] = [y], tested once, l levels above the higher of the two."""
+    _same_ambient(x, y)
+    if x.level > y.level:
+        x, y = y, x
+    l = _zero_index(x.ambient)
+    return x._push(l + y.level - x.level) == y._push(l)
 
 
-def equal_s(a: StableElement, b: StableElement) -> bool:
-    _same_ambient(a, b)
-    if a.level > b.level:
-        a, b = b, a
-    l = _zero_index(a.ambient)
-    lhs = _apow(a.ambient, l + b.level - a.level).row_apply(a.vector)
-    rhs = _apow(a.ambient, l).row_apply(b.vector)
-    return lhs == rhs
+def is_zero(x: TowerElement) -> bool:
+    return not any(x._push(_zero_index(x.ambient)))
 
 
-def equal_u(a: UnstableElement, b: UnstableElement) -> bool:
-    _same_ambient(a, b)
-    if a.level > b.level:
-        a, b = b, a
-    l = _zero_index(a.ambient)
-    lhs = _apow(a.ambient, l + b.level - a.level).col_apply(a.vector)
-    rhs = _apow(a.ambient, l).col_apply(b.vector)
-    return lhs == rhs
+def add(x: TowerElement, y: TowerElement) -> TowerElement:
+    px, py, level = align(x, y)
+    return x._make(x.ambient, [s + t for s, t in zip(px, py)], level)
+
+
+def neg(x: TowerElement) -> TowerElement:
+    return x._make(x.ambient, [-s for s in x._flat], x.level)
+
+
+@memo
+def _preimage_system(a: AdjacencyMatrix, cls: type) -> tuple:
+    """The lattice basis of ``cls`` payloads and the matrix of its (l+1)-step push on them."""
+    basis = cls._lattice(a)
+    l = _zero_index(a)
+    cols = [cls._make(a, b, 0)._push(l + 1) for b in basis]
+    return basis, IntMatrix.from_columns(cols, cls._width(a.size))
+
+
+def normalize(x: TowerElement) -> TowerElement:
+    """Equivalent element at the smallest level reachable by exact division.
+
+    Pushes into the stable range first (l levels), then strips levels while
+    an admissible integer preimage under the one-step push exists.  Display
+    aid only: the limit group has no canonical representative in general.
+    """
+    a = x.ambient
+    l = _zero_index(a)
+    cur = x._make(a, x._push(l), x.level + l)
+    while cur.level > 0:
+        # u with [u, level-1] = [cur, level], i.e. push^(l+1) u = push^l cur
+        basis, system = _preimage_system(a, type(x))
+        sol = solve_integer_linear(system, cur._push(l))
+        if sol is None:
+            break
+        u = [0] * system.rows
+        for c, b in zip(sol, basis):
+            if c:
+                for t, s in enumerate(b):
+                    u[t] += c * s
+        cur = x._make(a, u, cur.level - 1)
+    return cur
+
+
+equal_s = equal_u = equal_h = equal
+add_s = add_u = add_h = add
+neg_s = neg_u = neg_h = neg
+is_zero_s = is_zero_u = is_zero_h = is_zero
+normalize_s = normalize_u = normalize_h = normalize
 
 
 def two_sided_equal(
     amb: AdjacencyMatrix, x: IntMatrix, n: int, y: IntMatrix, m: int
 ) -> bool:
     """Whether [X, n] and [Y, m] merge in the tower X -> A X A."""
-    if n > m:
-        x, y = y, x
-        n, m = m, n
-    l = _zero_index(amb)
-    p_lo = matrix_power(amb.matrix, l)
-    p_hi = matrix_power(amb.matrix, l + m - n)
-    return p_hi @ x @ p_hi == p_lo @ y @ p_lo
-
-
-def equal_h(a: HomoclinicElement, b: HomoclinicElement) -> bool:
-    _same_ambient(a, b)
-    return two_sided_equal(a.ambient, a.matrix, a.level, b.matrix, b.level)
-
-
-def is_zero_s(a: StableElement) -> bool:
-    return equal_s(a, StableElement.zero(a.ambient))
-
-
-def is_zero_u(a: UnstableElement) -> bool:
-    return equal_u(a, UnstableElement.zero(a.ambient))
-
-
-def is_zero_h(a: HomoclinicElement) -> bool:
-    return equal_h(a, HomoclinicElement.zero(a.ambient))
-
-
-# ---------------------------------------------------------------------------
-# group structure
-# ---------------------------------------------------------------------------
-
-
-def add_s(a: StableElement, b: StableElement) -> StableElement:
-    _same_ambient(a, b)
-    level = max(a.level, b.level)
-    va = _apow(a.ambient, level - a.level).row_apply(a.vector)
-    vb = _apow(a.ambient, level - b.level).row_apply(b.vector)
-    return StableElement(a.ambient, tuple(x + y for x, y in zip(va, vb)), level)
-
-
-def neg_s(a: StableElement) -> StableElement:
-    return StableElement(a.ambient, tuple(-x for x in a.vector), a.level)
-
-
-def add_u(a: UnstableElement, b: UnstableElement) -> UnstableElement:
-    _same_ambient(a, b)
-    level = max(a.level, b.level)
-    wa = _apow(a.ambient, level - a.level).col_apply(a.vector)
-    wb = _apow(a.ambient, level - b.level).col_apply(b.vector)
-    return UnstableElement(a.ambient, tuple(x + y for x, y in zip(wa, wb)), level)
-
-
-def neg_u(a: UnstableElement) -> UnstableElement:
-    return UnstableElement(a.ambient, tuple(-x for x in a.vector), a.level)
-
-
-def add_h(a: HomoclinicElement, b: HomoclinicElement) -> HomoclinicElement:
-    _same_ambient(a, b)
-    level = max(a.level, b.level)
-    pa = _apow(a.ambient, level - a.level)
-    pb = _apow(a.ambient, level - b.level)
-    return HomoclinicElement(a.ambient, pa @ a.matrix @ pa + pb @ b.matrix @ pb, level)
-
-
-def neg_h(a: HomoclinicElement) -> HomoclinicElement:
-    return HomoclinicElement(a.ambient, -a.matrix, a.level)
+    return equal(HomoclinicElement(amb, x, n), HomoclinicElement(amb, y, m))
 
 
 # ---------------------------------------------------------------------------
@@ -255,63 +284,6 @@ def alpha_h_inv(a: HomoclinicElement) -> HomoclinicElement:
     return HomoclinicElement(
         a.ambient, _apow(a.ambient, 2) @ a.matrix, a.level + 1
     )
-
-
-# ---------------------------------------------------------------------------
-# display normalisation (not a canonical form)
-# ---------------------------------------------------------------------------
-
-
-def normalize_s(a: StableElement) -> StableElement:
-    """Equivalent element at the smallest level reachable by exact division.
-
-    Multiplies into the stable range first (payload by A^l), then strips
-    levels while an exact integer preimage under v -> vA exists.  Display
-    aid only: the limit group has no canonical representative in general.
-    """
-    l = _zero_index(a.ambient)
-    vec = _apow(a.ambient, l).row_apply(a.vector)
-    level = a.level + l
-    cur = StableElement(a.ambient, vec, level)
-    while cur.level > 0:
-        # u with [u, level-1] = [vec, level], i.e. u A^(l+1) = vec A^l
-        target = _apow(a.ambient, l).row_apply(cur.vector)
-        system = _apow(a.ambient, l + 1).transpose()
-        sol = solve_integer_linear(system, target)
-        if sol is None:
-            break
-        cur = StableElement(a.ambient, sol, cur.level - 1)
-    return cur
-
-
-def normalize_u(a: UnstableElement) -> UnstableElement:
-    """Unstable analogue of :func:`normalize_s` (strip via w -> Aw preimages)."""
-    l = _zero_index(a.ambient)
-    vec = _apow(a.ambient, l).col_apply(a.vector)
-    cur = UnstableElement(a.ambient, vec, a.level + l)
-    while cur.level > 0:
-        target = _apow(a.ambient, l).col_apply(cur.vector)
-        sol = solve_integer_linear(_apow(a.ambient, l + 1), target)
-        if sol is None:
-            break
-        cur = UnstableElement(a.ambient, sol, cur.level - 1)
-    return cur
-
-
-def normalize_h(a: HomoclinicElement) -> HomoclinicElement:
-    """Homoclinic analogue (strip via X -> AXA preimages)."""
-    l = _zero_index(a.ambient)
-    p = _apow(a.ambient, l)
-    cur = HomoclinicElement(a.ambient, p @ a.matrix @ p, a.level + l)
-    k = a.ambient.size
-    while cur.level > 0:
-        target = (p @ cur.matrix @ p).vec()
-        hi = _apow(a.ambient, l + 1)
-        sol = solve_integer_linear(kron(hi, hi.transpose()), target)
-        if sol is None:
-            break
-        cur = HomoclinicElement(a.ambient, IntMatrix.from_vec(sol, k, k), cur.level - 1)
-    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -16,42 +16,42 @@ the deterministic choice that makes both round trips the identity.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .exactlinalg import (
     matrix_power,
+    memo,
     minimal_polynomial,
     poly_add,
     poly_eval_matrix,
 )
 from .sft import AdjacencyMatrix
-from .dimension_groups import StableElement, UnstableElement, _same_ambient
+from .dimension_groups import (
+    StableElement,
+    UnstableElement,
+    VectorPayload,
+    _same_ambient,
+    add,
+    equal,
+)
 from .cylinder_ring import RAElement
 
 
 @dataclass(frozen=True)
-class StableHom:
-    """The homomorphism classified by (z, N)."""
+class StableHom(VectorPayload):
+    """The homomorphism classified by (z, N), pushed by z -> A^2 z."""
+
+    _field = "z"
 
     ambient: AdjacencyMatrix
     z: tuple
     level: int
 
-    def __post_init__(self):
-        if len(self.z) != self.ambient.size:
-            raise ValueError("vector length must match the matrix size")
-        if self.level < 0:
-            raise ValueError("level must be non-negative")
-
-    def __add__(self, other: "StableHom") -> "StableHom":
-        return hom_add(self, other)
-
-    def __neg__(self) -> "StableHom":
-        return StableHom(self.ambient, tuple(-x for x in self.z), self.level)
+    def _push(self, j: int) -> tuple:
+        return matrix_power(self.ambient.matrix, 2 * j).col_apply(self.z)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _horner_tail_matrices(a: AdjacencyMatrix) -> tuple:
     mp = minimal_polynomial(a.matrix)
     tails = [(1,)]
@@ -85,25 +85,9 @@ def hom_eval(phi: StableHom, a: StableElement) -> RAElement:
     return RAElement(amb, tuple(coeffs), hom_level + a.level)
 
 
-def hom_equal(p1: StableHom, p2: StableHom) -> bool:
-    """Equality of homomorphisms, tested once at the kernel-stabilising depth."""
-    _same_ambient(p1, p2)
-    if p1.level > p2.level:
-        p1, p2 = p2, p1
-    l = minimal_polynomial(p1.ambient.matrix).l
-    amb = p1.ambient
-    lhs = matrix_power(amb.matrix, 2 * (l + p2.level - p1.level)).col_apply(p1.z)
-    rhs = matrix_power(amb.matrix, 2 * l).col_apply(p2.z)
-    return lhs == rhs
-
-
-def hom_add(p1: StableHom, p2: StableHom) -> StableHom:
-    _same_ambient(p1, p2)
-    amb = p1.ambient
-    level = max(p1.level, p2.level)
-    z1 = matrix_power(amb.matrix, 2 * (level - p1.level)).col_apply(p1.z)
-    z2 = matrix_power(amb.matrix, 2 * (level - p2.level)).col_apply(p2.z)
-    return StableHom(amb, tuple(x + y for x, y in zip(z1, z2)), level)
+# equality is tested once at the kernel-stabilising depth, as in every tower
+hom_equal = equal
+hom_add = add
 
 
 def hom_scale(r: RAElement, phi: StableHom) -> StableHom:

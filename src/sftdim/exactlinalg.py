@@ -3,8 +3,9 @@
 Everything in this module computes with Python's unbounded ints; nothing here
 ever rounds.  Matrix powers grow like the spectral radius raised to the
 exponent, so fixed-width arithmetic would silently corrupt the equality tests
-that the rest of the package is built on.  Matrices are immutable (hence
-hashable), which lets the expensive decompositions be memoised per matrix.
+that the rest of the package is built on.  Matrices are immutable, so a fact
+about one (a power, a factorisation, a polynomial) is kept on the object
+itself by :func:`memo` and freed with it.
 
 The workhorse is a Hermite row reduction that keeps the basis fully reduced
 after every insertion; naive two-sided elimination doubles digit counts per
@@ -24,6 +25,31 @@ from typing import Iterable, Optional, Sequence
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes."""
+
+
+def memo(fn):
+    """Keep ``fn(obj, *args)`` in ``obj.__dict__``, so it lives as long as ``obj``.
+
+    There is no registry and no eviction: callers validate a matrix once and
+    reuse that object.  A result that is ``obj`` itself is not kept, since
+    that would be a reference cycle only the cyclic collector frees.
+    """
+    key = f"_memo_{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def wrapper(obj, *args):
+        table = obj.__dict__.get(key)
+        if table is None:
+            table = obj.__dict__[key] = {}
+        try:
+            return table[args]
+        except KeyError:
+            value = fn(obj, *args)
+            if value is not obj:
+                table[args] = value
+            return value
+
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +229,9 @@ class IntMatrix:
         return IntMatrix(len(row_idx), len(col_idx), ents)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def matrix_power(m: IntMatrix, e: int) -> IntMatrix:
-    """m**e for e >= 0 by repeated squaring (memoised)."""
+    """m**e for e >= 0 by repeated squaring (memoised on ``m``)."""
     if not m.is_square:
         raise DimensionMismatchError("power needs a square matrix")
     if e < 0:
@@ -417,7 +443,7 @@ def row_hermite_with_transform(m: IntMatrix) -> RowHermiteForm:
     return RowHermiteForm(h=h, w=w, pivots=tuple(pivots))
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _column_hermite(m: IntMatrix) -> RowHermiteForm:
     # Row form of the transpose: W . M^T = H, so M . W^T = H^T gives the
     # column structure that kernels, images and solving all read.  Only
@@ -711,7 +737,7 @@ def poly_eval_matrix(coeffs: Sequence[int], m: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def characteristic_polynomial(m: IntMatrix) -> tuple:
     """Monic characteristic polynomial, low degree first (Faddeev-LeVerrier).
 
@@ -749,7 +775,7 @@ class MinPolyData:
     m_coeffs: tuple
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def minimal_polynomial(m: IntMatrix) -> MinPolyData:
     """Minimal polynomial via the first linear dependency among powers of M.
 

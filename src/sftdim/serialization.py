@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Union
 
 from .exactlinalg import IntMatrix
@@ -63,6 +64,13 @@ def _int(x) -> int:
 
 def _ints(xs) -> tuple:
     return tuple(_int(x) for x in xs)
+
+
+def _int_token(tok: str) -> int:
+    """An ASCII decimal integer; ``int`` alone would take ``1_0`` and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", tok):
+        raise ValueError(f"integer expected, got {tok!r}")
+    return int(tok)
 
 
 def _int_rows(rows) -> list:
@@ -125,7 +133,7 @@ def parse_matrix_text(text: str) -> tuple:
         rows = _int_rows(data)
     else:
         rows = [
-            [int(tok) for tok in line.split()]
+            [_int_token(tok) for tok in line.split()]
             for line in stripped.splitlines()
             if line.strip()
         ]

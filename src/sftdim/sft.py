@@ -9,12 +9,11 @@ because a silent wrong answer is worse than a refusal.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .exactlinalg import IntMatrix
+from .exactlinalg import IntMatrix, memo
 
 
 class NonSquareError(ValueError):
@@ -99,7 +98,7 @@ def _reachable(a: AdjacencyMatrix, start: int, reverse: bool = False) -> set:
     return seen
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def is_irreducible(a: AdjacencyMatrix) -> bool:
     """Strong connectivity of the directed graph."""
     n = a.size
@@ -119,7 +118,7 @@ def _bfs_levels(a: AdjacencyMatrix, start: int = 0) -> list:
     return levels
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def period(a: AdjacencyMatrix) -> int:
     """gcd of cycle lengths through vertex 0; requires irreducibility."""
     if not is_irreducible(a):
@@ -134,7 +133,7 @@ def period(a: AdjacencyMatrix) -> int:
     return g
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def is_primitive(a: AdjacencyMatrix) -> bool:
     """True iff some power is entrywise positive.
 
@@ -161,12 +160,12 @@ class SpectralDecomposition:
     vertex_order: tuple
 
 
-@functools.lru_cache(maxsize=None)
 def spectral_decomposition(a: AdjacencyMatrix) -> SpectralDecomposition:
     """Split an irreducible matrix into its cyclic tower over a mixing base.
 
     Classes are BFS depth mod period from vertex 0, reported with the class
-    of vertex 0 first so the output is deterministic.
+    of vertex 0 first so the output is deterministic.  Not memoised: it is
+    read once per call site, and at period 1 it holds ``a`` itself.
     """
     n = period(a)
     if n == 1:

@@ -20,10 +20,9 @@ reported vectors (and therefore golden tests) deterministic.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .exactlinalg import characteristic_polynomial
+from .exactlinalg import characteristic_polynomial, memo
 from .sft import AdjacencyMatrix, NotPrimitiveError, is_primitive
 
 _FRACTION_BITS = 64
@@ -97,7 +96,7 @@ def _null_vector(rows: list, lam: float) -> list:
     return x
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def perron(a: AdjacencyMatrix) -> PerronData:
     """Dominant eigen-data of a primitive matrix."""
     if not is_primitive(a):

@@ -270,6 +270,31 @@ class TestStrictParsing:
         path = matrix_file([[1, 1], [1, True]])
         self._assert_refused(*run_cli(capsys, "--format", "json", "info", path))
 
+    def test_ra_reduce_refuses_non_integer_coefficients(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        for coeffs in ("[1.5, 2]", "[true, 1]", '["2", 1]', "5"):
+            self._assert_refused(*run_cli(capsys, "--format", "json", "ra", "reduce", path, coeffs, "0"))
+        assert run_cli(capsys, "--format", "json", "ra", "reduce", path, "[1, 2]", "0")[0] == 0
+
+    def test_text_matrix_takes_only_ascii_decimal_tokens(self, capsys, tmp_path):
+        path = tmp_path / "matrix.txt"
+        for token in ("1_0", "\u0661", "0x1", "1.0", "\uff11"):
+            path.write_text(f"{token} 1\n1 1\n", encoding="utf-8")
+            self._assert_refused(*run_cli(capsys, "--format", "json", "info", str(path)))
+        a, _ = parse_matrix_text("+1 01\n1 -0\n")
+        assert a.matrix.to_rows() == [[1, 1], [1, 0]]
+
+    def test_negative_jmax_and_bad_tol_are_refused(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        v = json.dumps({"payload": [1, -1], "level": 0, "flavor": "s"})
+        for flags in (["--jmax", "-3", "--tol", "10"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*flags, "positive", path, v])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "Traceback" not in err
+        assert run_cli(capsys, "--jmax", "0", "--tol", "0", "positive", path, v)[0] == 0
+
     def test_every_parser_refuses_non_integers(self, fib):
         for bad in (True, 2.0, "2", None):
             with pytest.raises(TypeError):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 import sympy
@@ -161,14 +163,17 @@ class TestCommutatorAndK1Structure:
             assert k1_group_structure(a).snf_diagonal == tuple(abs(int(d)) for d in reference)
 
 
+def _live_forms():
+    """Row Hermite forms alive once the one-shot ones are collected."""
+    gc.collect()
+    return sum(type(o) is exactlinalg.RowHermiteForm for o in gc.get_objects())
+
+
 class TestSharedFactorisation:
     def test_commutator_map_is_factored_once(self, monkeypatch):
         # a cold matrix: centraliser, B(A) and the Smith form share one
         # factorisation, and the Smith inverses wait until they are read
         a = validate([[1, 2, 0, 1], [1, 0, 3, 1], [2, 1, 1, 0], [0, 1, 2, 1]])
-        for cached in (exactlinalg._column_hermite, centralizer_basis,
-                       commutator_lattice, k1_group_structure):
-            cached.cache_clear()
 
         def counted(module, name):
             seen = []
@@ -196,12 +201,14 @@ class TestSharedFactorisation:
         assert len(inverses) == 1
 
     def test_one_shot_factorisations_are_not_cached(self):
-        # per cold matrix only the commutator map and the subring span are
-        # factored into the shared cache; minimal polynomials, closure steps
-        # and the centre factor their one-shot systems without keeping them
+        # per cold matrix only the commutator map and the subring span keep
+        # their factorisations; minimal polynomials, closure steps and the
+        # centre factor their one-shot systems without keeping them, and
+        # every kept form is freed with its matrix
         rng = random.Random(20261018)
         matrices = [random_primitive_adjacency(rng, k) for k in (4, 5, 4, 5)]
-        before = exactlinalg._column_hermite.cache_info().currsize
+        refs = [weakref.ref(a) for a in matrices]
+        before = _live_forms()
         for a in matrices:
             k = a.size
             centralizer_basis(a)
@@ -211,7 +218,11 @@ class TestSharedFactorisation:
             x = CylinderK1Element(a, IntMatrix.identity(k), 0)
             k1_equal(x, CylinderK1Element(a, IntMatrix.zeros(k, k), 0))
             ra_membership(CylinderK0Element(a, a.matrix, 1))
-        assert exactlinalg._column_hermite.cache_info().currsize - before <= 2 * len(matrices)
+        assert _live_forms() - before <= 2 * len(matrices)
+        del a, x, matrices
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert _live_forms() <= before
 
 
 class TestCylinderElements:
@@ -413,7 +424,6 @@ class TestK1CokernelCoordinates:
             [1, 2, 0, 1, 3, 1], [2, 1, 1, 0, 1, 2], [0, 3, 1, 2, 1, 1],
             [1, 1, 2, 1, 0, 3], [2, 0, 1, 3, 1, 1], [1, 1, 3, 0, 2, 1],
         ])
-        cylinder_ring._k1_quotient.cache_clear()
         solves = []
         dims = []
         closure = cylinder_ring.lattice_closure_under_preimage
@@ -791,7 +801,6 @@ class TestSmallestSpaces:
         a = validate([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [3, 1, 2, 1]])  # companion
         centralizer_basis(a)
         exactlinalg.minimal_polynomial(a.matrix)
-        center_basis.cache_clear()
         factored = []
         original = exactlinalg.row_hermite_with_transform
 
@@ -809,7 +818,6 @@ class TestSmallestSpaces:
             [1, 2, 0, 1, 3, 1], [2, 1, 1, 0, 1, 2], [0, 3, 1, 2, 1, 1],
             [1, 1, 2, 1, 0, 3], [2, 0, 1, 3, 1, 1], [1, 1, 3, 0, 2, 1],
         ])
-        k1_group_structure.cache_clear()
         widths = []
 
         def record(m):
@@ -831,7 +839,7 @@ class TestSmallestSpaces:
 
         monkeypatch.setattr(cylinder_ring, "lattice_closure_under_preimage", record)
         for a in [*primitive_pool, CJ_PLUS_DI]:
-            cylinder_ring._ra_closure.cache_clear()
+            a = validate(a.matrix.to_rows())  # cold
             dims.clear()
             cylinder_ring._ra_closure(a)
             assert dims == [centralizer_basis(a).rank]
@@ -847,9 +855,6 @@ class TestCentralizerRank:
         rows = [[1 if j == (i + 1) % k else 0 for j in range(k)] for i in range(k)]
         rows[0][2] = 1
         a = validate(rows)  # chord cycle: companion-like, so non-derogatory
-        exactlinalg.minimal_polynomial.cache_clear()
-        centralizer_basis.cache_clear()
-        exactlinalg._column_hermite.cache_clear()
         factored = []
         original = exactlinalg.row_hermite_with_transform
 

@@ -1,0 +1,280 @@
+"""The shared inductive-limit tower: its laws, the per-flavour formulas it
+replaced, the per-ambient facts it keeps, and what it frees."""
+
+import gc
+import random
+import tracemalloc
+import weakref
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from sftdim import (
+    CylinderK0Element,
+    CylinderK1Element,
+    HomoclinicElement,
+    IntMatrix,
+    StableElement,
+    UnstableElement,
+    Verdict,
+    center_basis,
+    centralizer_basis,
+    commutator_lattice,
+    is_primitive,
+    k1_group_structure,
+    matrix_power,
+    minimal_polynomial,
+    perron,
+    validate,
+)
+from sftdim import cylinder_ring, dimension_groups as dg, duality, exactlinalg
+from sftdim.duality import StableHom
+from sftdim.exactlinalg import kron, solve_integer_linear
+
+from conftest import random_centralizer_element, random_matrix, random_primitive_adjacency
+
+FLAVOURS = ("s", "u", "h", "k0", "k1", "hom")
+
+
+def _element(rng, a, flavour, level=None):
+    k = a.size
+    level = rng.randint(0, 3) if level is None else level
+    if flavour in ("s", "u", "hom"):
+        cls = {"s": StableElement, "u": UnstableElement, "hom": StableHom}[flavour]
+        return cls(a, tuple(rng.randint(-3, 3) for _ in range(k)), level)
+    if flavour == "k0":
+        return CylinderK0Element(a, random_centralizer_element(rng, a, bound=2), level)
+    cls = HomoclinicElement if flavour == "h" else CylinderK1Element
+    return cls(a, random_matrix(rng, k, k, lo=-3, hi=3), level)
+
+
+def _push_one(x):
+    """The same class written one level higher."""
+    return x._make(x.ambient, x._push(1), x.level + 1)
+
+
+@st.composite
+def _primitive(draw):
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k), min_size=k, max_size=k))
+    try:
+        a = validate(rows)
+    except ValueError:
+        assume(False)
+    assume(is_primitive(a))
+    return a
+
+
+_HYPOTHESIS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+
+
+# ---------------------------------------------------------------------------
+# the per-flavour formulas the tower replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def _old_push(x, j):
+    """The payload of x pushed j levels, in its own type, as each flavour wrote it."""
+    p = matrix_power(x.ambient.matrix, j)
+    if isinstance(x, StableElement):
+        return p.row_apply(x.vector)
+    if isinstance(x, UnstableElement):
+        return p.col_apply(x.vector)
+    if isinstance(x, StableHom):
+        return matrix_power(x.ambient.matrix, 2 * j).col_apply(x.z)
+    return p @ x.matrix @ p
+
+
+def old_equal(x, y):
+    if x.level > y.level:
+        x, y = y, x
+    l = minimal_polynomial(x.ambient.matrix).l
+    return _old_push(x, l + y.level - x.level) == _old_push(y, l)
+
+
+def old_add(x, y):
+    level = max(x.level, y.level)
+    px, py = _old_push(x, level - x.level), _old_push(y, level - y.level)
+    if isinstance(px, IntMatrix):
+        return type(x)(x.ambient, px + py, level)
+    return type(x)(x.ambient, tuple(s + t for s, t in zip(px, py)), level)
+
+
+def old_neg(x):
+    if isinstance(x, (StableElement, UnstableElement)):
+        return type(x)(x.ambient, tuple(-s for s in x.vector), x.level)
+    if isinstance(x, StableHom):
+        return StableHom(x.ambient, tuple(-s for s in x.z), x.level)
+    return type(x)(x.ambient, -x.matrix, x.level)
+
+
+def old_normalize(x):
+    a = x.ambient
+    l = minimal_polynomial(a.matrix).l
+    hi = matrix_power(a.matrix, l + 1)
+    if isinstance(x, StableElement):
+        system = hi.transpose()
+    elif isinstance(x, UnstableElement):
+        system = hi
+    else:
+        system = kron(hi, hi.transpose())
+    cur = type(x)(a, _old_push(x, l), x.level + l)
+    while cur.level > 0:
+        target = _old_push(cur, l)
+        if isinstance(x, HomoclinicElement):
+            sol = solve_integer_linear(system, target.vec())
+            payload = None if sol is None else IntMatrix.from_vec(sol, a.size, a.size)
+        else:
+            payload = solve_integer_linear(system, target)
+        if payload is None:
+            break
+        cur = type(x)(a, payload, cur.level - 1)
+    return cur
+
+
+def _assert_matches_old(a, rng):
+    for flavour in FLAVOURS:
+        for _ in range(4):
+            x, y = _element(rng, a, flavour), _element(rng, a, flavour)
+            if rng.random() < 0.5:  # an equal pair, written at a different level
+                y = _push_one(_push_one(x))
+            assert dg.equal(x, y) == old_equal(x, y)
+            assert dg.add(x, y) == old_add(x, y)
+            assert dg.neg(x) == old_neg(x)
+            assert dg.is_zero(dg.add(x, dg.neg(x)))
+            if flavour in ("s", "u", "h"):
+                assert dg.normalize(x) == old_normalize(x)
+
+
+class TestMatchesTheOldFormulas:
+    def test_pool(self, primitive_pool):
+        rng = random.Random(606)
+        for a in primitive_pool:
+            _assert_matches_old(a, rng)
+
+    @_HYPOTHESIS
+    @given(a=_primitive(), seed=st.integers(0, 2**16))
+    def test_generated(self, a, seed):
+        _assert_matches_old(a, random.Random(seed))
+
+    def test_public_names_are_the_tower(self):
+        assert dg.equal_s is dg.equal_u is dg.equal_h is cylinder_ring.k0_equal is duality.hom_equal
+        assert dg.add_s is dg.add_h is cylinder_ring.k0_add is cylinder_ring.k1_add is duality.hom_add
+        assert dg.normalize_s is dg.normalize_u is dg.normalize_h is dg.normalize
+
+
+# ---------------------------------------------------------------------------
+# tower laws, every flavour
+# ---------------------------------------------------------------------------
+
+
+class TestTowerLaws:
+    @_HYPOTHESIS
+    @given(a=_primitive(), seed=st.integers(0, 2**16), flavour=st.sampled_from(FLAVOURS))
+    def test_laws(self, a, seed, flavour):
+        rng = random.Random(seed)
+        x, y, z = (_element(rng, a, flavour) for _ in range(3))
+        assert dg.equal(x + y, y + x)
+        assert dg.equal((x + y) + z, x + (y + z))
+        assert dg.is_zero(x + (-x))
+        assert dg.equal(_push_one(x), x)
+        assert dg.equal(_push_one(x), y) == dg.equal(x, y)
+        normal = dg.normalize(x)
+        assert type(normal) is type(x) and dg.equal(normal, x)
+
+    def test_k0_normalize_stays_in_the_centraliser(self):
+        # A = J (l = 1): [I, 3] is [2J, 4] in the stable range, and a preimage
+        # of 8J under X -> A^2 X A^2 is any X with entry sum 2, such as the
+        # non-commuting diag(2, 0); the preimage is taken in C(A) instead
+        a = validate([[1, 1], [1, 1]])
+        x = CylinderK0Element(a, IntMatrix.identity(2), 3)
+        normal = dg.normalize(x)
+        assert normal.level == 3 and dg.equal(normal, x)
+
+    def test_k1_laws_hold_in_the_quotient(self, primitive_pool):
+        rng = random.Random(77)
+        for a in primitive_pool:
+            x, y = _element(rng, a, "k1"), _element(rng, a, "k1")
+            assert cylinder_ring.k1_equal(x + y, y + x).verdict is Verdict.EQUAL
+            assert cylinder_ring.k1_equal(x + (-x), CylinderK1Element.zero(a)).verdict is Verdict.EQUAL
+
+
+# ---------------------------------------------------------------------------
+# per-ambient facts: a warm ambient factors nothing
+# ---------------------------------------------------------------------------
+
+
+class TestWarmAmbientFactorsNothing:
+    def test_repeated_queries(self, monkeypatch):
+        # l = 1 and det A = 0, so normalisation strips against a real system
+        a = validate([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
+        rng = random.Random(8)
+
+        def queries():
+            k = a.size
+            for flavour, normalize, equal in (
+                ("s", dg.normalize_s, dg.equal_s),
+                ("u", dg.normalize_u, dg.equal_u),
+                ("h", dg.normalize_h, dg.equal_h),
+            ):
+                x = _element(rng, a, flavour, level=rng.randint(1, 3))
+                normalize(x)
+                equal(x, _element(rng, a, flavour))
+            dg.normalize_s(StableElement(a, (2, 0, 2), 2))
+            cylinder_ring.ra_membership(CylinderK0Element(a, a.matrix @ a.matrix, rng.randint(0, 3)))
+            x1 = CylinderK1Element(a, random_matrix(rng, k, k, -2, 2), rng.randint(0, 3))
+            cylinder_ring.k1_equal(x1, CylinderK1Element(a, random_matrix(rng, k, k, -2, 2), 1))
+            duality.hom_equal(_element(rng, a, "hom"), _element(rng, a, "hom"))
+
+        queries()
+        factored = []
+        original = exactlinalg.row_hermite_with_transform
+
+        def counted(m):
+            factored.append(m)
+            return original(m)
+
+        monkeypatch.setattr(exactlinalg, "row_hermite_with_transform", counted)
+        monkeypatch.setattr(cylinder_ring, "row_hermite_with_transform", counted)
+        for _ in range(5):
+            queries()
+        assert factored == []
+
+
+# ---------------------------------------------------------------------------
+# facts are freed with their matrix
+# ---------------------------------------------------------------------------
+
+
+def _every_stage(a):
+    k = a.size
+    centralizer_basis(a)
+    commutator_lattice(a)
+    k1_group_structure(a)
+    center_basis(a)
+    perron(a)
+    cylinder_ring.k1_equal(
+        CylinderK1Element(a, IntMatrix.identity(k), 0), CylinderK1Element(a, IntMatrix.zeros(k, k), 1)
+    )
+    cylinder_ring.ra_membership(CylinderK0Element(a, a.matrix, 1))
+
+
+def test_facts_are_freed_with_their_matrix():
+    rng = random.Random(2026)
+    matrices = [random_primitive_adjacency(rng, 2 + i % 4, hi=1) for i in range(201)]
+    _every_stage(matrices.pop())  # first use of each code path allocates once
+    refs = [weakref.ref(a) for a in matrices]
+    gc.collect()
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a in matrices:
+            _every_stage(a)
+        del a, matrices
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(r() is None for r in refs)
+    assert grown < 1 << 20
