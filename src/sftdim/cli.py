@@ -45,8 +45,15 @@ def _positivity_tol(args) -> float:
     return args.tol if args.tol is not None else 1e-9
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return ser._int_token(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _non_negative_int(text: str) -> int:
-    value = int(text)
+    value = _int_arg(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
@@ -447,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = rasub.add_parser("reduce")
     pr.add_argument("matrix")
     pr.add_argument("coeffs", help="JSON list, low degree first")
-    pr.add_argument("level", type=int)
+    pr.add_argument("level", type=_int_arg)
     pr.set_defaults(func=cmd_ra)
     pm = rasub.add_parser("member")
     pm.add_argument("matrix")
@@ -484,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("se-search", help="bounded search for a witness")
     p.add_argument("matrix_a")
     p.add_argument("matrix_b")
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--entry-bound", type=int, default=3, dest="entry_bound")
+    p.add_argument("--kmax", type=_non_negative_int, default=4)
+    p.add_argument("--entry-bound", type=_non_negative_int, default=3, dest="entry_bound")
     p.set_defaults(func=cmd_se_search)
 
     return parser

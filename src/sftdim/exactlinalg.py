@@ -10,7 +10,12 @@ itself by :func:`memo` and freed with it.
 The workhorse is a Hermite row reduction that keeps the basis fully reduced
 after every insertion; naive two-sided elimination doubles digit counts per
 pivot and dies well below the sizes this package targets.  Kernels and linear
-solving ride on a Hermite form with a tracked unimodular transform; the Smith
+solving ride on a Hermite form with a tracked unimodular transform, built by
+inserting the augmented rows ``[m_i | e_i]`` from the last row up.  Those
+rows are independent, so the form is the same in any order, but the order
+sets the work: the systems here (commutator maps, closure stacks, Smith
+passes) arrive in roughly ascending pivot order, so bottom up a new row
+mostly becomes the first row and has no earlier rows to re-reduce.  The Smith
 form alternates row and column Hermite passes (Kannan-Bachem style) and then
 repairs divisibility with 2x2 unimodular merges on the diagonal.
 """
@@ -428,7 +433,10 @@ class RowHermiteForm:
 
 def row_hermite_with_transform(m: IntMatrix) -> RowHermiteForm:
     builder = _HnfBuilder(m.cols + m.rows)
-    for i in range(m.rows):
+    # Bottom up (see the module docstring): [M | I] has full row rank, so the
+    # form is the same in any order, and a new row mostly lands at position 0
+    # with no earlier rows for _reduce_above to re-reduce.
+    for i in reversed(range(m.rows)):
         augmented = list(m.row(i)) + [1 if t == i else 0 for t in range(m.rows)]
         builder.insert(augmented)
     rows = builder.basis()
@@ -741,22 +749,25 @@ def poly_eval_matrix(coeffs: Sequence[int], m: IntMatrix) -> IntMatrix:
 def characteristic_polynomial(m: IntMatrix) -> tuple:
     """Monic characteristic polynomial, low degree first (Faddeev-LeVerrier).
 
-    The only divisions are by the step index and are exact over the integers.
+    With M_1 = I and M_(k+1) = M M_k + c_(n-k) I, the coefficient c_(n-k) is
+    -tr(M M_k) / k; one product M M_k per step gives both the trace and the
+    next M_(k+1).  The only divisions are by the step index and are exact
+    over the integers.
     """
     if not m.is_square:
         raise DimensionMismatchError("characteristic polynomial needs a square matrix")
     n = m.rows
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    mk = IntMatrix.zeros(n, n)
-    prev_c = 1
     ident = IntMatrix.identity(n)
+    product = m  # M M_1
     for k in range(1, n + 1):
-        mk = m @ mk + ident.scale(prev_c)
-        t = (m @ mk).trace()
+        t = product.trace()
         assert t % k == 0
-        prev_c = -(t // k)
-        coeffs[n - k] = prev_c
+        c = -(t // k)
+        coeffs[n - k] = c
+        if k < n:
+            product = m @ (product + ident.scale(c))
     return tuple(coeffs)
 
 
@@ -775,8 +786,63 @@ class MinPolyData:
     m_coeffs: tuple
 
 
+# A Mersenne prime: the squarefree test runs modulo it.
+_SQUAREFREE_PRIME = 2**61 - 1
+
+
+def _coprime_mod(a: Sequence[int], b: Sequence[int], p: int) -> bool:
+    """Whether integer polynomials ``a`` and ``b`` are coprime over F_p."""
+
+    def reduce(c):
+        c = [x % p for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = reduce(a), reduce(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _min_poly_data(m_coeffs: tuple) -> MinPolyData:
+    l = 0
+    while m_coeffs[l] == 0:
+        l += 1
+    p_coeffs = m_coeffs[l:]
+    return MinPolyData(l=l, k=len(p_coeffs) - 1, p_coeffs=p_coeffs, m_coeffs=m_coeffs)
+
+
 @memo
 def minimal_polynomial(m: IntMatrix) -> MinPolyData:
+    """Minimal polynomial, with ``chi_A`` itself whenever that is squarefree.
+
+    A squarefree characteristic polynomial has only simple roots, so it is
+    the minimal polynomial.  It is squarefree when ``gcd(chi, chi')`` is 1
+    modulo a prime: ``chi`` is monic, so a common factor over Q is a monic
+    integer one and would survive the reduction.  Otherwise the powers of M
+    are searched for their first linear dependency.
+    """
+    if not m.is_square:
+        raise DimensionMismatchError("minimal polynomial needs a square matrix")
+    if m.rows == 0:
+        raise DimensionMismatchError("empty matrix")
+    chi = characteristic_polynomial(m)
+    derivative = [i * c for i, c in enumerate(chi)][1:]
+    if _coprime_mod(chi, derivative, _SQUAREFREE_PRIME):
+        return _min_poly_data(chi)
+    return _minimal_polynomial_from_powers(m)
+
+
+def _minimal_polynomial_from_powers(m: IntMatrix) -> MinPolyData:
     """Minimal polynomial via the first linear dependency among powers of M.
 
     The rows vec(M^d) | e_d go one at a time into a single Hermite builder.
@@ -786,11 +852,7 @@ def minimal_polynomial(m: IntMatrix) -> MinPolyData:
     because the minimal polynomial is a monic integer divisor of the
     characteristic polynomial).
     """
-    if not m.is_square:
-        raise DimensionMismatchError("minimal polynomial needs a square matrix")
     n = m.rows
-    if n == 0:
-        raise DimensionMismatchError("empty matrix")
     width = n * n
     builder = _HnfBuilder(width + n + 1)
     power = IntMatrix.identity(n)
@@ -799,11 +861,6 @@ def minimal_polynomial(m: IntMatrix) -> MinPolyData:
         last = builder.rows[-1]
         if builder.pivots[-1] >= width:
             sign = 1 if last[width + deg] > 0 else -1
-            m_coeffs = tuple(sign * x for x in last[width : width + deg + 1])
-            l = 0
-            while m_coeffs[l] == 0:
-                l += 1
-            p_coeffs = m_coeffs[l:]
-            return MinPolyData(l=l, k=len(p_coeffs) - 1, p_coeffs=p_coeffs, m_coeffs=m_coeffs)
+            return _min_poly_data(tuple(sign * x for x in last[width : width + deg + 1]))
         power = power @ m
     raise RuntimeError("no annihilating polynomial up to the matrix size")

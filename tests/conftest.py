@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from sftdim import IntMatrix, is_primitive, validate
+from sftdim import IntMatrix, exactlinalg, is_primitive, validate
 from sftdim.cylinder_ring import centralizer_basis
+from sftdim.exactlinalg import RowHermiteForm
 
 
 FULL_TWO_SHIFT = [[2]]
@@ -81,3 +82,24 @@ def random_centralizer_element(rng, ambient, bound=3):
     for b in basis:
         acc = acc + b.scale(rng.randint(-bound, bound))
     return acc
+
+
+def chord_cycle(k, shift=0):
+    """A k-cycle plus the chord shift -> shift + 2: primitive, with characteristic
+    polynomial x^k - x - 1 (cycle lengths k and k - 1)."""
+    rows = [[1 if j == (i + 1) % k else 0 for j in range(k)] for i in range(k)]
+    rows[shift % k][(shift + 2) % k] = 1
+    return validate(rows)
+
+
+def top_down_row_hermite(m):
+    """Oracle for row_hermite_with_transform: the augmented rows [m_i | e_i]
+    inserted from the first row down."""
+    builder = exactlinalg._HnfBuilder(m.cols + m.rows)
+    for i in range(m.rows):
+        builder.insert(list(m.row(i)) + [1 if t == i else 0 for t in range(m.rows)])
+    rows = builder.basis()
+    h = tuple(r[: m.cols] for r in rows)
+    w = tuple(r[m.cols :] for r in rows)
+    pivots = tuple(next(j for j, x in enumerate(r) if x) for r in h if any(r))
+    return RowHermiteForm(h=h, w=w, pivots=pivots)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sftdim import exactlinalg
 from sftdim.cli import main
@@ -295,6 +297,31 @@ class TestStrictParsing:
             assert out == "" and "Traceback" not in err
         assert run_cli(capsys, "--jmax", "0", "--tol", "0", "positive", path, v)[0] == 0
 
+    def test_integer_arguments_take_only_ascii_decimals(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        v = json.dumps({"payload": [1, -1], "level": 0, "flavor": "s"})
+        refused = [
+            ["ra", "reduce", path, "[1, 1]", "١"],
+            ["ra", "reduce", path, "[1, 1]", "1_0"],
+            ["--jmax", "1_0", "positive", path, v],
+            ["--jmax", "１", "positive", path, v],
+            ["se-search", path, path, "--kmax", "1_0"],
+            ["se-search", path, path, "--kmax", "-3"],
+            ["se-search", path, path, "--entry-bound", "-2"],
+            ["se-search", path, path, "--entry-bound", "0x1"],
+        ]
+        for argv in refused:
+            with pytest.raises(SystemExit) as exc:
+                main(["--format", "json", *argv])
+            assert exc.value.code == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: ") and "Traceback" not in err
+        code, out, _ = run_cli(capsys, "--format", "json", "ra", "reduce", path, "[1, 1]", "+01")
+        assert code == 0 and json.loads(out)["result"]["level"] == 1
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "se-search", path, path, "--kmax", "0", "--entry-bound", "0")
+        assert code == 3 and json.loads(out)["bounds"] == {"k_max": 0, "entry_bound": 0}
+
     def test_every_parser_refuses_non_integers(self, fib):
         for bad in (True, 2.0, "2", None):
             with pytest.raises(TypeError):
@@ -377,6 +404,84 @@ class TestShiftEquivalenceCommands:
         assert code == 0
         report = json.loads(out)
         assert report["found"] is True
+
+
+_JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["matrix", "label", "payload", "level", "flavor"]), inner, max_size=3),
+    max_leaves=12,
+)
+_SMALL_INT = st.integers(-2, 3)
+_ENTRY = st.integers(0, 3)
+_MATRIX_TEXT = st.one_of(
+    st.text(st.sampled_from(list("0123456789 \n\t-+_.x[]{},\"") + ["\u0661", "\uff11", "\u00a0"]), max_size=40),
+    _JSON_JUNK.map(json.dumps),
+    st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.lists(_ENTRY, min_size=k, max_size=k), min_size=k, max_size=k)
+    ).map(json.dumps),
+    st.lists(st.lists(_ENTRY, min_size=1, max_size=4), min_size=1, max_size=4).map(
+        lambda rows: "\n".join(" ".join(map(str, row)) for row in rows)),
+)
+_PAYLOAD = st.one_of(
+    st.lists(_SMALL_INT, max_size=3),
+    st.lists(st.lists(_SMALL_INT, max_size=3), max_size=3),
+    _JSON_JUNK,
+)
+_FIB_PAYLOAD = {
+    flavor: st.lists(_SMALL_INT, min_size=2, max_size=2) for flavor in ("s", "u", "ra")
+} | {
+    flavor: st.lists(st.lists(_SMALL_INT, min_size=2, max_size=2), min_size=2, max_size=2)
+    for flavor in ("h", "k0", "k1")
+}
+_ELEMENT = st.one_of(
+    st.sampled_from(sorted(_FIB_PAYLOAD)).flatmap(
+        lambda flavor: st.fixed_dictionaries(
+            {"flavor": st.just(flavor), "payload": _FIB_PAYLOAD[flavor], "level": st.integers(0, 50)})
+    ).map(json.dumps),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "flavor": st.sampled_from(["s", "u", "h", "k0", "k1", "ra", "x"]) | _JSON_JUNK,
+            "payload": _PAYLOAD,
+            "level": st.integers(-3, 200) | _JSON_JUNK,
+        },
+    ).map(json.dumps),
+    _JSON_JUNK.map(json.dumps),
+    st.text(max_size=12),
+)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+class TestFuzz:
+    """Arbitrary matrix text and element JSON reach parse_matrix_text and
+    element_from_dict through the CLI; every outcome is a documented exit
+    code, never a traceback."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_MATRIX_TEXT)
+    def test_matrix_text(self, capsys, tmp_path, text):
+        path = tmp_path / "matrix.txt"
+        path.write_text(text, encoding="utf-8")
+        code = _exit_code(["--format", "json", "info", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4) and "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["equal", "trace", "act"]), left=_ELEMENT, right=_ELEMENT)
+    def test_elements(self, capsys, tmp_path, command, left, right):
+        path = tmp_path / "fib.json"
+        path.write_text("[[1, 1], [1, 0]]")
+        argv = ["--format", "json", command, str(path), left] + ([right] if command != "trace" else [])
+        code = _exit_code(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4) and "Traceback" not in err
 
 
 class TestEntryPoint:

@@ -57,7 +57,13 @@ from sftdim.exactlinalg import (
     solve_integer_linear,
 )
 
-from conftest import random_centralizer_element, random_matrix, random_primitive_adjacency
+from conftest import (
+    chord_cycle,
+    random_centralizer_element,
+    random_matrix,
+    random_primitive_adjacency,
+    top_down_row_hermite,
+)
 
 X1 = IntMatrix.from_rows([[1, -1, 0], [-1, 1, 0], [0, 0, 0]])
 X2 = IntMatrix.from_rows([[0, 1, -1], [0, -1, 1], [0, 0, 0]])
@@ -845,6 +851,14 @@ class TestSmallestSpaces:
             assert dims == [centralizer_basis(a).rank]
 
 
+class TestCommutatorForm:
+    def test_bottom_up_form_equals_top_down(self, primitive_pool):
+        # the centraliser, B(A) and its witnesses are all read off this form
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE, chord_cycle(12), chord_cycle(12, 5)]:
+            cm = commutator_map(a)
+            assert exactlinalg._column_hermite(cm) == top_down_row_hermite(cm.transpose())
+
+
 class TestCentralizerRank:
     def test_matches_the_basis(self, primitive_pool):
         for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
@@ -852,9 +866,7 @@ class TestCentralizerRank:
 
     def test_non_derogatory_rank_factors_nothing(self, monkeypatch):
         k = 12
-        rows = [[1 if j == (i + 1) % k else 0 for j in range(k)] for i in range(k)]
-        rows[0][2] = 1
-        a = validate(rows)  # chord cycle: companion-like, so non-derogatory
+        a = chord_cycle(k)  # companion-like, so non-derogatory
         factored = []
         original = exactlinalg.row_hermite_with_transform
 

@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sftdim import exactlinalg
 from sftdim.exactlinalg import (
     DimensionMismatchError,
     IntMatrix,
@@ -18,12 +19,13 @@ from sftdim.exactlinalg import (
     poly_eval_matrix,
     poly_mod,
     poly_mul,
+    row_hermite_with_transform,
     smith_normal_form,
     solve_integer_linear,
     xgcd,
 )
 
-from conftest import random_matrix
+from conftest import chord_cycle, random_matrix, top_down_row_hermite
 
 
 def sympy_matrix(m):
@@ -244,6 +246,41 @@ class TestHermite:
                 assert lattice_contains(h1, v)
 
 
+@st.composite
+def _hermite_input(draw):
+    """Non-square integer matrices with zero rows, repeated rows and rows that
+    are combinations of others, so many are rank-deficient."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = st.integers(-6, 6)
+    out = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("random", "random", "zero", "repeat", "combination")))
+        if kind == "zero":
+            row = [0] * cols
+        elif kind == "repeat" and out:
+            row = list(draw(st.sampled_from(out)))
+        elif kind == "combination" and out:
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = draw(st.lists(entry, min_size=cols, max_size=cols))
+        out.append(row)
+    return IntMatrix.from_rows(out)
+
+
+class TestInsertionOrder:
+    """row_hermite_with_transform inserts rows bottom up; [M | I] has full row
+    rank, so the canonical form must equal the top-down one exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=_hermite_input())
+    def test_equals_top_down_form(self, m):
+        form = row_hermite_with_transform(m)
+        assert form == top_down_row_hermite(m)
+        assert row_hermite_with_transform(m.transpose()) == top_down_row_hermite(m.transpose())
+
+
 class TestPolynomials:
     def test_mod_monic(self):
         # x^2 mod (x^2 - x - 1) = x + 1
@@ -266,19 +303,29 @@ class TestPolynomials:
 
 @st.composite
 def _square(draw):
-    """A K <= 6 integer matrix; half are block diagonal diag(B, B), hence derogatory."""
-    k = draw(st.integers(1, 6))
-    if k % 2 == 0 and draw(st.booleans()):
-        h = k // 2
-        block = draw(st.lists(st.lists(st.integers(-2, 2), min_size=h, max_size=h), min_size=h, max_size=h))
-        rows = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                if i // h == j // h:
-                    rows[i][j] = block[i % h][j % h]
-        return IntMatrix.from_rows(rows)
-    entries = st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k)
-    return IntMatrix.from_rows(draw(entries))
+    """A K <= 6 integer matrix; half are derogatory (U diag(B, B) U^-1 or cJ + dI),
+    so their characteristic polynomial is not squarefree."""
+    if not draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        return IntMatrix.from_rows(
+            draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        k, c, d = draw(st.integers(3, 6)), draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        return IntMatrix.from_rows([[c + d * (i == j) for j in range(k)] for i in range(k)])
+    h = draw(st.integers(1, 3))
+    k = 2 * h
+    block = draw(st.lists(st.lists(st.integers(-2, 2), min_size=h, max_size=h), min_size=h, max_size=h))
+    m = IntMatrix.from_rows(
+        [[block[i % h][j % h] if i // h == j // h else 0 for j in range(k)] for i in range(k)])
+    # conjugate by elementary matrices I + c e_i e_j^T, whose inverse is I - c e_i e_j^T
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, c = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1)), draw(st.integers(-2, 2))
+        if i == j:
+            continue
+        e = [[c * (r == i and t == j) for t in range(k)] for r in range(k)]
+        ident = IntMatrix.identity(k)
+        m = (ident + IntMatrix.from_rows(e)) @ m @ (ident - IntMatrix.from_rows(e))
+    return m
 
 
 class TestCharPoly:
@@ -334,6 +381,21 @@ class TestMinimalPolynomial:
         degree = len(mp.m_coeffs) - 1
         powers = sympy.Matrix([matrix_power(m, i).vec() for i in range(degree)])
         assert powers.rank() == degree
+        # squarefree characteristic polynomials skip the builder; the rest take it
+        assert mp == exactlinalg._minimal_polynomial_from_powers(m)
+
+    @pytest.mark.parametrize("k", [5, 12, 20, 30])
+    def test_chord_cycles_skip_the_builder(self, k, monkeypatch):
+        a = chord_cycle(k).matrix
+        oracle = exactlinalg._minimal_polynomial_from_powers(a)
+
+        def refuse(m):
+            raise AssertionError("squarefree characteristic polynomial sent to the builder")
+
+        monkeypatch.setattr(exactlinalg, "_minimal_polynomial_from_powers", refuse)
+        mp = minimal_polynomial(a)
+        assert mp == oracle
+        assert mp.m_coeffs == (-1, -1) + (0,) * (k - 2) + (1,)  # x^k - x - 1
 
     def test_divisor_lattice_minimality(self):
         # No proper monic divisor of the characteristic polynomial of lower

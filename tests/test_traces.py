@@ -24,7 +24,7 @@ from sftdim import (
 )
 from sftdim.cylinder_ring import act_s, act_u, alpha_k0
 
-from conftest import random_centralizer_element
+from conftest import chord_cycle, random_centralizer_element
 
 
 class TestPerron:
@@ -77,13 +77,6 @@ def _numpy_perron(a):
     return left, right / (left @ right)
 
 
-def _chord_cycle(k):
-    """A k-cycle with one chord 0 -> 2; its characteristic polynomial is x^k - x - 1."""
-    rows = [[1 if j == (i + 1) % k else 0 for j in range(k)] for i in range(k)]
-    rows[0][2] = 1
-    return validate(rows)
-
-
 @st.composite
 def _primitive(draw):
     k = draw(st.integers(1, 6))
@@ -122,7 +115,7 @@ class TestPerronOracles:
     @pytest.mark.parametrize("k", [12, 20, 40, 60])
     def test_chord_cycles(self, k):
         # power iteration needed 73k steps at K = 20 and about 2M at K = 60
-        a = _chord_cycle(k)
+        a = chord_cycle(k)
         x = sympy.symbols("x")
         lam = float(max(sympy.Poly(x**k - x - 1, x).real_roots()).evalf(30))
         data = perron(a)
