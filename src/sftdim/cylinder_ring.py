@@ -25,6 +25,15 @@ subring generated by [A, 0] and [A, 1] uses the same closure idea in the
 coordinates of C(A), which Y -> A^2 Y maps into itself.  The matrix-level
 center of C(A) is M_K(Z) intersected with Q[A] (double centraliser), so it
 is C(A) itself whenever A is non-derogatory.
+
+For nonsingular A both closures run in the saturation of their seed, which
+is far smaller.  X -> AXA is injective on M_K(Q) and maps B(A) into itself,
+so it maps B(A) tensor Q onto itself and the induced map on Q tensor Q is
+injective: whatever some power maps into the relations L lies in sat(L),
+of rank len(relations), and sat(L)/L is the torsion of Q.  A torsion-free Q
+is its own closure.  For the subring, A^-1 lies in Q[A], so whatever some
+A^(2m) maps into Z[A] lies in the center, of rank deg m_A.  A seed that
+fills its lattice is its own closure with depth 0.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from .exactlinalg import (
     poly_mod,
     poly_eval_matrix,
     poly_mul,
-    row_hermite_with_transform,
+    saturation,
     smith_normal_form,
     solve_integer_linear,
 )
@@ -91,37 +100,50 @@ class CentralizerLattice:
 
     @functools.cached_property
     def _pivots(self) -> tuple:
-        return tuple(next(j for j, x in enumerate(b.vec()) if x) for b in self.basis)
+        return _hermite_pivots(b.vec() for b in self.basis)
 
     def contains(self, x: IntMatrix) -> bool:
         return self.coordinates(x) is not None
 
     def coordinates(self, x: IntMatrix) -> Optional[tuple]:
-        """The integer c with x = sum c_i basis_i, or None when x is not in the lattice.
-
-        Read off the pivots: basis row i vanishes before its pivot, so its
-        coefficient is fixed by x's entry there once the earlier rows are
-        taken out; x is a member iff nothing is left over.
-        """
-        v = list(x.vec())
-        coords = []
-        for b, p in zip(self.basis, self._pivots):
-            row = b.vec()
-            c = v[p] // row[p]
-            coords.append(c)
-            if c:
-                for t in range(p, len(v)):
-                    v[t] -= c * row[t]
-        return None if any(v) else tuple(coords)
+        """The integer c with x = sum c_i basis_i, or None when x is not in the lattice."""
+        return _coordinates([b.vec() for b in self.basis], self._pivots, x.vec())
 
     def combine(self, coords: Sequence[int]) -> tuple:
         """The row-major vector sum c_i basis_i."""
-        out = [0] * (len(self.basis[0].vec()) if self.basis else 0)
-        for c, b in zip(coords, self.basis):
-            if c:
-                for t, x in enumerate(b.vec()):
-                    out[t] += c * x
-        return tuple(out)
+        return _combine([b.vec() for b in self.basis], coords)
+
+
+def _hermite_pivots(rows) -> tuple:
+    return tuple(next(j for j, x in enumerate(r) if x) for r in rows)
+
+
+def _coordinates(rows: Sequence, pivots: tuple, v: Sequence[int]) -> Optional[tuple]:
+    """The integer c with v = sum c_i rows_i for a Hermite basis, or None.
+
+    Read off the pivots: row i vanishes before its pivot, so its coefficient
+    is fixed by v's entry there once the earlier rows are taken out; v is a
+    member iff nothing is left over.
+    """
+    v = list(v)
+    coords = []
+    for row, p in zip(rows, pivots):
+        c = v[p] // row[p]
+        coords.append(c)
+        if c:
+            for t in range(p, len(v)):
+                v[t] -= c * row[t]
+    return None if any(v) else tuple(coords)
+
+
+def _combine(rows: Sequence, coords: Sequence[int]) -> tuple:
+    """The vector sum c_i rows_i."""
+    out = [0] * (len(rows[0]) if rows else 0)
+    for c, row in zip(coords, rows):
+        if c:
+            for t, x in enumerate(row):
+                out[t] += c * x
+    return tuple(out)
 
 
 @memo
@@ -298,12 +320,18 @@ class K1Quotient(K1Presentation):
     """The presentation of Q with X -> AXA induced on it as ``psi``.
 
     ``closure`` is the stabilised preimage closure of the relations under
-    ``psi`` and ``depth`` its stabilisation depth.
+    ``psi`` and ``depth`` its stabilisation depth.  ``matrix`` is A.
     """
 
-    psi: IntMatrix
+    matrix: IntMatrix
     closure: tuple
     depth: int
+
+    @functools.cached_property
+    def psi(self) -> IntMatrix:
+        """The |J| x |J| matrix of X -> AXA on Z^J, built on first read; a
+        depth-0 quotient never reads it."""
+        return _k1_psi(self.matrix, self)
 
 
 def _project(coords: tuple, unit_rows: tuple, v: Sequence[int]) -> tuple:
@@ -329,15 +357,47 @@ def _k1_presentation(a: AdjacencyMatrix) -> K1Presentation:
     return K1Presentation(coords, unit_rows, relations)
 
 
+def _k1_psi(m: IntMatrix, pres: K1Presentation) -> IntMatrix:
+    # column j = (p, q) is the class of A E_pq A = (column p of A)(row q of A)
+    k = m.rows
+    columns = []
+    for j in pres.coords:
+        col, row = m.column(j // k), m.row(j % k)
+        columns.append(pres.project([x * y for x in col for y in row]))
+    return IntMatrix.from_columns(columns, len(pres.coords))
+
+
 @memo
 def _k1_quotient(a: AdjacencyMatrix) -> K1Quotient:
     pres = _k1_presentation(a)
-    psi = kron(a.matrix, a.matrix.transpose())  # vec(AXA) = psi . vec(X)
-    induced = IntMatrix.from_columns(
-        [pres.project(psi.column(j)) for j in pres.coords], len(pres.coords)
-    )
-    closure, depth = lattice_closure_under_preimage(induced, pres.relations)
-    return K1Quotient(pres.coords, pres.unit_rows, pres.relations, induced, closure, depth)
+    if minimal_polynomial(a.matrix).l:
+        closure, depth = lattice_closure_under_preimage(_k1_psi(a.matrix, pres), pres.relations)
+    elif not k1_group_structure(a).torsion:
+        closure, depth = pres.relations, 0
+    else:
+        closure, depth = _k1_closure_in_saturation(a.matrix, pres)
+    return K1Quotient(pres.coords, pres.unit_rows, pres.relations, a.matrix, closure, depth)
+
+
+def _k1_closure_in_saturation(m: IntMatrix, pres: K1Presentation) -> tuple:
+    """The preimage closure of the relations L for nonsingular A, run in the
+    coordinates of sat(L), the saturation of L in Z^J, where the module
+    docstring shows it lies.  X -> AXA is applied to each basis row lifted
+    to M_K(Z), so the K^2 x K^2 map is never built."""
+    k, width = m.rows, len(pres.coords)
+    sat = saturation(pres.relations, width)
+    pivots = _hermite_pivots(sat)
+    columns = []
+    for b in sat:
+        full = [0] * (k * k)
+        for j, x in zip(pres.coords, b):
+            full[j] = x
+        image = m @ IntMatrix.from_vec(full, k, k) @ m
+        columns.append(_coordinates(sat, pivots, pres.project(image.vec())))
+    psi = IntMatrix.from_columns(columns, len(sat))
+    seed = [_coordinates(sat, pivots, r) for r in pres.relations]
+    closure, depth = lattice_closure_under_preimage(psi, seed)
+    return hermite_row_basis([_combine(sat, c) for c in closure], width), depth
 
 
 def k1_equal(x: CylinderK1Element, y: CylinderK1Element) -> K1Decision:
@@ -493,22 +553,30 @@ def ra_to_cylinder(x: RAElement) -> CylinderK0Element:
 
 @memo
 def _ra_closure(a: AdjacencyMatrix) -> tuple:
-    """Closure of span{A^(2l+i) : i < k} under division by Y -> A^2 Y, within C(A).
+    """Closure of span{A^(2l+i) : i < k} under division by Y -> A^2 Y.
 
     Only payloads in C(A) are ever tested, and Y -> A^2 Y maps C(A) into
     itself, so the closure runs on C(A) coordinates (dimension rank C(A),
-    not K^2) and its stabilised basis is lifted back once.  Returns the
+    not K^2) and its stabilised basis is lifted back once.  For nonsingular
+    A it runs on the coordinates of the center M_K(Z) meet Q[A] (dimension
+    deg m_A): A^-1 is a polynomial in A, so A^(2m) Y in Z[A] puts Y in Q[A].
+    A seed that already spans the lattice is its own closure.  Returns the
     Hermite basis of the lifted closure and the stabilisation depth.
     """
     mp = minimal_polynomial(a.matrix)
-    cent = centralizer_basis(a)
+    lattice = centralizer_basis(a) if mp.l else center_basis(a)
+    seed = hermite_row_basis(
+        [lattice.coordinates(matrix_power(a.matrix, 2 * mp.l + i)) for i in range(mp.k)],
+        lattice.rank,
+    )
+    if len(seed) == lattice.rank and all(row[i] == 1 for i, row in enumerate(seed)):
+        return tuple(b.vec() for b in lattice.basis), 0
     a2 = matrix_power(a.matrix, 2)
-    seed = [
-        cent.coordinates(matrix_power(a.matrix, 2 * mp.l + i)) for i in range(mp.k)
-    ]
-    psi = IntMatrix.from_columns([cent.coordinates(a2 @ b) for b in cent.basis], cent.rank)
+    psi = IntMatrix.from_columns(
+        [lattice.coordinates(a2 @ b) for b in lattice.basis], lattice.rank
+    )
     closure, depth = lattice_closure_under_preimage(psi, seed)
-    return hermite_row_basis([cent.combine(c) for c in closure], a.size * a.size), depth
+    return hermite_row_basis([lattice.combine(c) for c in closure], a.size * a.size), depth
 
 
 @memo
@@ -561,9 +629,9 @@ def center_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     (the double centraliser theorem), so the center is M_K(Z) meet Q[A], of
     rank deg m_A.  When that equals rank C(A) (A is non-derogatory) the
     center is C(A) itself.  Otherwise the C(A) coordinates of I, A, ...,
-    A^(deg m_A - 1) are saturated in Z^r as the kernel of their kernel; that
-    is exact because C(A) is saturated, so every integer matrix in Q[A] has
-    integer coordinates in its basis.
+    A^(deg m_A - 1) are saturated in Z^r; that is exact because C(A) is
+    saturated, so every integer matrix in Q[A] has integer coordinates in
+    its basis.
     """
     cent = centralizer_basis(a)
     mp = minimal_polynomial(a.matrix)
@@ -573,13 +641,8 @@ def center_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     powers = [IntMatrix.identity(a.size)]
     for _ in range(degree - 1):
         powers.append(powers[-1] @ a.matrix)
-    span = [cent.coordinates(p) for p in powers]
-    # each system is solved once, so neither form is cached
-    relations = row_hermite_with_transform(IntMatrix.from_columns(span, cent.rank)).left_kernel()
-    saturated = row_hermite_with_transform(
-        IntMatrix.from_columns(relations, cent.rank)
-    ).left_kernel()
+    span = hermite_row_basis([cent.coordinates(p) for p in powers], cent.rank)
     k = a.size
-    rows = hermite_row_basis([cent.combine(c) for c in saturated], k * k)
+    rows = hermite_row_basis([cent.combine(c) for c in saturation(span, cent.rank)], k * k)
     basis = tuple(IntMatrix.from_vec(rw, k, k) for rw in rows)
     return CentralizerLattice(basis=basis, rank=len(basis))

@@ -133,7 +133,7 @@ class IntMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -153,14 +153,11 @@ class IntMatrix:
     def trace(self) -> int:
         if not self.is_square:
             raise DimensionMismatchError("trace needs a square matrix")
-        return sum(self.entry(i, i) for i in range(self.rows))
+        return sum(self.entries[:: self.cols + 1])
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        c, ents = self.cols, self.entries
+        return IntMatrix(c, self.rows, tuple(x for j in range(c) for x in ents[j::c]))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -230,8 +227,8 @@ class IntMatrix:
         return tuple(out)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        ents = tuple(self.entry(i, j) for i in row_idx for j in col_idx)
-        return IntMatrix(len(row_idx), len(col_idx), ents)
+        rows = [self.row(i) for i in row_idx]
+        return IntMatrix(len(row_idx), len(col_idx), tuple(r[j] for r in rows for j in col_idx))
 
 
 @memo
@@ -252,18 +249,16 @@ def matrix_power(m: IntMatrix, e: int) -> IntMatrix:
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Kronecker product; with row-major vec, vec(P X Q^T) = (P kron Q) vec(X)."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    ents = [0] * (rows * cols)
+    # row (i, p) of the product is a[i, j] * b[p, :] for j = 0, 1, ... in turn
+    b_rows = [b.row(p) for p in range(b.rows)]
+    zero = (0,) * b.cols
+    ents = []
     for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.entry(i, j)
-            if x == 0:
-                continue
-            for p in range(b.rows):
-                for q in range(b.cols):
-                    ents[(i * b.rows + p) * cols + (j * b.cols + q)] = x * b.entry(p, q)
-    return IntMatrix(rows, cols, tuple(ents))
+        a_row = a.row(i)
+        for b_row in b_rows:
+            for x in a_row:
+                ents.extend([x * y for y in b_row] if x else zero)
+    return IntMatrix(a.rows * b.rows, a.cols * b.cols, tuple(ents))
 
 
 def xgcd(a: int, b: int) -> tuple:
@@ -387,6 +382,54 @@ def lattice_contains(basis_rows: Sequence[Sequence[int]], target: Sequence[int])
         q = v[j] // row[j]
         v = [x - q * y for x, y in zip(v, row)]
     return all(x == 0 for x in v)
+
+
+def saturation(hermite_rows: Sequence[Sequence[int]], width: int) -> tuple:
+    """Hermite basis of the saturation (L tensor Q) meet Z^width of the lattice
+    L given by its Hermite rows H.
+
+    Fraction-free.  With T the pivot block of H and D = det T, the matrix
+    G = D T^-1 H is integral (adj(T) H), and back substitution gives it with
+    exact divisions.  A rational vector of L tensor Q with integer pivot
+    entries y is y G / D, so the saturation is {y G / D : y . G_j = 0 mod D
+    for every column G_j}.  Each congruence cuts the current basis of such y
+    down by one Hermite step of width s + 1, where s = rank L.
+    """
+    rows = [tuple(r) for r in hermite_rows]
+    s = len(rows)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    det = 1
+    for r, p in zip(rows, pivots):
+        det *= r[p]
+    if det == 1:  # unit pivots: L is saturated already
+        return tuple(rows)
+    g = [None] * s
+    for i in reversed(range(s)):
+        acc = [det * x for x in rows[i]]
+        for t in range(i + 1, s):
+            c = rows[i][pivots[t]]
+            if c:
+                acc = [x - c * y for x, y in zip(acc, g[t])]
+        d = rows[i][pivots[i]]
+        g[i] = [x // d for x in acc]
+    ys = [[1 if t == i else 0 for t in range(s)] for i in range(s)]
+    for j in range(width):
+        residues = [sum(c * g[t][j] for t, c in enumerate(y) if c) % det for y in ys]
+        if any(residues):
+            # rows [y . G_j | y] and [D | 0]: the Hermite rows after the first
+            # have a zero residue, and they are a basis of the y that satisfy it
+            step = hermite_row_basis(
+                [[x, *y] for x, y in zip(residues, ys)] + [[det] + [0] * s], s + 1
+            )
+            ys = [r[1:] for r in step[1:]]
+    vectors = []
+    for y in ys:
+        v = [0] * width
+        for c, gr in zip(y, g):
+            if c:
+                v = [x + c * z for x, z in zip(v, gr)]
+        vectors.append([x // det for x in v])
+    return hermite_row_basis(vectors, width)
 
 
 @dataclass(frozen=True)

@@ -497,10 +497,8 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["primitive"] is True
 
     def test_cli_import_leaves_numpy_out(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, sftdim.cli; print('numpy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-        )
+        # start-up stays on plain ints: no numpy and no Fraction/Decimal helpers
+        code = "import sys, sftdim.cli; print([m for m in ('numpy', 'fractions', 'decimal') if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"

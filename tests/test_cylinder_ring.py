@@ -364,6 +364,10 @@ REPEATED_ROW = validate([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
 BIPARTITE = validate([[0, 0, 1, 1], [0, 0, 1, 2], [1, 2, 0, 0], [1, 1, 0, 0]])
 
 
+def _ones_plus_identity(k, c, d):
+    return validate([[c + d if i == j else c for j in range(k)] for i in range(k)])
+
+
 @st.composite
 def _adjacency(draw):
     k = draw(st.integers(1, 4))
@@ -449,7 +453,79 @@ class TestK1CokernelCoordinates:
         y = CylinderK1Element(a, IntMatrix.zeros(6, 6), 0)
         assert k1_equal(x, y).verdict is Verdict.NOT_EQUAL  # trace vanishes on B(A)
         assert solves == []
-        assert len(dims) == 1 and dims[0] < 36
+        # nonsingular with torsion-free Q: the relations are their own closure
+        assert exactlinalg.minimal_polynomial(a.matrix).l == 0
+        assert k1_group_structure(a).torsion == ()
+        assert dims == []
+
+    def test_scaled_all_ones_closes_in_small_saturations(self, monkeypatch):
+        a = _ones_plus_identity(6, 2, 1)
+        for warm in (centralizer_basis, cylinder_ring._k1_presentation, k1_group_structure, center_basis):
+            warm(a)
+        dims = []
+        closure = cylinder_ring.lattice_closure_under_preimage
+
+        def record_closure(psi, seed):
+            dims.append(psi.rows)
+            return closure(psi, seed)
+
+        def no_kron(*args):
+            raise AssertionError("kron called")
+
+        monkeypatch.setattr(cylinder_ring, "lattice_closure_under_preimage", record_closure)
+        monkeypatch.setattr(cylinder_ring, "kron", no_kron)
+        monkeypatch.setattr(exactlinalg, "kron", no_kron)
+        q = cylinder_ring._k1_quotient(a)
+        assert dims == [len(q.relations)] and len(q.relations) < 36
+        dims.clear()
+        cylinder_ring._ra_closure(a)
+        assert dims == [2]
+
+
+def _k1_quotient_oracle(a):
+    """(coords, relations, psi, closure, depth) by the closure in all of Z^J,
+    with psi projected from the K^2 x K^2 Kronecker map."""
+    pres = cylinder_ring._k1_presentation(a)
+    full = kron(a.matrix, a.matrix.transpose())
+    psi = IntMatrix.from_columns([pres.project(full.column(j)) for j in pres.coords], len(pres.coords))
+    closure, depth = lattice_closure_under_preimage(psi, pres.relations)
+    return pres.coords, pres.relations, psi, closure, depth
+
+
+def _ra_closure_in_centralizer(a):
+    """(basis, depth) of the subring closure run in C(A) coordinates for every A."""
+    mp = exactlinalg.minimal_polynomial(a.matrix)
+    cent = centralizer_basis(a)
+    a2 = matrix_power(a.matrix, 2)
+    seed = [cent.coordinates(matrix_power(a.matrix, 2 * mp.l + i)) for i in range(mp.k)]
+    psi = IntMatrix.from_columns([cent.coordinates(a2 @ b) for b in cent.basis], cent.rank)
+    closure, depth = lattice_closure_under_preimage(psi, seed)
+    return hermite_row_basis([cent.combine(c) for c in closure], a.size * a.size), depth
+
+
+class TestClosuresInSaturations:
+    """Both closures against the paths that run them in Z^J and in C(A)."""
+
+    def _assert_agrees(self, a):
+        a = validate(a.matrix.to_rows())  # cold
+        q = cylinder_ring._k1_quotient(a)
+        assert (q.coords, q.relations, q.psi, q.closure, q.depth) == _k1_quotient_oracle(a)
+        assert cylinder_ring._ra_closure(a) == _ra_closure_in_centralizer(a)
+
+    def test_pool_and_families(self, primitive_pool):
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
+            self._assert_agrees(a)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_scaled_all_ones(self, k):
+        for c in (2, 3):
+            for d in (1, 2):
+                self._assert_agrees(_ones_plus_identity(k, c, d))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_adjacency())
+    def test_generated_matrices(self, a):
+        self._assert_agrees(a)
 
 
 class TestProducts:
@@ -814,7 +890,6 @@ class TestSmallestSpaces:
             factored.append(m)
             return original(m)
 
-        monkeypatch.setattr(cylinder_ring, "row_hermite_with_transform", counted)
         monkeypatch.setattr(exactlinalg, "row_hermite_with_transform", counted)
         assert center_basis(a) is centralizer_basis(a)
         assert factored == []
@@ -844,11 +919,17 @@ class TestSmallestSpaces:
             return closure(psi, seed)
 
         monkeypatch.setattr(cylinder_ring, "lattice_closure_under_preimage", record)
-        for a in [*primitive_pool, CJ_PLUS_DI]:
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
             a = validate(a.matrix.to_rows())  # cold
+            mp = exactlinalg.minimal_polynomial(a.matrix)
+            # the center M_K(Z) meet Q[A], of rank deg m_A = k, for nonsingular A
+            lattice = center_basis(a) if mp.l == 0 else centralizer_basis(a)
+            dim = mp.k if mp.l == 0 else centralizer_basis(a).rank
             dims.clear()
-            cylinder_ring._ra_closure(a)
-            assert dims == [centralizer_basis(a).rank]
+            basis, depth = cylinder_ring._ra_closure(a)
+            # a seed that spans the lattice needs no closure at all
+            fills = depth == 0 and basis == tuple(b.vec() for b in lattice.basis)
+            assert dims == ([] if fills else [dim])
 
 
 class TestCommutatorForm:
@@ -874,7 +955,6 @@ class TestCentralizerRank:
             factored.append(m)
             return original(m)
 
-        monkeypatch.setattr(cylinder_ring, "row_hermite_with_transform", counted)
         monkeypatch.setattr(exactlinalg, "row_hermite_with_transform", counted)
         assert centralizer_rank(a) == k
         assert factored == []

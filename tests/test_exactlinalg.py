@@ -281,6 +281,125 @@ class TestInsertionOrder:
         assert row_hermite_with_transform(m.transpose()) == top_down_row_hermite(m.transpose())
 
 
+@st.composite
+def _int_matrix(draw, rows=None, cols=None):
+    """Small integer matrices, 0-row and 0-column shapes included."""
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    entries = draw(st.lists(st.integers(-9, 9), min_size=r * c, max_size=r * c))
+    return IntMatrix(r, c, tuple(entries))
+
+
+class TestEntryAccess:
+    """transpose, kron, submatrix and trace read ``entries`` by slice or
+    stride; each must equal its per-entry formula."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=_int_matrix())
+    def test_transpose(self, m):
+        t = m.transpose()
+        assert (t.rows, t.cols) == (m.cols, m.rows)
+        assert all(t.entry(j, i) == m.entry(i, j) for i in range(m.rows) for j in range(m.cols))
+        assert all(m.column(j) == tuple(m.entry(i, j) for i in range(m.rows)) for j in range(m.cols))
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=_int_matrix(), b=_int_matrix())
+    def test_kron(self, a, b):
+        from sftdim.exactlinalg import kron
+
+        p = kron(a, b)
+        assert (p.rows, p.cols) == (a.rows * b.rows, a.cols * b.cols)
+        for i in range(a.rows):
+            for j in range(a.cols):
+                for s in range(b.rows):
+                    for t in range(b.cols):
+                        got = p.entry(i * b.rows + s, j * b.cols + t)
+                        assert got == a.entry(i, j) * b.entry(s, t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), m=_int_matrix())
+    def test_submatrix(self, data, m):
+        rows = data.draw(st.lists(st.integers(0, m.rows - 1), max_size=4)) if m.rows else []
+        cols = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=4)) if m.cols else []
+        sub = m.submatrix(rows, cols)
+        assert (sub.rows, sub.cols) == (len(rows), len(cols))
+        assert sub.to_rows() == [[m.entry(i, j) for j in cols] for i in rows]
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 5))
+    def test_trace(self, data, n):
+        m = data.draw(_int_matrix(n, n))
+        assert m.trace() == sum(m.entry(i, i) for i in range(n))
+
+
+def _saturation_oracle(rows, width):
+    """The kernel of the kernel: the integer vectors orthogonal to every
+    integer vector orthogonal to the lattice."""
+    relations = row_hermite_with_transform(IntMatrix.from_columns(rows, width)).left_kernel()
+    return row_hermite_with_transform(IntMatrix.from_columns(relations, width)).left_kernel()
+
+
+@st.composite
+def _lattice(draw):
+    """Hermite bases: full rank, rank deficient, already saturated (rows of a
+    unimodular matrix) and with large non-unit pivots."""
+    width = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("full", "deficient", "saturated", "large")))
+    entry = st.integers(-5, 5)
+    if kind == "saturated":
+        u = IntMatrix.identity(width)
+        for _ in range(draw(st.integers(0, 8))):
+            i, j = draw(st.integers(0, width - 1)), draw(st.integers(0, width - 1))
+            if i != j:
+                e = IntMatrix.identity(width).to_rows()
+                e[i][j] = draw(entry)
+                u = IntMatrix.from_rows(e) @ u
+        rows = u.to_rows()[: draw(st.integers(0, width))]
+    else:
+        count = width if kind != "deficient" else draw(st.integers(0, width - 1))
+        rows = [draw(st.lists(entry, min_size=width, max_size=width)) for _ in range(count)]
+        if kind == "deficient" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([2 * x - 3 * y for x, y in zip(a, b)])
+        if kind == "large":
+            scales = st.sampled_from((1, 2, 6, 2**40, 3**25, 10**9 + 7))
+            rows = [[draw(scales) * x for x in r] for r in rows]
+    return hermite_row_basis(rows, width), width
+
+
+def _pivot_product(rows):
+    product = 1
+    for r in rows:
+        product *= next(x for x in r if x)
+    return product
+
+
+class TestSaturation:
+    @settings(max_examples=200, deadline=None)
+    @given(lattice=_lattice())
+    def test_matches_kernel_of_kernel(self, lattice):
+        h, width = lattice
+        sat = exactlinalg.saturation(h, width)
+        assert sat == _saturation_oracle(h, width)
+        assert len(sat) == len(h)
+        assert all(lattice_contains(sat, r) for r in h)
+        # both span the same rational space, so they share pivot columns and
+        # the index [sat : L] is the ratio of pivot products, which must be
+        # the order of the torsion of Z^width / L
+        torsion = 1
+        if h:
+            for d in smith_normal_form(IntMatrix.from_rows(h)).invariant_factors:
+                torsion *= d
+        assert _pivot_product(h) == _pivot_product(sat) * torsion
+        assert exactlinalg.saturation(sat, width) == sat
+
+    def test_examples(self):
+        assert exactlinalg.saturation(((2, 4, 6),), 3) == ((1, 2, 3),)
+        assert exactlinalg.saturation(((2, 0), (0, 3)), 2) == ((1, 0), (0, 1))
+        assert exactlinalg.saturation(((1, 1, 0), (0, 2, 2)), 3) == ((1, 0, -1), (0, 1, 1))
+        assert exactlinalg.saturation((), 4) == ()
+
+
 class TestPolynomials:
     def test_mod_monic(self):
         # x^2 mod (x^2 - x - 1) = x + 1

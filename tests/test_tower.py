@@ -235,7 +235,6 @@ class TestWarmAmbientFactorsNothing:
             return original(m)
 
         monkeypatch.setattr(exactlinalg, "row_hermite_with_transform", counted)
-        monkeypatch.setattr(cylinder_ring, "row_hermite_with_transform", counted)
         for _ in range(5):
             queries()
         assert factored == []
