@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactlinalg import (
     IntMatrix,
     _column_hermite,
+    frozen,
     integer_kernel,
     hermite_row_basis,
     kron,
@@ -91,7 +91,7 @@ def commutator_map(a: AdjacencyMatrix) -> IntMatrix:
     return kron(a.matrix, ident) - kron(ident, a.matrix.transpose())
 
 
-@dataclass(frozen=True)
+@frozen
 class CentralizerLattice:
     """Saturated Hermite basis of a sublattice of the commuting matrices."""
 
@@ -165,7 +165,7 @@ def centralizer_rank(a: AdjacencyMatrix) -> int:
     return centralizer_basis(a).rank
 
 
-@dataclass(frozen=True)
+@frozen
 class CommutatorLattice:
     """Basis of B(A) together with a witness Y per basis element (AY - YA)."""
 
@@ -190,7 +190,7 @@ def commutator_lattice(a: AdjacencyMatrix) -> CommutatorLattice:
     return CommutatorLattice(basis=tuple(basis), witnesses=tuple(witnesses), rank=len(basis))
 
 
-@dataclass(frozen=True)
+@frozen
 class K1Structure:
     """Shape of the level group M_K(Z)/B(A): free rank plus torsion factors.
 
@@ -229,7 +229,7 @@ def k1_group_structure(a: AdjacencyMatrix) -> K1Structure:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class CylinderK0Element(MatrixPayload):
     """[X, N] with X in C(A); construction rejects non-commuting payloads."""
 
@@ -248,7 +248,7 @@ class CylinderK0Element(MatrixPayload):
         return tuple(b.vec() for b in centralizer_basis(a).basis)
 
 
-@dataclass(frozen=True)
+@frozen
 class CylinderK1Element(MatrixPayload):
     """[Y + B(A), N]: a coset representative at level N (Y unconstrained)."""
 
@@ -289,13 +289,13 @@ class Verdict(enum.Enum):
     NOT_EQUAL = "not_equal"
 
 
-@dataclass(frozen=True)
+@frozen
 class K1Decision:
     verdict: Verdict
     witness_level: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class K1Presentation:
     """The level group Q = M_K(Z)/B(A) presented as Z^J / <relations>.
 
@@ -315,7 +315,7 @@ class K1Presentation:
         return _project(self.coords, self.unit_rows, v)
 
 
-@dataclass(frozen=True)
+@frozen
 class K1Quotient(K1Presentation):
     """The presentation of Q with X -> AXA induced on it as ``psi``.
 
@@ -466,7 +466,7 @@ def act_u(h: CylinderK0Element, w: UnstableElement) -> UnstableElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class RAElement:
     """[p(A), N] with deg p < k, the canonical presentation of the subring.
 

@@ -25,11 +25,11 @@ dual to the stable one under which the trace maps scale by lambda and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from .exactlinalg import (
     IntMatrix,
+    frozen,
     matrix_power,
     memo,
     minimal_polynomial,
@@ -64,11 +64,12 @@ def _apow(a: AdjacencyMatrix, j: int) -> IntMatrix:
 class TowerElement:
     """A class [payload, level] of an inductive limit along one push map.
 
-    Subclasses are frozen dataclasses with the fields ``ambient``, a payload
-    and ``level``.  Each supplies ``_push(j)``, its payload j levels further
-    up as a flat tuple (matrices row-major); the two payload bases below
-    supply the shape check and the way back from a flat tuple.  The group
-    law, equality and normalisation are shared by every tower.
+    Subclasses are :func:`~sftdim.exactlinalg.frozen` records with the fields
+    ``ambient``, a payload and ``level``.  Each supplies ``_push(j)``, its
+    payload j levels further up as a flat tuple (matrices row-major); the two
+    payload bases below supply the shape check and the way back from a flat
+    tuple.  The group law, equality and normalisation are shared by every
+    tower.
     """
 
     def __post_init__(self):
@@ -143,7 +144,7 @@ class MatrixPayload(TowerElement):
         return (p @ self.matrix @ p).entries
 
 
-@dataclass(frozen=True)
+@frozen
 class StableElement(VectorPayload):
     """[v, N]: an integer row vector at level N, pushed by v -> vA."""
 
@@ -155,7 +156,7 @@ class StableElement(VectorPayload):
         return _apow(self.ambient, j).row_apply(self.vector)
 
 
-@dataclass(frozen=True)
+@frozen
 class UnstableElement(VectorPayload):
     """[w, N]: an integer column vector at level N, pushed by w -> Aw."""
 
@@ -167,7 +168,7 @@ class UnstableElement(VectorPayload):
         return _apow(self.ambient, j).col_apply(self.vector)
 
 
-@dataclass(frozen=True)
+@frozen
 class HomoclinicElement(MatrixPayload):
     """[X, N]: an integer square matrix at level N, pushed by X -> AXA."""
 
@@ -298,7 +299,7 @@ class Positivity(enum.Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
+@frozen
 class PositivityResult:
     kind: Positivity
     searched_to: Optional[int] = None

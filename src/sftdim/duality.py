@@ -16,9 +16,8 @@ the deterministic choice that makes both round trips the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactlinalg import (
+    frozen,
     matrix_power,
     memo,
     minimal_polynomial,
@@ -37,7 +36,7 @@ from .dimension_groups import (
 from .cylinder_ring import RAElement
 
 
-@dataclass(frozen=True)
+@frozen
 class StableHom(VectorPayload):
     """The homomorphism classified by (z, N), pushed by z -> A^2 z."""
 

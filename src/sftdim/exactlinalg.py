@@ -5,7 +5,10 @@ ever rounds.  Matrix powers grow like the spectral radius raised to the
 exponent, so fixed-width arithmetic would silently corrupt the equality tests
 that the rest of the package is built on.  Matrices are immutable, so a fact
 about one (a power, a factorisation, a polynomial) is kept on the object
-itself by :func:`memo` and freed with it.
+itself by :func:`memo` and freed with it.  Records are made immutable by
+:func:`frozen`, which imports nothing and compiles only an ``__init__`` per
+class, because every CLI call is a fresh process that pays for each import and
+each generated method at start-up.
 
 The workhorse is a Hermite row reduction that keeps the basis fully reduced
 after every insertion; naive two-sided elimination doubles digit counts per
@@ -24,12 +27,82 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes."""
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of a :func:`frozen` record was assigned or deleted."""
+
+
+_NO_DEFAULT = object()
+
+
+def frozen(cls):
+    """Make ``cls`` an immutable record of its annotated fields.
+
+    The fields are those of any record base, then the class's own annotations;
+    a default kept on the class is the field's default.  The class gets an
+    ``__init__`` taking the fields in that order (then ``__post_init__``),
+    ``__eq__`` and ``__hash__`` over the field tuple, restricted to the same
+    class, and a ``Name(field=value, ...)`` ``__repr__``; assigning or
+    deleting an attribute raises :class:`FrozenInstanceError`.  Instances
+    keep their ``__dict__``, which :func:`memo` and ``cached_property`` store
+    into.
+    """
+    fields = {}
+    for base in reversed(cls.__mro__[1:]):
+        fields.update(base.__dict__.get("_frozen_fields", {}))
+    for name in cls.__annotations__:
+        fields[name] = cls.__dict__.get(name, _NO_DEFAULT)
+    cls._frozen_fields = fields
+    names = tuple(fields)
+    # __init__, __eq__ and __hash__ are compiled with the fields spelt out:
+    # they run on every construction and binary operation.  __init__ stores
+    # through object.__setattr__, since reading self.__dict__ would move the
+    # instance's inline attribute values into a dict and slow every later
+    # field read.
+    params = ", ".join(
+        n if d is _NO_DEFAULT else f"{n}=_defaults[{n!r}]" for n, d in fields.items()
+    )
+    body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    mine = "".join(f"self.{n}," for n in names)
+    theirs = "".join(f"other.{n}," for n in names)
+    source = f"""
+def __init__(self, {params}):{body}{post}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+def __hash__(self):
+    return hash(({mine}))
+"""
+    methods = {}
+    exec(source, {"_defaults": fields, "_set": object.__setattr__}, methods)
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    methods["__repr__"] = __repr__
+    for name, fn in methods.items():
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, fn)
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    return cls
+
+
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def memo(fn):
@@ -62,7 +135,7 @@ def memo(fn):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class IntMatrix:
     """Immutable arbitrary-precision integer matrix, stored row-major."""
 
@@ -432,7 +505,7 @@ def saturation(hermite_rows: Sequence[Sequence[int]], width: int) -> tuple:
     return hermite_row_basis(vectors, width)
 
 
-@dataclass(frozen=True)
+@frozen
 class RowHermiteForm:
     """H = W . M with W unimodular and H the canonical row-Hermite form.
 
@@ -550,7 +623,7 @@ def determinant(m: IntMatrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class SmithDecomposition:
     """U . M . V = D with U, V unimodular and D diagonal (divisibility chain).
 
@@ -814,7 +887,7 @@ def characteristic_polynomial(m: IntMatrix) -> tuple:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
+@frozen
 class MinPolyData:
     """Minimal polynomial split m(x) = x^l * p(x) with p(0) != 0.
 

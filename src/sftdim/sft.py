@@ -10,10 +10,9 @@ because a silent wrong answer is worse than a refusal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .exactlinalg import IntMatrix, memo
+from .exactlinalg import IntMatrix, frozen, memo
 
 
 class NonSquareError(ValueError):
@@ -45,7 +44,7 @@ class NotPrimitiveError(ValueError):
     """The operation needs a primitive matrix."""
 
 
-@dataclass(frozen=True)
+@frozen
 class AdjacencyMatrix:
     """A validated adjacency matrix; construct through :func:`validate`."""
 
@@ -144,7 +143,7 @@ def is_primitive(a: AdjacencyMatrix) -> bool:
     return is_irreducible(a) and period(a) == 1
 
 
-@dataclass(frozen=True)
+@frozen
 class SpectralDecomposition:
     """Cyclic-class structure of an irreducible matrix.
 

@@ -28,12 +28,12 @@ multiplicative on the nose, which the test-suite checks property-wise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .exactlinalg import (
     IntMatrix,
     characteristic_polynomial,
+    frozen,
     integer_kernel,
     kron,
     matrix_power,
@@ -55,21 +55,21 @@ class SearchSpaceTooLargeError(ValueError):
     """The requested search exceeds the configured caps."""
 
 
-@dataclass(frozen=True)
+@frozen
 class ShiftEquivalenceWitness:
     r: IntMatrix
     s: IntMatrix
     k: int
 
 
-@dataclass(frozen=True)
+@frozen
 class EquationCheck:
     name: str
     ok: bool
     residual: Optional[IntMatrix] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationReport:
     ok: bool
     checks: tuple
@@ -136,7 +136,7 @@ def spectral_obstructions(a: AdjacencyMatrix, b: AdjacencyMatrix) -> tuple:
     return tuple(notes)
 
 
-@dataclass(frozen=True)
+@frozen
 class SearchReport:
     witness: Optional[ShiftEquivalenceWitness]
     obstructions: tuple

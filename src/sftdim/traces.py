@@ -20,15 +20,13 @@ reported vectors (and therefore golden tests) deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactlinalg import characteristic_polynomial, memo
+from .exactlinalg import characteristic_polynomial, frozen, memo
 from .sft import AdjacencyMatrix, NotPrimitiveError, is_primitive
 
 _FRACTION_BITS = 64
 
 
-@dataclass(frozen=True)
+@frozen
 class PerronData:
     """Dominant eigenvalue with left/right eigenvectors and a residual bound.
 

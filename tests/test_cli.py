@@ -497,8 +497,13 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["primitive"] is True
 
     def test_cli_import_leaves_numpy_out(self):
-        # start-up stays on plain ints: no numpy and no Fraction/Decimal helpers
-        code = "import sys, sftdim.cli; print([m for m in ('numpy', 'fractions', 'decimal') if m in sys.modules])"
+        # start-up stays on plain ints: no numpy and no Fraction/Decimal helpers,
+        # and records are exactlinalg.frozen, so no dataclasses (nor the inspect
+        # it pulls in)
+        code = (
+            "import sys, sftdim.cli; print([m for m in "
+            "('numpy', 'fractions', 'decimal', 'dataclasses', 'inspect') if m in sys.modules])"
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "[]"

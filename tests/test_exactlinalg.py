@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,12 +6,21 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sftdim import exactlinalg
+from sftdim import (
+    cylinder_ring,
+    dimension_groups,
+    duality,
+    exactlinalg,
+    sft,
+    shift_equivalence,
+    traces,
+)
 from sftdim.exactlinalg import (
     DimensionMismatchError,
     IntMatrix,
     characteristic_polynomial,
     determinant,
+    frozen,
     hermite_row_basis,
     integer_kernel,
     lattice_contains,
@@ -541,3 +551,294 @@ class TestMinimalPolynomial:
                 coeffs = [int(c) for c in d.all_coeffs()[::-1]]
                 value = poly_eval_matrix(tuple(coeffs), m)
                 assert not value.is_zero, "a smaller divisor annihilates the matrix"
+
+
+# ---------------------------------------------------------------------------
+# frozen records, against dataclass(frozen=True) twins
+# ---------------------------------------------------------------------------
+
+# Every record in the package: (module, class, fields in order, defaults).
+RECORDS = [
+    (exactlinalg, "IntMatrix", ("rows", "cols", "entries"), {}),
+    (exactlinalg, "RowHermiteForm", ("h", "w", "pivots"), {}),
+    (exactlinalg, "SmithDecomposition", ("u", "d", "v", "invariant_factors"), {}),
+    (exactlinalg, "MinPolyData", ("l", "k", "p_coeffs", "m_coeffs"), {}),
+    (sft, "AdjacencyMatrix", ("matrix",), {}),
+    (sft, "SpectralDecomposition", ("period", "classes", "component", "vertex_order"), {}),
+    (traces, "PerronData", ("eigenvalue", "left", "right", "residual", "iterations"), {}),
+    (dimension_groups, "StableElement", ("ambient", "vector", "level"), {}),
+    (dimension_groups, "UnstableElement", ("ambient", "vector", "level"), {}),
+    (dimension_groups, "HomoclinicElement", ("ambient", "matrix", "level"), {}),
+    (dimension_groups, "PositivityResult", ("kind", "searched_to"), {"searched_to": None}),
+    (duality, "StableHom", ("ambient", "z", "level"), {}),
+    (cylinder_ring, "CentralizerLattice", ("basis", "rank"), {}),
+    (cylinder_ring, "CommutatorLattice", ("basis", "witnesses", "rank"), {}),
+    (cylinder_ring, "K1Structure", ("free_rank", "torsion", "snf_diagonal"), {}),
+    (cylinder_ring, "CylinderK0Element", ("ambient", "matrix", "level"), {}),
+    (cylinder_ring, "CylinderK1Element", ("ambient", "matrix", "level"), {}),
+    (cylinder_ring, "K1Decision", ("verdict", "witness_level"), {"witness_level": None}),
+    (cylinder_ring, "K1Presentation", ("coords", "unit_rows", "relations"), {}),
+    (
+        cylinder_ring,
+        "K1Quotient",
+        ("coords", "unit_rows", "relations", "matrix", "closure", "depth"),
+        {},
+    ),
+    (cylinder_ring, "RAElement", ("ambient", "coeffs", "level"), {}),
+    (shift_equivalence, "ShiftEquivalenceWitness", ("r", "s", "k"), {}),
+    (shift_equivalence, "EquationCheck", ("name", "ok", "residual"), {"residual": None}),
+    (shift_equivalence, "VerificationReport", ("ok", "checks"), {}),
+    (
+        shift_equivalence,
+        "SearchReport",
+        ("witness", "obstructions", "k_max", "entry_bound", "candidates_tried"),
+        {},
+    ),
+]
+
+
+def _record_samples():
+    """Two instances of every record, built by the library itself."""
+    from sftdim.sft import validate
+
+    fib = validate([[1, 1], [1, 0]])
+    sing = validate([[1, 1], [1, 1]])
+    cyc = validate([[0, 1], [1, 0]])
+    m = IntMatrix.from_rows([[2, 4], [6, 9]])
+    n = IntMatrix.from_rows([[1, 2], [3, 4]])
+    s_fib = dimension_groups.StableElement(fib, (1, 2), 0)
+    s_sing = dimension_groups.StableElement(sing, (1, 0), 1)
+    u_fib = dimension_groups.UnstableElement(fib, (1, 2), 0)
+    i2 = IntMatrix.identity(2)
+    w = shift_equivalence.ShiftEquivalenceWitness(fib.matrix, fib.matrix, 1)
+    k1 = cylinder_ring.CylinderK1Element
+    return {
+        "IntMatrix": (m, n),
+        "RowHermiteForm": (
+            exactlinalg.row_hermite_with_transform(m),
+            exactlinalg.row_hermite_with_transform(n),
+        ),
+        "SmithDecomposition": (smith_normal_form(m), smith_normal_form(n)),
+        "MinPolyData": (minimal_polynomial(m), minimal_polynomial(sing.matrix)),
+        "AdjacencyMatrix": (fib, sing),
+        "SpectralDecomposition": (
+            sft.spectral_decomposition(cyc),
+            sft.spectral_decomposition(fib),
+        ),
+        "PerronData": (traces.perron(fib), traces.perron(sing)),
+        "StableElement": (s_fib, s_sing),
+        "UnstableElement": (u_fib, dimension_groups.UnstableElement(sing, (0, 1), 2)),
+        "HomoclinicElement": (
+            dimension_groups.HomoclinicElement(fib, i2, 0),
+            dimension_groups.HomoclinicElement(fib, n, 1),
+        ),
+        "PositivityResult": (
+            dimension_groups.is_positive_s(s_fib),
+            dimension_groups.is_positive_s(-s_sing),
+        ),
+        "StableHom": (
+            duality.unstable_to_hom(u_fib),
+            duality.StableHom(sing, (1, 1), 3),
+        ),
+        "CentralizerLattice": (
+            cylinder_ring.centralizer_basis(fib),
+            cylinder_ring.center_basis(sing),
+        ),
+        "CommutatorLattice": (
+            cylinder_ring.commutator_lattice(fib),
+            cylinder_ring.commutator_lattice(sing),
+        ),
+        "K1Structure": (
+            cylinder_ring.k1_group_structure(fib),
+            cylinder_ring.k1_group_structure(sing),
+        ),
+        "CylinderK0Element": (
+            cylinder_ring.k0_identity(fib),
+            cylinder_ring.CylinderK0Element(fib, fib.matrix, 2),
+        ),
+        "CylinderK1Element": (k1(fib, i2, 0), k1(sing, n, 1)),
+        "K1Decision": (
+            cylinder_ring.k1_equal(k1(fib, i2, 0), k1(fib, i2, 1)),
+            cylinder_ring.k1_equal(k1(fib, i2, 0), k1(fib, n, 0)),
+        ),
+        "K1Presentation": (
+            cylinder_ring._k1_presentation(fib),
+            cylinder_ring._k1_presentation(sing),
+        ),
+        "K1Quotient": (
+            cylinder_ring._k1_quotient(fib),
+            cylinder_ring._k1_quotient(sing),
+        ),
+        "RAElement": (cylinder_ring.ra_one(fib), cylinder_ring.ra_generator(sing, 2)),
+        "ShiftEquivalenceWitness": (
+            w,
+            shift_equivalence.ShiftEquivalenceWitness(i2, fib.matrix, 2),
+        ),
+        "EquationCheck": (
+            shift_equivalence.EquationCheck("lag", True),
+            shift_equivalence.EquationCheck("R A = B R", False, n),
+        ),
+        "VerificationReport": (
+            shift_equivalence.verify(fib, fib, w),
+            shift_equivalence.VerificationReport(False, ()),
+        ),
+        "SearchReport": (
+            shift_equivalence.search(fib, fib),
+            shift_equivalence.search(fib, validate([[2]])),
+        ),
+    }
+
+
+def _twin(name, fields, defaults):
+    """The dataclass(frozen=True) a record stands in for: the oracle."""
+    spec = [
+        (f, object, dataclasses.field(default=defaults[f])) if f in defaults else (f, object)
+        for f in fields
+    ]
+    return dataclasses.make_dataclass(name, spec, frozen=True)
+
+
+class TestFrozenRecords:
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return _record_samples()
+
+    def test_every_record_is_listed(self):
+        listed = {(mod.__name__, name) for mod, name, _, _ in RECORDS}
+        found = {
+            (mod.__name__, name)
+            for mod in (exactlinalg, sft, traces, dimension_groups, duality,
+                        cylinder_ring, shift_equivalence)
+            for name, obj in vars(mod).items()
+            if isinstance(obj, type) and obj.__module__ == mod.__name__
+            and "_frozen_fields" in obj.__dict__
+        }
+        assert len(RECORDS) == 25
+        assert listed == found
+
+    @pytest.mark.parametrize("mod, name, fields, defaults", RECORDS, ids=[r[1] for r in RECORDS])
+    def test_matches_dataclass_twin(self, samples, mod, name, fields, defaults):
+        cls = getattr(mod, name)
+        twin = _twin(name, fields, defaults)
+        assert tuple(f.name for f in dataclasses.fields(twin)) == fields
+        x, y = samples[name]
+        assert type(x) is cls and type(y) is cls
+        vx = [getattr(x, f) for f in fields]
+        vy = [getattr(y, f) for f in fields]
+        by_position = cls(*vx)
+        by_keyword = cls(**dict(zip(fields, vx)))
+        assert by_position == by_keyword == x
+        assert not (by_position != x)
+        tx, ty = twin(*vx), twin(*vy)
+        assert repr(x) == repr(tx) and repr(y) == repr(ty)
+        assert hash(x) == hash(tx) == hash(by_keyword)
+        assert hash(y) == hash(ty)
+        assert (x == y) == (tx == ty)
+        assert (x != y) == (tx != ty)
+        assert x.__eq__(tx) is NotImplemented and tx.__eq__(x) is NotImplemented
+        assert x != tx and not (x == tx)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("StableElement", "UnstableElement"),
+            ("HomoclinicElement", "CylinderK0Element"),
+            ("CylinderK0Element", "CylinderK1Element"),
+            ("StableElement", "StableHom"),
+        ],
+    )
+    def test_equal_fields_of_different_classes_differ(self, samples, first, second):
+        spec = {name: (mod, fields, defaults) for mod, name, fields, defaults in RECORDS}
+        x = samples[first][0]
+        values = [getattr(x, f) for f in spec[first][1]]
+        y = getattr(spec[second][0], second)(*values)
+        tx = _twin(first, *spec[first][1:])(*values)
+        ty = _twin(second, *spec[second][1:])(*values)
+        assert (x == y) is (tx == ty) is False
+        assert (x != y) is (tx != ty) is True
+
+    def test_defaults(self, fib):
+        k1 = cylinder_ring.K1Decision(cylinder_ring.Verdict.EQUAL)
+        assert k1.witness_level is None
+        assert k1 == cylinder_ring.K1Decision(cylinder_ring.Verdict.EQUAL, None)
+        check = shift_equivalence.EquationCheck("lag", True)
+        assert check.residual is None
+        assert repr(check) == "EquationCheck(name='lag', ok=True, residual=None)"
+        pos = dimension_groups.PositivityResult(dimension_groups.Positivity.ZERO)
+        assert pos.searched_to is None
+
+    def test_inherited_fields(self):
+        q = cylinder_ring._k1_quotient(sft.validate([[1, 1], [1, 1]]))
+        base = cylinder_ring.K1Presentation(q.coords, q.unit_rows, q.relations)
+        assert base.project((1, 2, 3, 4)) == q.project((1, 2, 3, 4))
+        assert base != q and q != base
+
+        @frozen
+        class Base:
+            a: int
+            b: int = 2
+
+        @frozen
+        class Sub(Base):
+            c: int = 3
+            a: int = 1  # a redeclared field keeps its place
+
+        TBase = dataclasses.make_dataclass(
+            "Base", [("a", int), ("b", int, dataclasses.field(default=2))], frozen=True
+        )
+        TSub = dataclasses.make_dataclass(
+            "Sub",
+            [("c", int, dataclasses.field(default=3)), ("a", int, dataclasses.field(default=1))],
+            bases=(TBase,),
+            frozen=True,
+        )
+        assert tuple(Sub._frozen_fields) == tuple(f.name for f in dataclasses.fields(TSub))
+        assert repr(Sub()).split(".")[-1] == repr(TSub())
+        assert repr(Sub(5, 6, 7)).split(".")[-1] == repr(TSub(5, 6, 7))
+        assert repr(Base(0)).split(".")[-1] == repr(TBase(0))
+        assert Sub() != Base(1, 2)
+
+    def test_assignment_and_deletion_raise(self, fib):
+        m = fib.matrix
+        with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
+            m.rows = 3
+        with pytest.raises(exactlinalg.FrozenInstanceError):
+            m.something_new = 3
+        with pytest.raises(AttributeError, match="cannot delete field 'entries'"):
+            del m.entries
+        with pytest.raises(AttributeError):
+            fib.matrix = m
+        assert m.rows == 2 and m.entries == (1, 1, 1, 0)
+
+    def test_post_init_checks_still_run(self, fib):
+        with pytest.raises(DimensionMismatchError):
+            IntMatrix(2, 2, (1, 2, 3))
+        with pytest.raises(DimensionMismatchError):
+            IntMatrix(-1, 0, ())
+        with pytest.raises(cylinder_ring.NotCentralizedError):
+            cylinder_ring.CylinderK0Element(fib, IntMatrix.from_rows([[1, 0], [0, 0]]), 0)
+        with pytest.raises(ValueError, match="expected 2 coefficients"):
+            cylinder_ring.RAElement(fib, (1, 2, 3), 0)
+        with pytest.raises(ValueError, match="level must be non-negative"):
+            cylinder_ring.RAElement(fib, (1, 2), -1)
+        with pytest.raises(ValueError, match="level must be non-negative"):
+            dimension_groups.StableElement(fib, (1, 2), -1)
+        with pytest.raises(ValueError, match="level must be non-negative"):
+            cylinder_ring.CylinderK1Element(fib, IntMatrix.identity(2), -1)
+        with pytest.raises(ValueError, match="vector length"):
+            dimension_groups.UnstableElement(fib, (1, 2, 3), 0)
+
+    def test_memo_and_cached_property_store_on_the_instance(self):
+        a = sft.validate([[1, 1], [1, 1]])
+        m = a.matrix
+        assert not any(k.startswith("_memo_") for k in vars(m))
+        p = matrix_power(m, 3)
+        assert matrix_power(m, 3) is p
+        assert any(k.startswith("_memo_") for k in vars(m))
+        q = cylinder_ring._k1_quotient(a)
+        assert cylinder_ring._k1_quotient(a) is q
+        assert "psi" not in vars(q)
+        psi = q.psi
+        assert vars(q)["psi"] is psi and q.psi is psi
+        s = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 9]]))
+        assert s.u_inv is s.u_inv and "u_inv" in vars(s)
