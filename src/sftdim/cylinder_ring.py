@@ -15,7 +15,7 @@ Each per-matrix invariant is computed in the smallest space that holds it.
 The cached Hermite basis of B(A) presents the level group Q = M_K(Z)/B(A)
 as Z^J modulo a few relations: a basis row with pivot 1 eliminates its
 coordinate, and J keeps the rest (usually far fewer than K^2).  The torsion
-of Q is read off the Smith form of those relations.  Degree-one equality
+of Q is read off the invariant factors of those relations.  Degree-one equality
 has no single-shot test like the degree-zero one: the preimages of the
 relations under the map induced by X -> AXA form an ascending chain that
 stabilises, membership of the projected difference in the stabilised
@@ -42,13 +42,13 @@ import enum
 import functools
 from typing import Optional, Sequence
 
+from . import exactlinalg
 from .exactlinalg import (
     IntMatrix,
-    _column_hermite,
+    RowHermiteForm,
     frozen,
-    integer_kernel,
     hermite_row_basis,
-    kron,
+    invariant_factors,
     lattice_closure_under_preimage,
     lattice_contains,
     matrix_power,
@@ -58,8 +58,6 @@ from .exactlinalg import (
     poly_eval_matrix,
     poly_mul,
     saturation,
-    smith_normal_form,
-    solve_integer_linear,
 )
 from .sft import AdjacencyMatrix
 from .dimension_groups import (
@@ -83,12 +81,36 @@ class NotCentralizedError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@memo
 def commutator_map(a: AdjacencyMatrix) -> IntMatrix:
     """Matrix of X -> AX - XA on row-major coordinates (size K^2)."""
-    k = a.size
-    ident = IntMatrix.identity(k)
-    return kron(a.matrix, ident) - kron(ident, a.matrix.transpose())
+    return commutator_system(a.matrix).transpose()
+
+
+def commutator_system(m: IntMatrix) -> IntMatrix:
+    """The transpose of the commutator map of a square ``m``, built row by row.
+
+    Row (p, q) is vec(M E_pq - E_pq M): column p of M in column q, minus
+    row q of M in row p, so it has at most 2K nonzeros.
+    """
+    k = m.rows
+    ents = []
+    for p in range(k):
+        column = m.column(p)
+        for q in range(k):
+            v = [0] * (k * k)
+            v[q :: k] = column
+            base = p * k
+            v[base : base + k] = [x - y for x, y in zip(v[base : base + k], m.row(q))]
+            ents.extend(v)
+    return IntMatrix(k * k, k * k, tuple(ents))
+
+
+@memo
+def _commutator_form(a: AdjacencyMatrix) -> RowHermiteForm:
+    """W . S = H for the commutator system S: the one factorisation that C(A),
+    B(A) and the K1 presentation read."""
+    # read through the module at call time, so a patched builder sees it
+    return exactlinalg.row_hermite_with_transform(commutator_system(a.matrix))
 
 
 @frozen
@@ -150,7 +172,7 @@ def _combine(rows: Sequence, coords: Sequence[int]) -> tuple:
 def centralizer_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     """Canonical saturated basis of C(A), the kernel of the commutator map."""
     k = a.size
-    rows = integer_kernel(commutator_map(a))
+    rows = _commutator_form(a).left_kernel()
     basis = tuple(IntMatrix.from_vec(r, k, k) for r in rows)
     return CentralizerLattice(basis=basis, rank=len(basis))
 
@@ -177,10 +199,10 @@ class CommutatorLattice:
 @memo
 def commutator_lattice(a: AdjacencyMatrix) -> CommutatorLattice:
     k = a.size
-    # The column Hermite form W . cmap^T = H that centralizer_basis reads for
-    # the kernel also gives the image: its nonzero rows are the canonical
-    # basis of the column lattice, and h_i = cmap . w_i makes w_i a witness.
-    form = _column_hermite(commutator_map(a))
+    # The form W . cmap^T = H that centralizer_basis reads for the kernel
+    # also gives the image: its nonzero rows are the canonical basis of the
+    # column lattice, and h_i = cmap . w_i makes w_i a witness.
+    form = _commutator_form(a)
     basis = []
     witnesses = []
     for row, wit in zip(form.h, form.w):
@@ -214,7 +236,7 @@ def k1_group_structure(a: AdjacencyMatrix) -> K1Structure:
     rel = IntMatrix(
         len(pres.relations), len(pres.coords), tuple(x for r in pres.relations for x in r)
     )
-    torsion = tuple(d for d in smith_normal_form(rel).invariant_factors if d > 1)
+    torsion = tuple(d for d in invariant_factors(rel) if d > 1)
     k2 = a.size * a.size
     rank_b = k2 - len(pres.coords) + len(pres.relations)
     return K1Structure(
@@ -347,7 +369,7 @@ def _project(coords: tuple, unit_rows: tuple, v: Sequence[int]) -> tuple:
 
 @memo
 def _k1_presentation(a: AdjacencyMatrix) -> K1Presentation:
-    form = _column_hermite(commutator_map(a))
+    form = _commutator_form(a)
     unit = {p: row for row, p in zip(form.h, form.pivots) if row[p] == 1}
     coords = tuple(j for j in range(a.size * a.size) if j not in unit)
     unit_rows = tuple((p, tuple(row[j] for j in coords)) for p, row in unit.items())
@@ -551,6 +573,11 @@ def ra_to_cylinder(x: RAElement) -> CylinderK0Element:
     )
 
 
+def _ra_lattice(a: AdjacencyMatrix) -> CentralizerLattice:
+    """The lattice the subring's closure runs in (see _ra_closure)."""
+    return centralizer_basis(a) if minimal_polynomial(a.matrix).l else center_basis(a)
+
+
 @memo
 def _ra_closure(a: AdjacencyMatrix) -> tuple:
     """Closure of span{A^(2l+i) : i < k} under division by Y -> A^2 Y.
@@ -564,7 +591,7 @@ def _ra_closure(a: AdjacencyMatrix) -> tuple:
     Hermite basis of the lifted closure and the stabilisation depth.
     """
     mp = minimal_polynomial(a.matrix)
-    lattice = centralizer_basis(a) if mp.l else center_basis(a)
+    lattice = _ra_lattice(a)
     seed = hermite_row_basis(
         [lattice.coordinates(matrix_power(a.matrix, 2 * mp.l + i)) for i in range(mp.k)],
         lattice.rank,
@@ -580,12 +607,20 @@ def _ra_closure(a: AdjacencyMatrix) -> tuple:
 
 
 @memo
-def _ra_span(a: AdjacencyMatrix) -> IntMatrix:
-    """The columns vec(A^(2l + i)), i < k: the subring's payloads in the stable range."""
+def _ra_witness_form(a: AdjacencyMatrix) -> RowHermiteForm:
+    """W . S = H for the rows S_i = A^(2l+i), i < k, read at the pivot
+    columns of _ra_lattice(a).
+
+    A member of a lattice is fixed by its entries at the pivot columns of
+    the lattice's Hermite basis, and the powers lie in the lattice and are
+    independent (k = deg p).  So a member Y is sum c_i A^(2l+i) exactly when
+    its pivot entries are c . S, and then c is unique.
+    """
     mp = minimal_polynomial(a.matrix)
-    return IntMatrix.from_columns(
-        [matrix_power(a.matrix, 2 * mp.l + i).vec() for i in range(mp.k)], a.size * a.size
-    )
+    pivots = _ra_lattice(a)._pivots
+    return exactlinalg.row_hermite_with_transform(IntMatrix.from_rows(
+        [[matrix_power(a.matrix, 2 * mp.l + i).entries[p] for p in pivots] for i in range(mp.k)]
+    ))
 
 
 def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
@@ -594,7 +629,9 @@ def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
     [X, N] equals [p(A), N + m] iff A^(2m) (A^l X A^l) = p(A) A^(2l); the set
     of payloads solvable for some m is the stabilised division closure of the
     span of {A^(2l + i)}, so membership is one lattice test and the witness
-    level is found by a short guaranteed search.
+    level is found by a short guaranteed search.  The closure lies in
+    _ra_lattice, which A^2 maps into itself, so each step of the search
+    reads only the pivot entries of that lattice (_ra_witness_form).
     """
     amb = x.ambient
     mp = minimal_polynomial(amb.matrix)
@@ -603,13 +640,14 @@ def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
     closure, depth = _ra_closure(amb)
     if not lattice_contains(closure, y.vec()):
         return None
-    span = _ra_span(amb)
+    pivots = _ra_lattice(amb)._pivots
+    form = _ra_witness_form(amb)
     a2 = matrix_power(amb.matrix, 2)
     cur = y
     for m in range(depth + 1):
-        sol = solve_integer_linear(span, cur.vec())
-        if sol is not None:
-            return RAElement(amb, tuple(sol), x.level + m)
+        coeffs = form.left_solve([cur.entries[p] for p in pivots])
+        if coeffs is not None:
+            return RAElement(amb, coeffs, x.level + m)
         cur = a2 @ cur
     raise RuntimeError("closure membership without a witness level")
 

@@ -18,15 +18,20 @@ inserting the augmented rows ``[m_i | e_i]`` from the last row up.  Those
 rows are independent, so the form is the same in any order, but the order
 sets the work: the systems here (commutator maps, closure stacks, Smith
 passes) arrive in roughly ascending pivot order, so bottom up a new row
-mostly becomes the first row and has no earlier rows to re-reduce.  The Smith
-form alternates row and column Hermite passes (Kannan-Bachem style) and then
-repairs divisibility with 2x2 unimodular merges on the diagonal.
+mostly becomes the first row and has no earlier rows to re-reduce.  Row
+operations skip the zero entries of the row they subtract, and a pivot row's
+nonzero entries are gathered once for all the rows above it: a commutator
+system row has at most 2K nonzeros of K^2.  The Smith form alternates row and
+column Hermite passes (Kannan-Bachem style) and then repairs divisibility with
+2x2 unimodular merges on the diagonal; :func:`invariant_factors` runs the same
+passes without transforms, for callers that need only the diagonal.
 """
 
 from __future__ import annotations
 
 import functools
 from bisect import bisect_left
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
@@ -374,26 +379,35 @@ class _HnfBuilder:
                 if q:
                     row = self.rows[pos]
                     for t in range(j, self.width):
-                        v[t] -= q * row[t]
+                        x = row[t]
+                        if x:
+                            v[t] -= q * x
 
     def _reduce_above(self, pos: int) -> None:
         row = self.rows[pos]
         j = self.pivots[pos]
         d = row[j]
+        # the pivot row's nonzero entries, gathered once and only when some
+        # row above needs them: a row operation leaves a zero column alone
+        nonzero = None
         for above in range(pos):
             other = self.rows[above]
             if other[j]:
                 q = other[j] // d
                 if q:
-                    for t in range(j, self.width):
-                        other[t] -= q * row[t]
+                    if nonzero is None:
+                        nonzero = [(t, row[t]) for t in range(j, self.width) if row[t]]
+                    for t, x in nonzero:
+                        other[t] -= q * x
 
     def insert(self, vec: Sequence[int]) -> None:
         v = list(vec)
         if len(v) != self.width:
             raise DimensionMismatchError("vector width mismatch")
+        j = 0
         while True:
-            j = next((idx for idx, x in enumerate(v) if x), None)
+            # entries left of the column just cleared are zero already
+            j = next((t for t in range(j, self.width) if v[t]), None)
             if j is None:
                 return
             pos = bisect_left(self.pivots, j)
@@ -403,7 +417,9 @@ class _HnfBuilder:
                 if b % a == 0:
                     q = b // a
                     for t in range(j, self.width):
-                        v[t] -= q * row[t]
+                        x = row[t]
+                        if x:
+                            v[t] -= q * x
                 else:
                     g, x, y = xgcd(a, b)
                     au, bu = a // g, b // g
@@ -763,6 +779,29 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         v=v,
         invariant_factors=tuple(factors),
     )
+
+
+def invariant_factors(m: IntMatrix) -> tuple:
+    """The nonzero Smith invariant factors of ``m``, in divisibility order.
+
+    The Hermite passes of :func:`smith_normal_form`, under the same cap, but
+    with no transforms: a column pass on D is a row pass on D^T, so each
+    pass is the Hermite basis of the last one's transpose.  gcd/lcm merges
+    then turn the diagonal into the divisibility chain.
+    """
+    rows = m.to_rows()
+    for _ in range(2 * _SNF_PASS_CAP):
+        if not any(x for i, r in enumerate(rows) for j, x in enumerate(r) if i != j):
+            break
+        rows = hermite_row_basis(zip(*rows), len(rows))
+    else:
+        raise RuntimeError("Smith reduction did not converge")
+    diag = [abs(r[i]) for i, r in enumerate(rows) if i < len(r) and r[i]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return tuple(diag)
 
 
 # ---------------------------------------------------------------------------

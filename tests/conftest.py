@@ -1,10 +1,17 @@
 import random
+from bisect import bisect_left
+from typing import Sequence
 
 import pytest
+from hypothesis import settings
 
-from sftdim import IntMatrix, exactlinalg, is_primitive, validate
+from sftdim import IntMatrix, is_primitive, validate
 from sftdim.cylinder_ring import centralizer_basis
-from sftdim.exactlinalg import RowHermiteForm
+from sftdim.exactlinalg import DimensionMismatchError, RowHermiteForm, xgcd
+
+# `pytest --hypothesis-profile=thorough` runs the property tests that take
+# the default example count at ten times it
+settings.register_profile("thorough", max_examples=1000, deadline=None)
 
 
 FULL_TWO_SHIFT = [[2]]
@@ -92,10 +99,97 @@ def chord_cycle(k, shift=0):
     return validate(rows)
 
 
+# The dense Hermite builder that exactlinalg._HnfBuilder replaced, kept
+# verbatim as the reference: it performs every row operation in full, so it
+# shares no zero-skipping shortcut with the code it checks.
+class ReferenceHnfBuilder:
+    """Incremental canonical Hermite row basis.
+
+    The basis is kept fully reduced after every insertion (positive pivots,
+    entries above a pivot within [0, pivot)); without this discipline the
+    intermediate entries explode exponentially at the sizes used here.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: list = []
+        self.pivots: list = []
+
+    def _reduce_against_later(self, v: list, start_pos: int) -> None:
+        for pos in range(start_pos, len(self.rows)):
+            j = self.pivots[pos]
+            if v[j]:
+                q = v[j] // self.rows[pos][j]
+                if q:
+                    row = self.rows[pos]
+                    for t in range(j, self.width):
+                        v[t] -= q * row[t]
+
+    def _reduce_above(self, pos: int) -> None:
+        row = self.rows[pos]
+        j = self.pivots[pos]
+        d = row[j]
+        for above in range(pos):
+            other = self.rows[above]
+            if other[j]:
+                q = other[j] // d
+                if q:
+                    for t in range(j, self.width):
+                        other[t] -= q * row[t]
+
+    def insert(self, vec: Sequence[int]) -> None:
+        v = list(vec)
+        if len(v) != self.width:
+            raise DimensionMismatchError("vector width mismatch")
+        while True:
+            j = next((idx for idx, x in enumerate(v) if x), None)
+            if j is None:
+                return
+            pos = bisect_left(self.pivots, j)
+            if pos < len(self.pivots) and self.pivots[pos] == j:
+                row = self.rows[pos]
+                a, b = row[j], v[j]
+                if b % a == 0:
+                    q = b // a
+                    for t in range(j, self.width):
+                        v[t] -= q * row[t]
+                else:
+                    g, x, y = xgcd(a, b)
+                    au, bu = a // g, b // g
+                    new_row = [x * p + y * q2 for p, q2 in zip(row, v)]
+                    v = [-bu * p + au * q2 for p, q2 in zip(row, v)]
+                    self.rows[pos] = new_row
+                    self._reduce_against_later(new_row, pos + 1)
+                    self._reduce_above(pos)
+            else:
+                if v[j] < 0:
+                    v = [-x for x in v]
+                self._reduce_against_later(v, pos)
+                self.rows.insert(pos, v)
+                self.pivots.insert(pos, j)
+                self._reduce_above(pos)
+                return
+
+    def basis(self) -> tuple:
+        # one left-to-right sweep makes the form canonical: reducing at a
+        # pivot column never disturbs earlier pivot columns
+        for pos in range(len(self.rows)):
+            self._reduce_above(pos)
+        return tuple(tuple(r) for r in self.rows)
+
+
+def reference_hermite_row_basis(vectors, width):
+    """Oracle for hermite_row_basis, built with the reference builder."""
+    builder = ReferenceHnfBuilder(width)
+    for v in vectors:
+        builder.insert(v)
+    return builder.basis()
+
+
 def top_down_row_hermite(m):
     """Oracle for row_hermite_with_transform: the augmented rows [m_i | e_i]
-    inserted from the first row down."""
-    builder = exactlinalg._HnfBuilder(m.cols + m.rows)
+    inserted from the first row down, into the reference builder."""
+    builder = ReferenceHnfBuilder(m.cols + m.rows)
     for i in range(m.rows):
         builder.insert(list(m.row(i)) + [1 if t == i else 0 for t in range(m.rows)])
     rows = builder.basis()

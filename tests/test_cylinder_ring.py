@@ -47,7 +47,7 @@ from sftdim import (
     validate,
 )
 from sftdim import cylinder_ring, exactlinalg
-from sftdim.cylinder_ring import alpha_k0, commutator_map
+from sftdim.cylinder_ring import alpha_k0, commutator_map, commutator_system
 from sftdim.exactlinalg import (
     hermite_row_basis,
     kron,
@@ -193,7 +193,7 @@ class TestSharedFactorisation:
             return seen
 
         factored = counted(exactlinalg, "row_hermite_with_transform")
-        solves = counted(cylinder_ring, "solve_integer_linear")
+        solves = counted(exactlinalg, "solve_integer_linear")
         inverses = counted(exactlinalg, "unimodular_inverse")
         cmap = commutator_map(a)
         centralizer_basis(a)
@@ -207,10 +207,10 @@ class TestSharedFactorisation:
         assert len(inverses) == 1
 
     def test_one_shot_factorisations_are_not_cached(self):
-        # per cold matrix only the commutator map and the subring span keep
-        # their factorisations; minimal polynomials, closure steps and the
-        # centre factor their one-shot systems without keeping them, and
-        # every kept form is freed with its matrix
+        # per cold matrix only the commutator system and the subring's
+        # witness system keep their factorisations; minimal polynomials,
+        # closure steps and the centre factor their one-shot systems without
+        # keeping them, and every kept form is freed with its matrix
         rng = random.Random(20261018)
         matrices = [random_primitive_adjacency(rng, k) for k in (4, 5, 4, 5)]
         refs = [weakref.ref(a) for a in matrices]
@@ -446,7 +446,6 @@ class TestK1CokernelCoordinates:
             dims.append(psi.rows)
             return closure(psi, seed)
 
-        monkeypatch.setattr(cylinder_ring, "solve_integer_linear", count_solve)
         monkeypatch.setattr(exactlinalg, "solve_integer_linear", count_solve)
         monkeypatch.setattr(cylinder_ring, "lattice_closure_under_preimage", record_closure)
         x = CylinderK1Element(a, IntMatrix.identity(6), 0)
@@ -473,7 +472,6 @@ class TestK1CokernelCoordinates:
             raise AssertionError("kron called")
 
         monkeypatch.setattr(cylinder_ring, "lattice_closure_under_preimage", record_closure)
-        monkeypatch.setattr(cylinder_ring, "kron", no_kron)
         monkeypatch.setattr(exactlinalg, "kron", no_kron)
         q = cylinder_ring._k1_quotient(a)
         assert dims == [len(q.relations)] and len(q.relations) < 36
@@ -900,15 +898,43 @@ class TestSmallestSpaces:
             [1, 1, 2, 1, 0, 3], [2, 0, 1, 3, 1, 1], [1, 1, 3, 0, 2, 1],
         ])
         widths = []
+        smiths = []
 
         def record(m):
             widths.append(m.cols)
+            return exactlinalg.invariant_factors(m)
+
+        def record_smith(m):
+            smiths.append(m)
             return smith_normal_form(m)
 
-        monkeypatch.setattr(cylinder_ring, "smith_normal_form", record)
+        monkeypatch.setattr(cylinder_ring, "invariant_factors", record)
+        monkeypatch.setattr(exactlinalg, "smith_normal_form", record_smith)
         structure = k1_group_structure(a)
         assert len(widths) == 1 and widths[0] < 36
         assert len(structure.snf_diagonal) == 36
+        assert smiths == [] and not hasattr(cylinder_ring, "smith_normal_form")
+
+    def test_ra_witness_solves_no_k_squared_system(self, monkeypatch, primitive_pool):
+        # the witness level is searched at the pivot entries of the closure's
+        # lattice; the coefficients are unique, so they equal the K^2 solve's
+        solves = []
+        solve = exactlinalg.solve_integer_linear
+
+        def count_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(exactlinalg, "solve_integer_linear", count_solve)
+        rng = random.Random(61)
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
+            a = validate(a.matrix.to_rows())  # cold
+            coeffs = [rng.randint(-2, 2) for _ in range(a.size)]
+            for payload in (a.matrix, exactlinalg.poly_eval_matrix(coeffs, a.matrix)):
+                x = CylinderK0Element(a, payload, rng.randint(0, 2))
+                witness = ra_membership(x)
+                assert not solves
+                assert (witness.coeffs, witness.level) == _ra_membership_oracle(x)
 
     def test_ra_closure_runs_in_centralizer_coordinates(self, monkeypatch, primitive_pool):
         dims = []
@@ -933,11 +959,25 @@ class TestSmallestSpaces:
 
 
 class TestCommutatorForm:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_system_is_the_transposed_kronecker_map(self, k):
+        rng = random.Random(k)
+        ident = IntMatrix.identity(k)
+        for _ in range(5):
+            m = random_matrix(rng, k, k, -4, 4)
+            cmap = kron(m, ident) - kron(ident, m.transpose())
+            assert commutator_system(m) == cmap.transpose()
+
+    def test_map_keeps_its_value(self, primitive_pool):
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
+            ident = IntMatrix.identity(a.size)
+            assert commutator_map(a) == kron(a.matrix, ident) - kron(ident, a.matrix.transpose())
+
     def test_bottom_up_form_equals_top_down(self, primitive_pool):
         # the centraliser, B(A) and its witnesses are all read off this form
         for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE, chord_cycle(12), chord_cycle(12, 5)]:
             cm = commutator_map(a)
-            assert exactlinalg._column_hermite(cm) == top_down_row_hermite(cm.transpose())
+            assert cylinder_ring._commutator_form(a) == top_down_row_hermite(cm.transpose())
 
 
 class TestCentralizerRank:

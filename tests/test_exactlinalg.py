@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from sftdim import (
     cylinder_ring,
@@ -23,6 +24,7 @@ from sftdim.exactlinalg import (
     frozen,
     hermite_row_basis,
     integer_kernel,
+    invariant_factors,
     lattice_contains,
     matrix_power,
     minimal_polynomial,
@@ -35,7 +37,7 @@ from sftdim.exactlinalg import (
     xgcd,
 )
 
-from conftest import chord_cycle, random_matrix, top_down_row_hermite
+from conftest import chord_cycle, random_matrix, reference_hermite_row_basis, top_down_row_hermite
 
 
 def sympy_matrix(m):
@@ -298,6 +300,84 @@ def _int_matrix(draw, rows=None, cols=None):
     c = draw(st.integers(0, 5)) if cols is None else cols
     entries = draw(st.lists(st.integers(-9, 9), min_size=r * c, max_size=r * c))
     return IntMatrix(r, c, tuple(entries))
+
+
+_BIG = 2**60
+
+
+@st.composite
+def _sparse_or_dense(draw):
+    """Matrices of every density, widths 0 to 8, with zero rows and columns,
+    rows combined from earlier ones, negative entries and entries up to 2^60."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    entry = draw(st.sampled_from((
+        st.integers(-6, 6),
+        st.integers(-_BIG, _BIG),
+        st.sampled_from((-_BIG, -1, 1, 2, _BIG)),
+    )))
+    density = draw(st.integers(1, 10))  # out of 10
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
+    out = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("random", "random", "zero", "combination")))
+        if kind == "zero":
+            row = [0] * cols
+        elif kind == "combination" and out:
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = [draw(entry) if draw(st.integers(0, 9)) < density else 0 for _ in range(cols)]
+        out.append([0 if j in zero_cols else x for j, x in enumerate(row)])
+    return IntMatrix(rows, cols, tuple(x for row in out for x in row))
+
+
+class TestZeroSkippingRowOperations:
+    """The builder skips the row operations that would subtract a multiple of
+    zero; the dense reference builder in conftest performs every one, and
+    the forms must be identical."""
+
+    @settings(deadline=None)
+    @given(m=_sparse_or_dense())
+    def test_equals_dense_reference(self, m):
+        for n in (m, m.transpose()):
+            rows = [n.row(i) for i in range(n.rows)]
+            assert hermite_row_basis(rows, n.cols) == reference_hermite_row_basis(rows, n.cols)
+            assert row_hermite_with_transform(n) == top_down_row_hermite(n)
+
+    def test_width_zero(self):
+        assert hermite_row_basis([(), ()], 0) == reference_hermite_row_basis([(), ()], 0) == ()
+        m = IntMatrix(3, 0, ())
+        assert row_hermite_with_transform(m) == top_down_row_hermite(m)
+
+
+class TestInvariantFactors:
+    """invariant_factors runs the Smith passes without transforms."""
+
+    @settings(deadline=None)
+    @given(m=st.one_of(
+        _int_matrix(),
+        _int_matrix(rows=0),
+        _int_matrix(cols=0),
+        st.builds(IntMatrix.zeros, st.integers(0, 5), st.integers(0, 5)),
+        _sparse_or_dense(),
+    ))
+    def test_equals_smith_form_and_sympy(self, m):
+        got = invariant_factors(m)
+        assert got == smith_normal_form(m).invariant_factors
+        reference = sympy_invariant_factors(sympy.Matrix(m.rows, m.cols, list(m.entries)), domain=sympy.ZZ)
+        assert got == tuple(abs(int(d)) for d in reference if d)
+
+    def test_honours_the_pass_cap(self, monkeypatch):
+        monkeypatch.setattr(exactlinalg, "_SNF_PASS_CAP", 1)
+        m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        with pytest.raises(RuntimeError):
+            smith_normal_form(m)
+        with pytest.raises(RuntimeError):
+            invariant_factors(m)
+        monkeypatch.setattr(exactlinalg, "_SNF_PASS_CAP", 0)
+        with pytest.raises(RuntimeError):
+            invariant_factors(IntMatrix.identity(2))
 
 
 class TestEntryAccess:
