@@ -17,13 +17,11 @@ from .exactlinalg import (
     DimensionMismatchError,
     IntMatrix,
     MinPolyData,
-    SmithDecomposition,
     characteristic_polynomial,
     determinant,
     integer_kernel,
     matrix_power,
     minimal_polynomial,
-    smith_normal_form,
     solve_integer_linear,
 )
 from .sft import (

@@ -47,6 +47,9 @@ from .exactlinalg import (
     IntMatrix,
     RowHermiteForm,
     frozen,
+    hermite_combine,
+    hermite_coords,
+    hermite_pivots,
     hermite_row_basis,
     invariant_factors,
     lattice_closure_under_preimage,
@@ -79,11 +82,6 @@ class NotCentralizedError(ValueError):
 # ---------------------------------------------------------------------------
 # the centraliser and commutator lattices
 # ---------------------------------------------------------------------------
-
-
-def commutator_map(a: AdjacencyMatrix) -> IntMatrix:
-    """Matrix of X -> AX - XA on row-major coordinates (size K^2)."""
-    return commutator_system(a.matrix).transpose()
 
 
 def commutator_system(m: IntMatrix) -> IntMatrix:
@@ -122,50 +120,18 @@ class CentralizerLattice:
 
     @functools.cached_property
     def _pivots(self) -> tuple:
-        return _hermite_pivots(b.vec() for b in self.basis)
+        return hermite_pivots(b.vec() for b in self.basis)
 
     def contains(self, x: IntMatrix) -> bool:
         return self.coordinates(x) is not None
 
     def coordinates(self, x: IntMatrix) -> Optional[tuple]:
         """The integer c with x = sum c_i basis_i, or None when x is not in the lattice."""
-        return _coordinates([b.vec() for b in self.basis], self._pivots, x.vec())
+        return hermite_coords([b.vec() for b in self.basis], self._pivots, x.vec())
 
     def combine(self, coords: Sequence[int]) -> tuple:
         """The row-major vector sum c_i basis_i."""
-        return _combine([b.vec() for b in self.basis], coords)
-
-
-def _hermite_pivots(rows) -> tuple:
-    return tuple(next(j for j, x in enumerate(r) if x) for r in rows)
-
-
-def _coordinates(rows: Sequence, pivots: tuple, v: Sequence[int]) -> Optional[tuple]:
-    """The integer c with v = sum c_i rows_i for a Hermite basis, or None.
-
-    Read off the pivots: row i vanishes before its pivot, so its coefficient
-    is fixed by v's entry there once the earlier rows are taken out; v is a
-    member iff nothing is left over.
-    """
-    v = list(v)
-    coords = []
-    for row, p in zip(rows, pivots):
-        c = v[p] // row[p]
-        coords.append(c)
-        if c:
-            for t in range(p, len(v)):
-                v[t] -= c * row[t]
-    return None if any(v) else tuple(coords)
-
-
-def _combine(rows: Sequence, coords: Sequence[int]) -> tuple:
-    """The vector sum c_i rows_i."""
-    out = [0] * (len(rows[0]) if rows else 0)
-    for c, row in zip(coords, rows):
-        if c:
-            for t, x in enumerate(row):
-                out[t] += c * x
-    return tuple(out)
+        return hermite_combine([b.vec() for b in self.basis], coords)
 
 
 @memo
@@ -408,18 +374,18 @@ def _k1_closure_in_saturation(m: IntMatrix, pres: K1Presentation) -> tuple:
     to M_K(Z), so the K^2 x K^2 map is never built."""
     k, width = m.rows, len(pres.coords)
     sat = saturation(pres.relations, width)
-    pivots = _hermite_pivots(sat)
+    pivots = hermite_pivots(sat)
     columns = []
     for b in sat:
         full = [0] * (k * k)
         for j, x in zip(pres.coords, b):
             full[j] = x
         image = m @ IntMatrix.from_vec(full, k, k) @ m
-        columns.append(_coordinates(sat, pivots, pres.project(image.vec())))
+        columns.append(hermite_coords(sat, pivots, pres.project(image.vec())))
     psi = IntMatrix.from_columns(columns, len(sat))
-    seed = [_coordinates(sat, pivots, r) for r in pres.relations]
+    seed = [hermite_coords(sat, pivots, r) for r in pres.relations]
     closure, depth = lattice_closure_under_preimage(psi, seed)
-    return hermite_row_basis([_combine(sat, c) for c in closure], width), depth
+    return hermite_row_basis([hermite_combine(sat, c) for c in closure], width), depth
 
 
 def k1_equal(x: CylinderK1Element, y: CylinderK1Element) -> K1Decision:

@@ -247,13 +247,6 @@ is_zero_s = is_zero_u = is_zero_h = is_zero
 normalize_s = normalize_u = normalize_h = normalize
 
 
-def two_sided_equal(
-    amb: AdjacencyMatrix, x: IntMatrix, n: int, y: IntMatrix, m: int
-) -> bool:
-    """Whether [X, n] and [Y, m] merge in the tower X -> A X A."""
-    return equal(HomoclinicElement(amb, x, n), HomoclinicElement(amb, y, m))
-
-
 # ---------------------------------------------------------------------------
 # the shift automorphisms
 # ---------------------------------------------------------------------------

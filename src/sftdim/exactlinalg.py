@@ -16,15 +16,15 @@ pivot and dies well below the sizes this package targets.  Kernels and linear
 solving ride on a Hermite form with a tracked unimodular transform, built by
 inserting the augmented rows ``[m_i | e_i]`` from the last row up.  Those
 rows are independent, so the form is the same in any order, but the order
-sets the work: the systems here (commutator maps, closure stacks, Smith
-passes) arrive in roughly ascending pivot order, so bottom up a new row
-mostly becomes the first row and has no earlier rows to re-reduce.  Row
-operations skip the zero entries of the row they subtract, and a pivot row's
-nonzero entries are gathered once for all the rows above it: a commutator
-system row has at most 2K nonzeros of K^2.  The Smith form alternates row and
-column Hermite passes (Kannan-Bachem style) and then repairs divisibility with
-2x2 unimodular merges on the diagonal; :func:`invariant_factors` runs the same
-passes without transforms, for callers that need only the diagonal.
+sets the work: the systems here (commutator systems, closure stacks) arrive
+in roughly ascending pivot order, so bottom up a new row mostly becomes the
+first row and has no earlier rows to re-reduce.  Row operations skip the zero
+entries of the row they subtract, and a pivot row's nonzero entries are
+gathered once for all the rows above it: a commutator system row has at most
+2K nonzeros of K^2.  Lattice membership, coordinates in a Hermite basis and
+integer solving share one pivot read-off, :func:`hermite_coords`.  The Smith
+invariant factors come from alternating row and column Hermite passes with
+no transforms (:func:`invariant_factors`).
 """
 
 from __future__ import annotations
@@ -458,19 +458,46 @@ def hermite_row_basis(vectors: Iterable[Sequence[int]], width: int) -> tuple:
     return builder.basis()
 
 
+def hermite_pivots(rows: Iterable[Sequence[int]]) -> tuple:
+    """The pivot column of each row of a Hermite basis (its first nonzero entry)."""
+    return tuple(next(j for j, x in enumerate(r) if x) for r in rows)
+
+
+def hermite_coords(
+    rows: Sequence[Sequence[int]], pivots: Sequence[int], v: Sequence[int]
+) -> Optional[tuple]:
+    """The integer c with v = sum c_i rows_i for a Hermite basis, or None.
+
+    Read off the pivots: row i vanishes before its pivot, so its coefficient
+    is fixed by v's entry there once the earlier rows are taken out; v is a
+    member iff every such entry divides and nothing is left over.
+    """
+    v = list(v)
+    coords = []
+    for row, p in zip(rows, pivots):
+        c, r = divmod(v[p], row[p])
+        if r:
+            return None
+        coords.append(c)
+        if c:
+            for t in range(p, len(v)):
+                v[t] -= c * row[t]
+    return None if any(v) else tuple(coords)
+
+
+def hermite_combine(rows: Sequence[Sequence[int]], coords: Sequence[int]) -> tuple:
+    """The vector sum c_i rows_i."""
+    out = [0] * (len(rows[0]) if rows else 0)
+    for c, row in zip(coords, rows):
+        if c:
+            for t, x in enumerate(row):
+                out[t] += c * x
+    return tuple(out)
+
+
 def lattice_contains(basis_rows: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
     """Membership of ``target`` in the lattice given by a Hermite row basis."""
-    v = list(target)
-    by_pivot = {next(idx for idx, x in enumerate(row) if x): row for row in basis_rows}
-    for j in range(len(v)):
-        if v[j] == 0:
-            continue
-        row = by_pivot.get(j)
-        if row is None or v[j] % row[j]:
-            return False
-        q = v[j] // row[j]
-        v = [x - q * y for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
+    return hermite_coords(basis_rows, hermite_pivots(basis_rows), target) is not None
 
 
 def saturation(hermite_rows: Sequence[Sequence[int]], width: int) -> tuple:
@@ -486,7 +513,7 @@ def saturation(hermite_rows: Sequence[Sequence[int]], width: int) -> tuple:
     """
     rows = [tuple(r) for r in hermite_rows]
     s = len(rows)
-    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    pivots = hermite_pivots(rows)
     det = 1
     for r, p in zip(rows, pivots):
         det *= r[p]
@@ -543,24 +570,8 @@ class RowHermiteForm:
 
     def left_solve(self, b: Sequence[int]) -> Optional[tuple]:
         """Some integer y with y . M = b, or None when no integer solution exists."""
-        v = list(b)
-        ys = []
-        for row, p in zip(self.h, self.pivots):
-            q, r = divmod(v[p], row[p])
-            if r:
-                return None
-            ys.append(q)
-            if q:
-                for t in range(p, len(v)):
-                    v[t] -= q * row[t]
-        if any(v):
-            return None
-        y = [0] * (len(self.w[0]) if self.w else 0)
-        for q, wrow in zip(ys, self.w):
-            if q:
-                for t, x in enumerate(wrow):
-                    y[t] += q * x
-        return tuple(y)
+        ys = hermite_coords(self.h, self.pivots, b)
+        return None if ys is None else hermite_combine(self.w, ys)
 
 
 def row_hermite_with_transform(m: IntMatrix) -> RowHermiteForm:
@@ -575,12 +586,7 @@ def row_hermite_with_transform(m: IntMatrix) -> RowHermiteForm:
     assert len(rows) == m.rows  # augmented rows are independent
     h = tuple(r[: m.cols] for r in rows)
     w = tuple(r[m.cols :] for r in rows)
-    pivots = []
-    for r in h:
-        p = next((idx for idx, x in enumerate(r) if x), None)
-        if p is not None:
-            pivots.append(p)
-    return RowHermiteForm(h=h, w=w, pivots=tuple(pivots))
+    return RowHermiteForm(h=h, w=w, pivots=hermite_pivots(r for r in h if any(r)))
 
 
 @memo
@@ -635,159 +641,23 @@ def determinant(m: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# invariant factors
 # ---------------------------------------------------------------------------
-
-
-@frozen
-class SmithDecomposition:
-    """U . M . V = D with U, V unimodular and D diagonal (divisibility chain).
-
-    ``u_inv`` and ``v_inv`` are exact inverses, so M = u_inv . D . v_inv.
-    They are computed on first read: inverting costs more than the whole
-    reduction, and the invariants need only D.
-    """
-
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-    invariant_factors: tuple
-
-    @functools.cached_property
-    def u_inv(self) -> IntMatrix:
-        return unimodular_inverse(self.u)
-
-    @functools.cached_property
-    def v_inv(self) -> IntMatrix:
-        return unimodular_inverse(self.v)
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
-    @property
-    def zero_count(self) -> int:
-        return min(self.d.rows, self.d.cols) - self.rank
-
-    def diagonal(self) -> tuple:
-        n = min(self.d.rows, self.d.cols)
-        return tuple(self.d.entry(i, i) for i in range(n))
-
-
-def _is_diagonal(m: IntMatrix) -> bool:
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if i != j and m.entry(i, j):
-                return False
-    return True
-
-
-def unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix (integer solves per column)."""
-    cols = []
-    n = u.rows
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        x = solve_integer_linear(u, e)
-        if x is None:
-            raise ValueError("matrix is not unimodular")
-        cols.append(x)
-    return IntMatrix.from_columns(cols, n)
 
 
 _SNF_PASS_CAP = 1000
 
 
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form via alternating Hermite passes.
-
-    Column and row Hermite reductions alternate until the matrix is diagonal
-    (Kannan-Bachem), after which 2x2 unimodular merges repair the
-    divisibility chain.  Total on every integer matrix.
-    """
-    d = m
-    u = IntMatrix.identity(m.rows)
-    v = IntMatrix.identity(m.cols)
-    for _ in range(_SNF_PASS_CAP):
-        if _is_diagonal(d):
-            break
-        form = row_hermite_with_transform(d.transpose())
-        d = IntMatrix.from_rows([list(r) for r in form.h]).transpose()
-        v = v @ IntMatrix.from_rows([list(r) for r in form.w]).transpose()
-        if _is_diagonal(d):
-            break
-        form = row_hermite_with_transform(d)
-        d = IntMatrix.from_rows([list(r) for r in form.h])
-        u = IntMatrix.from_rows([list(r) for r in form.w]) @ u
-    else:
-        raise RuntimeError("Smith reduction did not converge")
-
-    # divisibility chain on the diagonal via 2x2 merges
-    du = [list(r) for r in u.to_rows()]
-    dv = [list(r) for r in v.to_rows()]
-    diag = [d.entry(i, i) for i in range(min(d.rows, d.cols))]
-    size = len(diag)
-    for i in range(size):
-        # sign normalisation (an already-diagonal input skips the passes)
-        if diag[i] < 0:
-            diag[i] = -diag[i]
-            du[i] = [-x for x in du[i]]
-    order = [i for i in range(size) if diag[i]] + [i for i in range(size) if not diag[i]]
-    if order != list(range(size)):
-        # matched row/column permutations push zero entries to the tail
-        diag = [diag[t] for t in order]
-        head = [du[t] for t in order]
-        du[:size] = head
-        for row in dv:
-            permuted = [row[t] for t in order]
-            row[:size] = permuted
-    changed = True
-    while changed:
-        changed = False
-        for i in range(size):
-            for j in range(i + 1, size):
-                a, b = diag[i], diag[j]
-                if a == 0 or b == 0 or b % a == 0:
-                    continue
-                g, x, y = xgcd(a, b)
-                au, bu = a // g, b // g
-                # U2 = [[x, y], [-bu, au]], V2 = [[1, -y*bu], [1, 1 - y*bu]]
-                # turn diag(a, b) into diag(g, a*b/g)
-                ri, rj = du[i], du[j]
-                du[i] = [x * p + y * q for p, q in zip(ri, rj)]
-                du[j] = [-bu * p + au * q for p, q in zip(ri, rj)]
-                for row in dv:
-                    ci, cj = row[i], row[j]
-                    row[i] = ci + cj
-                    row[j] = (-y * bu) * ci + (1 - y * bu) * cj
-                diag[i], diag[j] = g, au * b
-                changed = True
-    u = IntMatrix.from_rows(du)
-    v = IntMatrix.from_rows(dv)
-    ents = [[0] * m.cols for _ in range(m.rows)]
-    for i, value in enumerate(diag):
-        ents[i][i] = value
-    d = IntMatrix.from_rows(ents)
-    factors = []
-    for value in diag:
-        if value == 0:
-            break
-        factors.append(value)
-    return SmithDecomposition(
-        u=u,
-        d=d,
-        v=v,
-        invariant_factors=tuple(factors),
-    )
-
-
 def invariant_factors(m: IntMatrix) -> tuple:
     """The nonzero Smith invariant factors of ``m``, in divisibility order.
 
-    The Hermite passes of :func:`smith_normal_form`, under the same cap, but
-    with no transforms: a column pass on D is a row pass on D^T, so each
-    pass is the Hermite basis of the last one's transpose.  gcd/lcm merges
-    then turn the diagonal into the divisibility chain.
+    The cokernel Z^rows / M Z^cols is the sum of Z/d over these factors and a
+    free part of rank ``rows - len(factors)``.  Row and column Hermite passes
+    alternate until the matrix is diagonal (Kannan-Bachem), at most
+    ``2 * _SNF_PASS_CAP`` of them; a column pass on D is a row pass on D^T,
+    so each pass is the Hermite basis of the last one's transpose, and no
+    transform is kept.  gcd/lcm merges then turn the diagonal into the
+    divisibility chain.
     """
     rows = m.to_rows()
     for _ in range(2 * _SNF_PASS_CAP):

@@ -8,10 +8,13 @@ integer matrices R (n x m), S (m x n) and a lag k >= 1 with
 Verification is exact.  The search is a verifier-first tool: it enumerates
 small solutions of AR = RB, solves the remaining equations for S linearly,
 and reports exhausted bounds when nothing is found; absence of a witness is
-never presented as inequivalence.  Two exact spectral obstructions are
-reported when present (mismatched reduced minimal polynomials or
-characteristic polynomials away from zero), plus the float dominant
-eigenvalue as a quick diagnostic.
+never presented as inequivalence.  Three exact invariants of shift
+equivalence are compared first, and each mismatch is reported as an
+obstruction that proves inequivalence: the reduced minimal polynomials, the
+characteristic polynomials away from zero, and the Bowen-Franks groups
+Z^K/(I - A)Z^K (Bowen & Franks, Ann. Math. 1977; Lind & Marcus, An
+Introduction to Symbolic Dynamics and Coding, section 7.4).  The search runs
+only when all three agree.
 
 A verified witness induces isomorphisms of all the limit structures:
 
@@ -35,16 +38,16 @@ from .exactlinalg import (
     characteristic_polynomial,
     frozen,
     integer_kernel,
+    invariant_factors,
     kron,
     matrix_power,
     minimal_polynomial,
     poly_trim,
     solve_integer_linear,
 )
-from .sft import AdjacencyMatrix, is_primitive
+from .sft import AdjacencyMatrix
 from .dimension_groups import StableElement, UnstableElement
 from .cylinder_ring import CylinderK0Element
-from . import traces
 
 
 class InvalidWitnessError(ValueError):
@@ -128,12 +131,22 @@ def spectral_obstructions(a: AdjacencyMatrix, b: AdjacencyMatrix) -> tuple:
             "characteristic polynomials away from zero differ: "
             f"{list(ca)} vs {list(cb)}"
         )
-    if is_primitive(a) and is_primitive(b):
-        la = traces.perron(a).eigenvalue
-        lb = traces.perron(b).eigenvalue
-        if abs(la - lb) > 1e-6:
-            notes.append(f"dominant eigenvalues differ: {la!r} vs {lb!r}")
+    ga, gb = _bowen_franks(a), _bowen_franks(b)
+    if ga != gb:
+        notes.append(f"Bowen-Franks groups differ: {ga} vs {gb}")
     return tuple(notes)
+
+
+def _bowen_franks(a: AdjacencyMatrix) -> str:
+    """Z^K/(I - A)Z^K as a sum of cyclic groups, free part first.
+
+    Unit invariant factors are dropped: matrices of different sizes can be
+    shift equivalent, and their I - A then differ in the number of 1s.
+    """
+    factors = invariant_factors(IntMatrix.identity(a.size) - a.matrix)
+    free = a.size - len(factors)
+    parts = ([f"Z^{free}"] if free > 1 else ["Z"] * free) + [f"Z/{d}" for d in factors if d > 1]
+    return " + ".join(parts) or "0"
 
 
 @frozen

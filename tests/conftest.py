@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from sftdim import IntMatrix, is_primitive, validate
 from sftdim.cylinder_ring import centralizer_basis
-from sftdim.exactlinalg import DimensionMismatchError, RowHermiteForm, xgcd
+from sftdim.exactlinalg import DimensionMismatchError, RowHermiteForm, kron, xgcd
 
 # `pytest --hypothesis-profile=thorough` runs the property tests that take
 # the default example count at ten times it
@@ -89,6 +89,13 @@ def random_centralizer_element(rng, ambient, bound=3):
     for b in basis:
         acc = acc + b.scale(rng.randint(-bound, bound))
     return acc
+
+
+def commutator_map(a):
+    """Matrix of X -> AX - XA on row-major coordinates: vec(AX - XA) =
+    (A kron I - I kron A^T) vec(X)."""
+    ident = IntMatrix.identity(a.size)
+    return kron(a.matrix, ident) - kron(ident, a.matrix.transpose())
 
 
 def chord_cycle(k, shift=0):
@@ -197,3 +204,43 @@ def top_down_row_hermite(m):
     w = tuple(r[m.cols :] for r in rows)
     pivots = tuple(next(j for j, x in enumerate(r) if x) for r in h if any(r))
     return RowHermiteForm(h=h, w=w, pivots=pivots)
+
+
+# The Hermite read-offs that exactlinalg.hermite_coords replaced, kept
+# verbatim as references: lattice_contains looked each pivot up in a dict
+# and stopped at the first unmatched entry, left_solve ran its own loop.
+def reference_lattice_contains(basis_rows, target):
+    """Membership of ``target`` in the lattice given by a Hermite row basis."""
+    v = list(target)
+    by_pivot = {next(idx for idx, x in enumerate(row) if x): row for row in basis_rows}
+    for j in range(len(v)):
+        if v[j] == 0:
+            continue
+        row = by_pivot.get(j)
+        if row is None or v[j] % row[j]:
+            return False
+        q = v[j] // row[j]
+        v = [x - q * y for x, y in zip(v, row)]
+    return all(x == 0 for x in v)
+
+
+def reference_left_solve(form, b):
+    """Some integer y with y . M = b, or None when no integer solution exists."""
+    v = list(b)
+    ys = []
+    for row, p in zip(form.h, form.pivots):
+        q, r = divmod(v[p], row[p])
+        if r:
+            return None
+        ys.append(q)
+        if q:
+            for t in range(p, len(v)):
+                v[t] -= q * row[t]
+    if any(v):
+        return None
+    y = [0] * (len(form.w[0]) if form.w else 0)
+    for q, wrow in zip(ys, form.w):
+        if q:
+            for t, x in enumerate(wrow):
+                y[t] += q * x
+    return tuple(y)

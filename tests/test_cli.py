@@ -397,6 +397,16 @@ class TestShiftEquivalenceCommands:
         assert report["found"] is False
         assert report["obstructions"]
 
+    def test_search_bowen_franks_obstruction(self, capsys, matrix_file):
+        # equal characteristic and minimal polynomials, Z/4 against Z/2 + Z/2
+        a = matrix_file([[1, 4], [1, 1]], name="a.json")
+        b = matrix_file([[1, 2], [2, 1]], name="b.json")
+        code, out, _ = run_cli(capsys, "--format", "json", "se-search", a, b)
+        assert code == 0
+        report = json.loads(out)
+        assert report["found"] is False
+        assert report["obstructions"] == ["Bowen-Franks groups differ: Z/4 vs Z/2 + Z/2"]
+
     def test_search_finds(self, capsys, matrix_file):
         a = matrix_file([[1, 1], [1, 0]], name="a.json")
         b = matrix_file([[0, 1], [1, 1]], name="b.json")

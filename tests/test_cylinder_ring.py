@@ -47,18 +47,18 @@ from sftdim import (
     validate,
 )
 from sftdim import cylinder_ring, exactlinalg
-from sftdim.cylinder_ring import alpha_k0, commutator_map, commutator_system
+from sftdim.cylinder_ring import alpha_k0, commutator_system
 from sftdim.exactlinalg import (
     hermite_row_basis,
     kron,
     lattice_closure_under_preimage,
     lattice_contains,
-    smith_normal_form,
     solve_integer_linear,
 )
 
 from conftest import (
     chord_cycle,
+    commutator_map,
     random_centralizer_element,
     random_matrix,
     random_primitive_adjacency,
@@ -177,8 +177,8 @@ def _live_forms():
 
 class TestSharedFactorisation:
     def test_commutator_map_is_factored_once(self, monkeypatch):
-        # a cold matrix: centraliser, B(A) and the Smith form share one
-        # factorisation, and the Smith inverses wait until they are read
+        # a cold matrix: the centraliser, B(A) and the K1 structure share
+        # one factorisation
         a = validate([[1, 2, 0, 1], [1, 0, 3, 1], [2, 1, 1, 0], [0, 1, 2, 1]])
 
         def counted(module, name):
@@ -194,17 +194,14 @@ class TestSharedFactorisation:
 
         factored = counted(exactlinalg, "row_hermite_with_transform")
         solves = counted(exactlinalg, "solve_integer_linear")
-        inverses = counted(exactlinalg, "unimodular_inverse")
         cmap = commutator_map(a)
         centralizer_basis(a)
         commutator_lattice(a)
         assert solves == []
-        k1_group_structure(a)
+        structure = k1_group_structure(a)
         assert sum(args[0] in (cmap, cmap.transpose()) for args in factored) == 1
-        assert inverses == []
-        snf = smith_normal_form(cmap)
-        assert snf.u @ snf.u_inv == IntMatrix.identity(16)
-        assert len(inverses) == 1
+        reference = invariant_factors(sympy.Matrix(cmap.to_rows()), domain=sympy.ZZ)
+        assert structure.snf_diagonal == tuple(abs(int(d)) for d in reference)
 
     def test_one_shot_factorisations_are_not_cached(self):
         # per cold matrix only the commutator system and the subring's
@@ -292,9 +289,7 @@ class TestK1Equality:
                 j = decision.witness_level
                 p = matrix_power(a.matrix, j)
                 target = p @ diff @ p
-                sol = solve_integer_linear(
-                    _commutator_map(a), target.vec()
-                )
+                sol = solve_integer_linear(commutator_map(a), target.vec())
                 assert sol is not None
                 z = IntMatrix.from_vec(sol, k, k)
                 assert a.matrix @ z - z @ a.matrix == target
@@ -304,13 +299,7 @@ class TestK1Equality:
                 for j in range(21):
                     p = matrix_power(a.matrix, j)
                     target = p @ diff @ p
-                    assert solve_integer_linear(_commutator_map(a), target.vec()) is None
-
-
-def _commutator_map(a):
-    from sftdim.cylinder_ring import commutator_map
-
-    return commutator_map(a)
+                    assert solve_integer_linear(commutator_map(a), target.vec()) is None
 
 
 def _k1_closure_oracle(a):
@@ -898,22 +887,15 @@ class TestSmallestSpaces:
             [1, 1, 2, 1, 0, 3], [2, 0, 1, 3, 1, 1], [1, 1, 3, 0, 2, 1],
         ])
         widths = []
-        smiths = []
 
         def record(m):
             widths.append(m.cols)
             return exactlinalg.invariant_factors(m)
 
-        def record_smith(m):
-            smiths.append(m)
-            return smith_normal_form(m)
-
         monkeypatch.setattr(cylinder_ring, "invariant_factors", record)
-        monkeypatch.setattr(exactlinalg, "smith_normal_form", record_smith)
         structure = k1_group_structure(a)
         assert len(widths) == 1 and widths[0] < 36
         assert len(structure.snf_diagonal) == 36
-        assert smiths == [] and not hasattr(cylinder_ring, "smith_normal_form")
 
     def test_ra_witness_solves_no_k_squared_system(self, monkeypatch, primitive_pool):
         # the witness level is searched at the pivot entries of the closure's
@@ -969,9 +951,12 @@ class TestCommutatorForm:
             assert commutator_system(m) == cmap.transpose()
 
     def test_map_keeps_its_value(self, primitive_pool):
+        # the system B(A) is read from is the transposed map X -> AX - XA
         for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
-            ident = IntMatrix.identity(a.size)
-            assert commutator_map(a) == kron(a.matrix, ident) - kron(ident, a.matrix.transpose())
+            x = IntMatrix.from_vec(range(a.size * a.size), a.size, a.size)
+            commutator = a.matrix @ x - x @ a.matrix
+            assert commutator_system(a.matrix).transpose() == commutator_map(a)
+            assert commutator_system(a.matrix).row_apply(x.vec()) == commutator.vec()
 
     def test_bottom_up_form_equals_top_down(self, primitive_pool):
         # the centraliser, B(A) and its witnesses are all read off this form

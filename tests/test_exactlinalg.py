@@ -22,6 +22,9 @@ from sftdim.exactlinalg import (
     characteristic_polynomial,
     determinant,
     frozen,
+    hermite_combine,
+    hermite_coords,
+    hermite_pivots,
     hermite_row_basis,
     integer_kernel,
     invariant_factors,
@@ -32,16 +35,28 @@ from sftdim.exactlinalg import (
     poly_mod,
     poly_mul,
     row_hermite_with_transform,
-    smith_normal_form,
     solve_integer_linear,
     xgcd,
 )
 
-from conftest import chord_cycle, random_matrix, reference_hermite_row_basis, top_down_row_hermite
+from conftest import (
+    chord_cycle,
+    random_matrix,
+    reference_hermite_row_basis,
+    reference_lattice_contains,
+    reference_left_solve,
+    top_down_row_hermite,
+)
 
 
 def sympy_matrix(m):
     return sympy.Matrix(m.to_rows())
+
+
+def sympy_factors(m):
+    """The nonzero invariant factors of ``m`` by sympy's Smith form."""
+    reference = sympy_invariant_factors(sympy.Matrix(m.rows, m.cols, list(m.entries)), domain=sympy.ZZ)
+    return tuple(abs(int(d)) for d in reference if d)
 
 
 def _min_annihilating_divisor(m):
@@ -110,24 +125,21 @@ class TestIntMatrix:
 
 
 class TestSmithNormalForm:
+    """Smith diagonals read through invariant_factors, with sympy as the oracle."""
+
     def test_already_diagonal(self):
-        snf = smith_normal_form(IntMatrix.from_rows([[3, 0], [0, 6]]))
-        assert snf.invariant_factors == (3, 6)
+        m = IntMatrix.from_rows([[3, 0], [0, 6]])
+        assert invariant_factors(m) == sympy_factors(m) == (3, 6)
 
     def test_zero_matrix(self):
-        snf = smith_normal_form(IntMatrix.zeros(2, 2))
-        assert snf.invariant_factors == ()
-        assert snf.rank == 0
+        m = IntMatrix.zeros(2, 2)
+        assert invariant_factors(m) == sympy_factors(m) == ()
 
     def test_already_diagonal_edge_cases(self):
-        snf = smith_normal_form(IntMatrix.from_rows([[-1]]))
-        assert snf.invariant_factors == (1,)
-        assert snf.u @ IntMatrix.from_rows([[-1]]) @ snf.v == snf.d
+        m = IntMatrix.from_rows([[-1]])
+        assert invariant_factors(m) == sympy_factors(m) == (1,)
         m = IntMatrix.from_rows([[0, 0], [0, 3]])
-        snf = smith_normal_form(m)
-        assert snf.invariant_factors == (3,)
-        assert snf.diagonal() == (3, 0)
-        assert snf.u @ m @ snf.v == snf.d
+        assert invariant_factors(m) == sympy_factors(m) == (3,)
 
     def test_moderate_size_terminates_quickly(self):
         # the naive two-sided elimination explodes here; the Hermite-based
@@ -137,43 +149,24 @@ class TestSmithNormalForm:
         rng = random.Random(909)
         m = random_matrix(rng, 25, 25, lo=-3, hi=3)
         start = time.monotonic()
-        snf = smith_normal_form(m)
+        factors = invariant_factors(m)
         assert time.monotonic() - start < 20.0
-        assert snf.u @ m @ snf.v == snf.d
-        assert snf.u_inv @ snf.d @ snf.v_inv == m
+        assert factors == sympy_factors(m)
 
     def test_classic_example(self):
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
-        snf = smith_normal_form(m)
         # gcd of entries is 2 and |det| = 8, so the factors must be (2, 4)
-        assert snf.invariant_factors == (2, 4)
-        assert snf.u @ m @ snf.v == snf.d
+        assert invariant_factors(m) == sympy_factors(m) == (2, 4)
 
     def test_random_properties(self):
         rng = random.Random(101)
         for _ in range(60):
-            rows = rng.randint(1, 5)
-            cols = rng.randint(1, 5)
-            m = random_matrix(rng, rows, cols)
-            snf = smith_normal_form(m)
-            assert snf.u @ m @ snf.v == snf.d
-            assert abs(determinant(snf.u)) == 1
-            assert abs(determinant(snf.v)) == 1
-            assert snf.u_inv @ snf.d @ snf.v_inv == m
-            assert snf.u @ snf.u_inv == IntMatrix.identity(rows)
-            assert snf.v @ snf.v_inv == IntMatrix.identity(cols)
-            diag = snf.diagonal()
-            for i, d in enumerate(diag):
-                assert d >= 0
-                if i + 1 < len(diag) and diag[i + 1] != 0:
-                    assert d != 0 and diag[i + 1] % d == 0
-            # zeros trail
-            seen_zero = False
-            for d in diag:
-                if d == 0:
-                    seen_zero = True
-                else:
-                    assert not seen_zero
+            m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            factors = invariant_factors(m)
+            assert factors == sympy_factors(m)
+            assert len(factors) == sympy_matrix(m).rank()
+            assert all(d > 0 for d in factors)
+            assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
 class TestKernel:
@@ -196,7 +189,7 @@ class TestKernel:
             if kernel:
                 stacked = IntMatrix.from_rows([list(v) for v in kernel])
                 # a saturated basis has unit invariant factors
-                assert all(d == 1 for d in smith_normal_form(stacked).invariant_factors)
+                assert all(d == 1 for d in invariant_factors(stacked))
 
 
     def test_kernel_is_already_in_hermite_form(self):
@@ -351,8 +344,78 @@ class TestZeroSkippingRowOperations:
         assert row_hermite_with_transform(m) == top_down_row_hermite(m)
 
 
+class TestHermiteReadOff:
+    """hermite_coords is the one pivot read-off behind lattice_contains,
+    left_solve and the lattice coordinates; the read-offs it replaced, kept
+    verbatim in conftest, must agree with it."""
+
+    @settings(deadline=None)
+    @given(m=_sparse_or_dense(), data=st.data())
+    def test_membership_equals_reference(self, m, data):
+        width = m.cols
+        basis = hermite_row_basis([m.row(i) for i in range(m.rows)], width)
+        pivots = hermite_pivots(basis)
+        entry = st.integers(-9, 9)
+        targets = [tuple(data.draw(st.lists(entry, min_size=width, max_size=width)))]
+        for _ in range(2):
+            c = tuple(data.draw(st.integers(-3, 3)) for _ in basis)
+            member = tuple(sum(x * row[t] for x, row in zip(c, basis)) for t in range(width))
+            assert hermite_coords(basis, pivots, member) == c
+            targets.append(member)
+            for t in range(width):
+                bumped = member[:t] + (member[t] + 1,) + member[t + 1 :]
+                targets.append(bumped)
+                if t in pivots and basis[pivots.index(t)][t] > 1:
+                    # the pivot entry does not divide: the read-off stops there
+                    assert not reference_lattice_contains(basis, bumped)
+        for v in targets:
+            coords = hermite_coords(basis, pivots, v)
+            assert lattice_contains(basis, v) == reference_lattice_contains(basis, v)
+            assert lattice_contains(basis, v) == (coords is not None)
+            if coords is not None and basis:
+                assert hermite_combine(basis, coords) == v
+
+    @settings(deadline=None)
+    @given(m=_sparse_or_dense(), data=st.data())
+    def test_left_solve_equals_reference(self, m, data):
+        # rank-deficient inputs leave zero rows in H, which the read-off skips
+        form = row_hermite_with_transform(m)
+        y = data.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
+        member = m.row_apply(y)
+        rhs = [member, tuple(data.draw(st.lists(st.integers(-9, 9), min_size=m.cols, max_size=m.cols)))]
+        rhs += [member[:t] + (member[t] + 1,) + member[t + 1 :] for t in range(m.cols)]
+        assert form.left_solve(member) is not None
+        for b in rhs:
+            got = form.left_solve(b)
+            assert got == reference_left_solve(form, b)
+            if got is not None:
+                assert m.row_apply(got) == b
+
+    def test_examples(self):
+        assert hermite_coords(((2, 1),), (0,), (2, 1)) == (1,)
+        assert hermite_coords(((2, 1),), (0,), (1, 0)) is None  # 2 does not divide 1
+        assert not reference_lattice_contains(((2, 1),), (1, 0))
+        assert hermite_coords(((1, 0),), (0,), (1, 1)) is None  # left over off the pivots
+        assert hermite_combine(((2, 1), (0, 3)), (1, -1)) == (2, -2)
+        m = IntMatrix.from_rows([[2, 4], [1, 2], [0, 0]])
+        form = row_hermite_with_transform(m)
+        assert sum(not any(r) for r in form.h) == 2
+        for b in ((1, 2), (2, 4), (1, 3), (0, 1), (0, 0)):
+            assert form.left_solve(b) == reference_left_solve(form, b)
+        assert form.left_solve((1, 3)) is None and m.row_apply(form.left_solve((3, 6))) == (3, 6)
+
+    def test_width_zero(self):
+        assert hermite_pivots(()) == () and hermite_coords((), (), ()) == ()
+        assert lattice_contains((), ()) and reference_lattice_contains((), ())
+        form = row_hermite_with_transform(IntMatrix(3, 0, ()))
+        assert form.left_solve(()) == reference_left_solve(form, ()) == (0, 0, 0)
+        form = row_hermite_with_transform(IntMatrix(0, 2, ()))
+        assert form.left_solve((0, 0)) == reference_left_solve(form, (0, 0)) == ()
+        assert form.left_solve((0, 1)) is reference_left_solve(form, (0, 1)) is None
+
+
 class TestInvariantFactors:
-    """invariant_factors runs the Smith passes without transforms."""
+    """invariant_factors, the library's Smith form, against sympy's."""
 
     @settings(deadline=None)
     @given(m=st.one_of(
@@ -363,16 +426,12 @@ class TestInvariantFactors:
         _sparse_or_dense(),
     ))
     def test_equals_smith_form_and_sympy(self, m):
-        got = invariant_factors(m)
-        assert got == smith_normal_form(m).invariant_factors
-        reference = sympy_invariant_factors(sympy.Matrix(m.rows, m.cols, list(m.entries)), domain=sympy.ZZ)
-        assert got == tuple(abs(int(d)) for d in reference if d)
+        # sympy's Smith form is the independent oracle
+        assert invariant_factors(m) == sympy_factors(m)
 
     def test_honours_the_pass_cap(self, monkeypatch):
         monkeypatch.setattr(exactlinalg, "_SNF_PASS_CAP", 1)
         m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-        with pytest.raises(RuntimeError):
-            smith_normal_form(m)
         with pytest.raises(RuntimeError):
             invariant_factors(m)
         monkeypatch.setattr(exactlinalg, "_SNF_PASS_CAP", 0)
@@ -478,7 +537,7 @@ class TestSaturation:
         # the order of the torsion of Z^width / L
         torsion = 1
         if h:
-            for d in smith_normal_form(IntMatrix.from_rows(h)).invariant_factors:
+            for d in invariant_factors(IntMatrix.from_rows(h)):
                 torsion *= d
         assert _pivot_product(h) == _pivot_product(sat) * torsion
         assert exactlinalg.saturation(sat, width) == sat
@@ -641,7 +700,6 @@ class TestMinimalPolynomial:
 RECORDS = [
     (exactlinalg, "IntMatrix", ("rows", "cols", "entries"), {}),
     (exactlinalg, "RowHermiteForm", ("h", "w", "pivots"), {}),
-    (exactlinalg, "SmithDecomposition", ("u", "d", "v", "invariant_factors"), {}),
     (exactlinalg, "MinPolyData", ("l", "k", "p_coeffs", "m_coeffs"), {}),
     (sft, "AdjacencyMatrix", ("matrix",), {}),
     (sft, "SpectralDecomposition", ("period", "classes", "component", "vertex_order"), {}),
@@ -698,7 +756,6 @@ def _record_samples():
             exactlinalg.row_hermite_with_transform(m),
             exactlinalg.row_hermite_with_transform(n),
         ),
-        "SmithDecomposition": (smith_normal_form(m), smith_normal_form(n)),
         "MinPolyData": (minimal_polynomial(m), minimal_polynomial(sing.matrix)),
         "AdjacencyMatrix": (fib, sing),
         "SpectralDecomposition": (
@@ -793,7 +850,7 @@ class TestFrozenRecords:
             if isinstance(obj, type) and obj.__module__ == mod.__name__
             and "_frozen_fields" in obj.__dict__
         }
-        assert len(RECORDS) == 25
+        assert len(RECORDS) == 24
         assert listed == found
 
     @pytest.mark.parametrize("mod, name, fields, defaults", RECORDS, ids=[r[1] for r in RECORDS])
@@ -920,5 +977,3 @@ class TestFrozenRecords:
         assert "psi" not in vars(q)
         psi = q.psi
         assert vars(q)["psi"] is psi and q.psi is psi
-        s = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 9]]))
-        assert s.u_inv is s.u_inv and "u_inv" in vars(s)

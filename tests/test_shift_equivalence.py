@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from sftdim import (
     CylinderK0Element,
@@ -12,6 +14,7 @@ from sftdim import (
     ShiftEquivalenceWitness,
     StableElement,
     UnstableElement,
+    ZeroRowOrColumnError,
     act_s,
     alpha_s,
     equal_s,
@@ -25,6 +28,7 @@ from sftdim import (
     validate,
     verify,
 )
+from sftdim import shift_equivalence
 
 from conftest import random_centralizer_element
 
@@ -79,14 +83,67 @@ class TestSearch:
         three = validate([[3]])
         report = search(two, three)
         assert report.witness is None
-        assert any("eigenvalue" in o or "polynomial" in o for o in report.obstructions)
+        assert any("polynomial" in o for o in report.obstructions)
         obs = spectral_obstructions(two, three)
         assert obs  # exact polynomial invariants already differ
+        # lambda is the largest root of chi, so no float note is needed
+        assert not any("eigenvalue" in o for o in obs)
 
     def test_search_space_cap(self):
         big = validate([[1] * 9 for _ in range(9)])
         with pytest.raises(SearchSpaceTooLargeError):
             search(big, big, dim_cap=64)
+
+
+@st.composite
+def _strong_shift_equivalent_pair(draw):
+    """A = RS and B = SR for non-negative R (n x m) and S (m x n) with n != m,
+    each replaced by a permutation conjugate: shift equivalent with lag 1, of
+    different sizes, so I - A and I - B differ in their unit factors."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([x for x in range(1, 5) if x != n]))
+    entry = st.sampled_from((0, 1, 1, 2, 3))
+    r = IntMatrix(n, m, tuple(draw(st.lists(entry, min_size=n * m, max_size=n * m))))
+    s = IntMatrix(m, n, tuple(draw(st.lists(entry, min_size=n * m, max_size=n * m))))
+
+    def conjugate(x):
+        perm = draw(st.permutations(range(x.rows)))
+        p = IntMatrix.from_rows([[int(j == perm[i]) for j in range(x.rows)] for i in range(x.rows)])
+        return p @ x @ p.transpose()
+
+    return conjugate(r @ s), conjugate(s @ r)
+
+
+class TestBowenFranks:
+    """Z^K/(I - A)Z^K is a shift-equivalence invariant (Bowen & Franks 1977)."""
+
+    def test_groups(self):
+        for rows, group in [
+            ([[2]], "0"),
+            ([[3]], "Z/2"),
+            ([[1, 4], [1, 1]], "Z/4"),
+            ([[1, 2], [2, 1]], "Z/2 + Z/2"),
+            ([[1, 1], [0, 1]], "Z"),
+            ([[1, 0], [0, 1]], "Z^2"),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 3]], "Z^2 + Z/2"),
+        ]:
+            assert shift_equivalence._bowen_franks(validate(rows)) == group
+
+    def test_obstructs_a_pair_with_equal_polynomials(self):
+        a = validate([[1, 4], [1, 1]])
+        b = validate([[1, 2], [2, 1]])
+        assert spectral_obstructions(a, b) == ("Bowen-Franks groups differ: Z/4 vs Z/2 + Z/2",)
+        report = search(a, b)
+        assert report.witness is None and report.candidates_tried == 0
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(pair=_strong_shift_equivalent_pair())
+    def test_no_obstruction_for_equivalent_pairs(self, pair):
+        try:
+            a, b = validate(pair[0]), validate(pair[1])
+        except ZeroRowOrColumnError:
+            assume(False)
+        assert spectral_obstructions(a, b) == ()
 
 
 def sample_isomorphisms(fib):
