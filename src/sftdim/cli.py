@@ -41,10 +41,6 @@ def _load_matrix(path: str):
         return ser.parse_matrix_text(fh.read())
 
 
-def _positivity_tol(args) -> float:
-    return args.tol if args.tol is not None else 1e-9
-
-
 def _int_arg(text: str) -> int:
     try:
         return ser._int_token(text)
@@ -261,23 +257,17 @@ def cmd_equal(args) -> int:
     x = _parse_element(a, args.left)
     y = _parse_element(a, args.right)
     report = _base_report("equal", a, label)
-    if isinstance(x, dg.StableElement) and isinstance(y, dg.StableElement):
-        report["equal"] = dg.equal_s(x, y)
-    elif isinstance(x, dg.UnstableElement) and isinstance(y, dg.UnstableElement):
-        report["equal"] = dg.equal_u(x, y)
-    elif isinstance(x, dg.HomoclinicElement) and isinstance(y, dg.HomoclinicElement):
-        report["equal"] = dg.equal_h(x, y)
-    elif isinstance(x, cyl.CylinderK0Element) and isinstance(y, cyl.CylinderK0Element):
-        report["equal"] = cyl.k0_equal(x, y)
-    elif isinstance(x, cyl.CylinderK1Element) and isinstance(y, cyl.CylinderK1Element):
+    if type(x) is not type(y):
+        raise ValueError("equal needs two elements of the same flavor")
+    if isinstance(x, cyl.CylinderK1Element):
         decision = cyl.k1_equal(x, y)
         report["verdict"] = decision.verdict.value
         if decision.witness_level is not None:
             report["witness_level"] = decision.witness_level
-    elif isinstance(x, cyl.RAElement) and isinstance(y, cyl.RAElement):
+    elif isinstance(x, cyl.RAElement):
         report["equal"] = cyl.ra_equal(x, y)
-    else:
-        raise ValueError("equal needs two elements of the same flavor")
+    else:  # the four other towers (s, u, h, k0) share one equality
+        report["equal"] = dg.equal(x, y)
     _emit(report, args.format)
     return 0
 
@@ -287,7 +277,7 @@ def cmd_positive(args) -> int:
     x = _parse_element(a, args.element)
     if not isinstance(x, dg.StableElement):
         raise ValueError("positivity is decided for stable elements (flavor s)")
-    result = dg.is_positive_s(x, tol=_positivity_tol(args), j_max=args.jmax)
+    result = dg.is_positive_s(x, tol=args.tol, j_max=args.jmax)
     report = _base_report("positive", a, label)
     report["positivity"] = result.kind.value
     if result.searched_to is not None:
@@ -400,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "text"), default="text", help="report format"
     )
     parser.add_argument(
-        "--tol", type=_non_negative_float, default=None,
+        "--tol", type=_non_negative_float, default=1e-9,
         help="float tolerance of the positivity boundary (default 1e-9)",
     )
     parser.add_argument(

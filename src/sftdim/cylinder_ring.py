@@ -21,10 +21,11 @@ relations under the map induced by X -> AXA form an ascending chain that
 stabilises, membership of the projected difference in the stabilised
 closure settles equality outright, and applying the induced map until the
 relations are reached gives the merge depth.  Membership in the polynomial
-subring generated by [A, 0] and [A, 1] uses the same closure idea in the
-coordinates of C(A), which Y -> A^2 Y maps into itself.  The matrix-level
-center of C(A) is M_K(Z) intersected with Q[A] (double centraliser), so it
-is C(A) itself whenever A is non-derogatory.
+subring generated by [A, 0] and [A, 1] is the same question in the
+coordinates of C(A), which Y -> A^2 Y maps into itself.  Each closure is one
+call of exactlinalg.preimage_closure, and both answers read its one witness
+walk.  The matrix-level center of C(A) is M_K(Z) intersected with Q[A]
+(double centraliser), so it is C(A) itself whenever A is non-derogatory.
 
 For nonsingular A both closures run in the saturation of their seed, which
 is far smaller.  X -> AXA is injective on M_K(Q) and maps B(A) into itself,
@@ -40,26 +41,28 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from typing import Optional, Sequence
 
 from . import exactlinalg
 from .exactlinalg import (
     IntMatrix,
+    PreimageClosure,
     RowHermiteForm,
     frozen,
     hermite_combine,
     hermite_coords,
     hermite_pivots,
     hermite_row_basis,
+    identity_rows,
     invariant_factors,
-    lattice_closure_under_preimage,
-    lattice_contains,
     matrix_power,
     memo,
     minimal_polynomial,
     poly_mod,
     poly_eval_matrix,
     poly_mul,
+    preimage_closure,
     saturation,
 )
 from .sft import AdjacencyMatrix
@@ -300,37 +303,14 @@ class K1Presentation:
 
     def project(self, v: Sequence[int]) -> tuple:
         """Coordinates on Z^J of the class of ``v`` (row-major) in Q."""
-        return _project(self.coords, self.unit_rows, v)
-
-
-@frozen
-class K1Quotient(K1Presentation):
-    """The presentation of Q with X -> AXA induced on it as ``psi``.
-
-    ``closure`` is the stabilised preimage closure of the relations under
-    ``psi`` and ``depth`` its stabilisation depth.  ``matrix`` is A.
-    """
-
-    matrix: IntMatrix
-    closure: tuple
-    depth: int
-
-    @functools.cached_property
-    def psi(self) -> IntMatrix:
-        """The |J| x |J| matrix of X -> AXA on Z^J, built on first read; a
-        depth-0 quotient never reads it."""
-        return _k1_psi(self.matrix, self)
-
-
-def _project(coords: tuple, unit_rows: tuple, v: Sequence[int]) -> tuple:
-    out = [v[j] for j in coords]
-    for p, row in unit_rows:
-        c = v[p]
-        if c:
-            for t, x in enumerate(row):
-                if x:
-                    out[t] -= c * x
-    return tuple(out)
+        out = [v[j] for j in self.coords]
+        for p, row in self.unit_rows:
+            c = v[p]
+            if c:
+                for t, x in enumerate(row):
+                    if x:
+                        out[t] -= c * x
+        return tuple(out)
 
 
 @memo
@@ -345,47 +325,31 @@ def _k1_presentation(a: AdjacencyMatrix) -> K1Presentation:
     return K1Presentation(coords, unit_rows, relations)
 
 
-def _k1_psi(m: IntMatrix, pres: K1Presentation) -> IntMatrix:
-    # column j = (p, q) is the class of A E_pq A = (column p of A)(row q of A)
-    k = m.rows
-    columns = []
-    for j in pres.coords:
-        col, row = m.column(j // k), m.row(j % k)
-        columns.append(pres.project([x * y for x in col for y in row]))
-    return IntMatrix.from_columns(columns, len(pres.coords))
-
-
 @memo
-def _k1_quotient(a: AdjacencyMatrix) -> K1Quotient:
+def _k1_closure(a: AdjacencyMatrix) -> PreimageClosure:
+    """The preimage closure of the relations under the map X -> AXA induces on
+    Z^J, run in all of Z^J for singular A and otherwise in the saturation of
+    the relations (module docstring), which is the relations themselves when
+    Q is torsion-free."""
     pres = _k1_presentation(a)
-    if minimal_polynomial(a.matrix).l:
-        closure, depth = lattice_closure_under_preimage(_k1_psi(a.matrix, pres), pres.relations)
+    m, k, width = a.matrix, a.size, len(pres.coords)
+    if minimal_polynomial(m).l:
+        basis = identity_rows(width)
     elif not k1_group_structure(a).torsion:
-        closure, depth = pres.relations, 0
+        basis = pres.relations
     else:
-        closure, depth = _k1_closure_in_saturation(a.matrix, pres)
-    return K1Quotient(pres.coords, pres.unit_rows, pres.relations, a.matrix, closure, depth)
+        basis = saturation(pres.relations, width)
 
+    def image(v):
+        # A X A sums x (column p of A)(row q of A) over the entries x of X at (p, q)
+        out = [0] * (k * k)
+        for j, x in zip(pres.coords, v):
+            if x:
+                col, row = m.column(j // k), m.row(j % k)
+                out = [o + x * c * y for o, (c, y) in zip(out, itertools.product(col, row))]
+        return pres.project(out)
 
-def _k1_closure_in_saturation(m: IntMatrix, pres: K1Presentation) -> tuple:
-    """The preimage closure of the relations L for nonsingular A, run in the
-    coordinates of sat(L), the saturation of L in Z^J, where the module
-    docstring shows it lies.  X -> AXA is applied to each basis row lifted
-    to M_K(Z), so the K^2 x K^2 map is never built."""
-    k, width = m.rows, len(pres.coords)
-    sat = saturation(pres.relations, width)
-    pivots = hermite_pivots(sat)
-    columns = []
-    for b in sat:
-        full = [0] * (k * k)
-        for j, x in zip(pres.coords, b):
-            full[j] = x
-        image = m @ IntMatrix.from_vec(full, k, k) @ m
-        columns.append(hermite_coords(sat, pivots, pres.project(image.vec())))
-    psi = IntMatrix.from_columns(columns, len(sat))
-    seed = [hermite_coords(sat, pivots, r) for r in pres.relations]
-    closure, depth = lattice_closure_under_preimage(psi, seed)
-    return hermite_row_basis([hermite_combine(sat, c) for c in closure], width), depth
+    return preimage_closure(basis, image, pres.relations)
 
 
 def k1_equal(x: CylinderK1Element, y: CylinderK1Element) -> K1Decision:
@@ -400,15 +364,10 @@ def k1_equal(x: CylinderK1Element, y: CylinderK1Element) -> K1Decision:
     diff = [s - t for s, t in zip(px, py)]
     if not any(diff):
         return K1Decision(Verdict.EQUAL, witness_level=0)
-    q = _k1_quotient(x.ambient)
-    v = q.project(diff)
-    if not lattice_contains(q.closure, v):
+    level = _k1_closure(x.ambient).witness(_k1_presentation(x.ambient).project(diff))
+    if level is None:
         return K1Decision(Verdict.NOT_EQUAL)
-    for level in range(q.depth + 1):
-        if lattice_contains(q.relations, v):
-            return K1Decision(Verdict.EQUAL, witness_level=level)
-        v = q.psi.col_apply(v)
-    raise RuntimeError("closure membership without a witness level")
+    return K1Decision(Verdict.EQUAL, witness_level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -539,54 +498,25 @@ def ra_to_cylinder(x: RAElement) -> CylinderK0Element:
     )
 
 
-def _ra_lattice(a: AdjacencyMatrix) -> CentralizerLattice:
-    """The lattice the subring's closure runs in (see _ra_closure)."""
-    return centralizer_basis(a) if minimal_polynomial(a.matrix).l else center_basis(a)
-
-
 @memo
-def _ra_closure(a: AdjacencyMatrix) -> tuple:
+def _ra_closure(a: AdjacencyMatrix) -> PreimageClosure:
     """Closure of span{A^(2l+i) : i < k} under division by Y -> A^2 Y.
 
     Only payloads in C(A) are ever tested, and Y -> A^2 Y maps C(A) into
     itself, so the closure runs on C(A) coordinates (dimension rank C(A),
-    not K^2) and its stabilised basis is lifted back once.  For nonsingular
-    A it runs on the coordinates of the center M_K(Z) meet Q[A] (dimension
-    deg m_A): A^-1 is a polynomial in A, so A^(2m) Y in Z[A] puts Y in Q[A].
-    A seed that already spans the lattice is its own closure.  Returns the
-    Hermite basis of the lifted closure and the stabilisation depth.
+    not K^2).  For nonsingular A it runs on the coordinates of the center
+    M_K(Z) meet Q[A] (dimension deg m_A): A^-1 is a polynomial in A, so
+    A^(2m) Y in Z[A] puts Y in Q[A].
     """
     mp = minimal_polynomial(a.matrix)
-    lattice = _ra_lattice(a)
-    seed = hermite_row_basis(
-        [lattice.coordinates(matrix_power(a.matrix, 2 * mp.l + i)) for i in range(mp.k)],
-        lattice.rank,
-    )
-    if len(seed) == lattice.rank and all(row[i] == 1 for i, row in enumerate(seed)):
-        return tuple(b.vec() for b in lattice.basis), 0
+    lattice = centralizer_basis(a) if mp.l else center_basis(a)
+    k = a.size
     a2 = matrix_power(a.matrix, 2)
-    psi = IntMatrix.from_columns(
-        [lattice.coordinates(a2 @ b) for b in lattice.basis], lattice.rank
+    return preimage_closure(
+        [b.vec() for b in lattice.basis],
+        lambda y: (a2 @ IntMatrix.from_vec(y, k, k)).vec(),
+        [matrix_power(a.matrix, 2 * mp.l + i).vec() for i in range(mp.k)],
     )
-    closure, depth = lattice_closure_under_preimage(psi, seed)
-    return hermite_row_basis([lattice.combine(c) for c in closure], a.size * a.size), depth
-
-
-@memo
-def _ra_witness_form(a: AdjacencyMatrix) -> RowHermiteForm:
-    """W . S = H for the rows S_i = A^(2l+i), i < k, read at the pivot
-    columns of _ra_lattice(a).
-
-    A member of a lattice is fixed by its entries at the pivot columns of
-    the lattice's Hermite basis, and the powers lie in the lattice and are
-    independent (k = deg p).  So a member Y is sum c_i A^(2l+i) exactly when
-    its pivot entries are c . S, and then c is unique.
-    """
-    mp = minimal_polynomial(a.matrix)
-    pivots = _ra_lattice(a)._pivots
-    return exactlinalg.row_hermite_with_transform(IntMatrix.from_rows(
-        [[matrix_power(a.matrix, 2 * mp.l + i).entries[p] for p in pivots] for i in range(mp.k)]
-    ))
 
 
 def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
@@ -595,27 +525,21 @@ def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
     [X, N] equals [p(A), N + m] iff A^(2m) (A^l X A^l) = p(A) A^(2l); the set
     of payloads solvable for some m is the stabilised division closure of the
     span of {A^(2l + i)}, so membership is one lattice test and the witness
-    level is found by a short guaranteed search.  The closure lies in
-    _ra_lattice, which A^2 maps into itself, so each step of the search
-    reads only the pivot entries of that lattice (_ra_witness_form).
+    level is the closure's walk.  The powers are independent (k = deg p), so
+    the coefficients of A^(2m) A^l X A^l in them are unique.
     """
     amb = x.ambient
     mp = minimal_polynomial(amb.matrix)
     p_l = matrix_power(amb.matrix, mp.l)
     y = p_l @ x.matrix @ p_l
-    closure, depth = _ra_closure(amb)
-    if not lattice_contains(closure, y.vec()):
+    closure = _ra_closure(amb)
+    m = closure.witness(y.vec())
+    if m is None:
         return None
-    pivots = _ra_lattice(amb)._pivots
-    form = _ra_witness_form(amb)
-    a2 = matrix_power(amb.matrix, 2)
-    cur = y
-    for m in range(depth + 1):
-        coeffs = form.left_solve([cur.entries[p] for p in pivots])
-        if coeffs is not None:
-            return RAElement(amb, coeffs, x.level + m)
-        cur = a2 @ cur
-    raise RuntimeError("closure membership without a witness level")
+    if m:
+        y = matrix_power(amb.matrix, 2 * m) @ y
+    coeffs = closure.seed_form.left_solve([y.entries[p] for p in closure.pivots])
+    return RAElement(amb, coeffs, x.level + m)
 
 
 # ---------------------------------------------------------------------------

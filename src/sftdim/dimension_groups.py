@@ -30,6 +30,8 @@ from typing import Optional
 from .exactlinalg import (
     IntMatrix,
     frozen,
+    hermite_combine,
+    identity_rows,
     matrix_power,
     memo,
     minimal_polynomial,
@@ -85,8 +87,7 @@ class TowerElement:
     @classmethod
     def _lattice(cls, a: AdjacencyMatrix) -> tuple:
         """Flat basis of the admissible payloads: all of them unless overridden."""
-        n = cls._width(a.size)
-        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return identity_rows(cls._width(a.size))
 
     def __add__(self, other):
         return add(self, other)
@@ -231,12 +232,7 @@ def normalize(x: TowerElement) -> TowerElement:
         sol = solve_integer_linear(system, cur._push(l))
         if sol is None:
             break
-        u = [0] * system.rows
-        for c, b in zip(sol, basis):
-            if c:
-                for t, s in enumerate(b):
-                    u[t] += c * s
-        cur = x._make(a, u, cur.level - 1)
+        cur = x._make(a, hermite_combine(basis, sol), cur.level - 1)
     return cur
 
 

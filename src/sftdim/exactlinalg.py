@@ -24,7 +24,8 @@ gathered once for all the rows above it: a commutator system row has at most
 2K nonzeros of K^2.  Lattice membership, coordinates in a Hermite basis and
 integer solving share one pivot read-off, :func:`hermite_coords`.  The Smith
 invariant factors come from alternating row and column Hermite passes with
-no transforms (:func:`invariant_factors`).
+no transforms (:func:`invariant_factors`).  Both preimage closures go through
+:func:`preimage_closure`, in the coordinates of a lattice the map keeps.
 """
 
 from __future__ import annotations
@@ -538,13 +539,7 @@ def saturation(hermite_rows: Sequence[Sequence[int]], width: int) -> tuple:
                 [[x, *y] for x, y in zip(residues, ys)] + [[det] + [0] * s], s + 1
             )
             ys = [r[1:] for r in step[1:]]
-    vectors = []
-    for y in ys:
-        v = [0] * width
-        for c, gr in zip(y, g):
-            if c:
-                v = [x + c * z for x, z in zip(v, gr)]
-        vectors.append([x // det for x in v])
+    vectors = [[x // det for x in hermite_combine(g, y)] for y in ys]
     return hermite_row_basis(vectors, width)
 
 
@@ -679,14 +674,15 @@ def invariant_factors(m: IntMatrix) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def lattice_closure_under_preimage(
-    psi: IntMatrix, seed_rows: Iterable[Sequence[int]], max_steps: int = 512
-) -> tuple:
+_CLOSURE_STEP_CAP = 512
+
+
+def lattice_closure_under_preimage(psi: IntMatrix, seed_rows: Iterable[Sequence[int]]) -> tuple:
     """Stabilised union of psi^-m (L) over m >= 0, for a psi-invariant lattice L.
 
     Returns (hermite_basis, steps); any member x of the closure satisfies
     psi^steps (x) in L.  The ascending chain of lattices stabilises because
-    rank and index are both bounded; ``max_steps`` is a defensive cap only.
+    rank and index are both bounded; ``_CLOSURE_STEP_CAP`` is a defensive cap.
     """
     if not psi.is_square:
         raise DimensionMismatchError("closure needs a square map")
@@ -704,8 +700,72 @@ def lattice_closure_under_preimage(
             return current, steps
         current = new
         steps += 1
-        if steps > max_steps:
+        if steps > _CLOSURE_STEP_CAP:
             raise RuntimeError("lattice closure failed to stabilise")
+
+
+def identity_rows(n: int) -> tuple:
+    """The Hermite basis of Z^n."""
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+
+
+def _coordinates(basis: Sequence[Sequence[int]], pivots: Sequence[int], v: Sequence[int]):
+    # a saturated lattice of full rank is Z^n, whose coordinates are the vector
+    return tuple(v) if len(pivots) == len(v) else hermite_coords(basis, pivots, v)
+
+
+@frozen
+class PreimageClosure:
+    """A preimage closure in the coordinates of the lattice with Hermite basis
+    ``basis`` (ambient rows): ``seed`` and ``closure`` are Hermite bases there, the
+    map ``psi`` takes the closure into the seed in ``depth`` steps, and is None
+    when the seed spanned by ``generators`` fills the lattice."""
+
+    basis: tuple
+    pivots: tuple
+    psi: Optional[IntMatrix]
+    generators: tuple
+    seed: tuple
+    closure: tuple
+    depth: int
+
+    @functools.cached_property
+    def seed_form(self) -> RowHermiteForm:
+        """W . S = H for the generators S at the pivot columns, built on first read: a
+        member's pivot entries give its coefficients in independent generators."""
+        return row_hermite_with_transform(
+            IntMatrix.from_rows([[g[p] for p in self.pivots] for g in self.generators])
+        )
+
+    def witness(self, v: Sequence[int]) -> Optional[int]:
+        """The least m with psi^m v in the seed; None when ``v`` is outside the closure."""
+        c = _coordinates(self.basis, self.pivots, v)
+        # with no psi the seed fills the lattice and holds every member
+        if c is None or self.psi is not None and not lattice_contains(self.closure, c):
+            return None
+        for m in range(self.depth + 1):
+            if self.psi is None or lattice_contains(self.seed, c):
+                return m
+            c = self.psi.col_apply(c)
+        raise RuntimeError("closure membership without a witness level")
+
+
+def preimage_closure(basis, image, generators) -> PreimageClosure:
+    """The closure of the span of ``generators`` under preimages of a map that
+    sends the saturated lattice with Hermite basis ``basis`` into itself, and a
+    member (an ambient row) to ``image(member)``.  A seed that fills the lattice
+    is its own closure and needs no psi; the basis itself fills it unread."""
+    basis, generators = tuple(basis), tuple(generators)
+    pivots, rank = hermite_pivots(basis), len(basis)
+    if generators == basis:
+        seed = identity_rows(rank)
+    else:
+        seed = hermite_row_basis([_coordinates(basis, pivots, g) for g in generators], rank)
+    if len(seed) == rank and all(row[i] == 1 for i, row in enumerate(seed)):
+        return PreimageClosure(basis, pivots, None, generators, seed, seed, 0)
+    psi = IntMatrix.from_columns([_coordinates(basis, pivots, image(b)) for b in basis], rank)
+    closure, depth = lattice_closure_under_preimage(psi, seed)
+    return PreimageClosure(basis, pivots, psi, generators, seed, closure, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .exactlinalg import (
     IntMatrix,
     characteristic_polynomial,
     frozen,
+    hermite_combine,
     integer_kernel,
     invariant_factors,
     kron,
@@ -159,28 +160,25 @@ class SearchReport:
 
 
 def _combos_by_radius(length: int, bound: int):
-    seen = set()
+    # a combo whose largest entry is r comes up only at radius r
     for radius in range(bound + 1):
         for combo in itertools.product(range(-radius, radius + 1), repeat=length):
-            if combo in seen or max((abs(c) for c in combo), default=0) != radius:
-                continue
-            seen.add(combo)
-            yield combo
+            if max((abs(c) for c in combo), default=0) == radius:
+                yield combo
+
+
+_DIM_CAP = 64
+_COMBO_CAP = 200_000
 
 
 def search(
-    a: AdjacencyMatrix,
-    b: AdjacencyMatrix,
-    k_max: int = 4,
-    entry_bound: int = 3,
-    dim_cap: int = 64,
-    combo_cap: int = 200_000,
+    a: AdjacencyMatrix, b: AdjacencyMatrix, k_max: int = 4, entry_bound: int = 3
 ) -> SearchReport:
     """Bounded search for a witness; exhaustion is reported, never concluded from."""
     n, m = a.size, b.size
-    if n * m > dim_cap:
+    if n * m > _DIM_CAP:
         raise SearchSpaceTooLargeError(
-            f"product of sizes {n * m} exceeds the cap {dim_cap}"
+            f"product of sizes {n * m} exceeds the cap {_DIM_CAP}"
         )
     obstructions = spectral_obstructions(a, b)
     tried = 0
@@ -190,18 +188,14 @@ def search(
         )
         kernel = integer_kernel(sylvester)
         g = len(kernel)
-        if g and (2 * entry_bound + 1) ** g > combo_cap:
+        if g and (2 * entry_bound + 1) ** g > _COMBO_CAP:
             raise SearchSpaceTooLargeError(
                 f"{(2 * entry_bound + 1) ** g} coefficient combinations exceed the "
-                f"cap {combo_cap}; lower entry_bound"
+                f"cap {_COMBO_CAP}; lower entry_bound"
             )
-        for combo in _combos_by_radius(g, entry_bound):
-            vec = [0] * (n * m)
-            for c, basis_vec in zip(combo, kernel):
-                if c:
-                    for i, x in enumerate(basis_vec):
-                        vec[i] += c * x
-            r = IntMatrix.from_vec(vec, n, m)
+        # an empty kernel has only R = 0, which is no witness
+        for combo in _combos_by_radius(g, entry_bound) if g else ():
+            r = IntMatrix.from_vec(hermite_combine(kernel, combo), n, m)
             if r.is_zero or any(x < 0 or x > entry_bound for x in r.entries):
                 continue
             tried += 1
@@ -236,11 +230,7 @@ def _solve_for_s(
         if particular is None:
             continue
         for combo in _combos_by_radius(len(homogeneous), min(entry_bound, 2)):
-            vec = list(particular)
-            for c, basis_vec in zip(combo, homogeneous):
-                if c:
-                    for i, x in enumerate(basis_vec):
-                        vec[i] += c * x
+            vec = hermite_combine((*homogeneous, particular), (*combo, 1))
             if all(x >= 0 for x in vec):
                 s = IntMatrix.from_vec(vec, m, n)
                 w = ShiftEquivalenceWitness(r=r, s=s, k=k)

@@ -49,6 +49,7 @@ from sftdim import (
 from sftdim import cylinder_ring, exactlinalg
 from sftdim.cylinder_ring import alpha_k0, commutator_system
 from sftdim.exactlinalg import (
+    hermite_combine,
     hermite_row_basis,
     kron,
     lattice_closure_under_preimage,
@@ -382,26 +383,27 @@ class TestK1CokernelCoordinates:
         rng = random.Random(137)
         for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
             k = a.size
-            q = cylinder_ring._k1_quotient(a)
+            pres = cylinder_ring._k1_presentation(a)
+            q = cylinder_ring._k1_closure(a)
             closure, depth = _k1_closure_oracle(a)
             assert q.depth <= depth
             members = [b.vec() for b in commutator_lattice(a).basis] + list(closure)
             for _ in range(20):
                 v = random_matrix(rng, k, k, lo=-3, hi=3).vec()
-                assert lattice_contains(q.closure, q.project(v)) == lattice_contains(closure, v)
+                assert (q.witness(pres.project(v)) is not None) == lattice_contains(closure, v)
             for v in members:
-                assert lattice_contains(q.closure, q.project(v))
+                assert q.witness(pres.project(v)) is not None
 
     def test_relations_are_the_commutators_inside_the_coordinates(self, primitive_pool):
         for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
-            q = cylinder_ring._k1_quotient(a)
+            q = cylinder_ring._k1_presentation(a)
             assert hermite_row_basis(q.relations, len(q.coords)) == q.relations
             for b in commutator_lattice(a).basis:
                 assert lattice_contains(q.relations, q.project(b.vec()))
 
     def test_scaled_all_ones_keeps_every_coordinate(self):
         # B(cJ + dI) = c B(J): no pivot is 1, so Q keeps all K^2 coordinates
-        q = cylinder_ring._k1_quotient(CJ_PLUS_DI)
+        q = cylinder_ring._k1_presentation(CJ_PLUS_DI)
         assert len(q.coords) == 9 and not q.unit_rows
 
     def test_singular_matrix_merges_one_level_up(self):
@@ -413,7 +415,7 @@ class TestK1CokernelCoordinates:
         decision = k1_equal(x, zero)
         assert (decision.verdict, decision.witness_level) == (Verdict.EQUAL, 1)
 
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(a=_adjacency(), seed=st.integers(0, 2**16))
     def test_matches_full_closure_on_generated_matrices(self, a, seed):
         self._assert_agrees(a, random.Random(seed), count=3)
@@ -425,7 +427,7 @@ class TestK1CokernelCoordinates:
         ])
         solves = []
         dims = []
-        closure = cylinder_ring.lattice_closure_under_preimage
+        closure = exactlinalg.lattice_closure_under_preimage
 
         def count_solve(*args):
             solves.append(args)
@@ -436,7 +438,7 @@ class TestK1CokernelCoordinates:
             return closure(psi, seed)
 
         monkeypatch.setattr(exactlinalg, "solve_integer_linear", count_solve)
-        monkeypatch.setattr(cylinder_ring, "lattice_closure_under_preimage", record_closure)
+        monkeypatch.setattr(exactlinalg, "lattice_closure_under_preimage", record_closure)
         x = CylinderK1Element(a, IntMatrix.identity(6), 0)
         y = CylinderK1Element(a, IntMatrix.zeros(6, 6), 0)
         assert k1_equal(x, y).verdict is Verdict.NOT_EQUAL  # trace vanishes on B(A)
@@ -451,7 +453,7 @@ class TestK1CokernelCoordinates:
         for warm in (centralizer_basis, cylinder_ring._k1_presentation, k1_group_structure, center_basis):
             warm(a)
         dims = []
-        closure = cylinder_ring.lattice_closure_under_preimage
+        closure = exactlinalg.lattice_closure_under_preimage
 
         def record_closure(psi, seed):
             dims.append(psi.rows)
@@ -460,13 +462,54 @@ class TestK1CokernelCoordinates:
         def no_kron(*args):
             raise AssertionError("kron called")
 
-        monkeypatch.setattr(cylinder_ring, "lattice_closure_under_preimage", record_closure)
+        monkeypatch.setattr(exactlinalg, "lattice_closure_under_preimage", record_closure)
         monkeypatch.setattr(exactlinalg, "kron", no_kron)
-        q = cylinder_ring._k1_quotient(a)
-        assert dims == [len(q.relations)] and len(q.relations) < 36
+        relations = cylinder_ring._k1_presentation(a).relations
+        cylinder_ring._k1_closure(a)
+        assert dims == [len(relations)] and len(relations) < 36
         dims.clear()
         cylinder_ring._ra_closure(a)
         assert dims == [2]
+
+    def test_seeds_that_fill_their_lattice_build_nothing(self, monkeypatch):
+        # a torsion-free Q for nonsingular A, and a subring seed that spans the
+        # center: both are their own closures, with no map and no factorisation
+        a = validate([
+            [1, 2, 0, 1, 3, 1], [2, 1, 1, 0, 1, 2], [0, 3, 1, 2, 1, 1],
+            [1, 1, 2, 1, 0, 3], [2, 0, 1, 3, 1, 1], [1, 1, 3, 0, 2, 1],
+        ])
+        for warm in (centralizer_basis, k1_group_structure, center_basis):
+            warm(a)
+        assert exactlinalg.minimal_polynomial(a.matrix).l == 0
+        assert k1_group_structure(a).torsion == ()
+        calls = []
+
+        def refuse(name):
+            def fn(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return fn
+
+        for name in ("lattice_closure_under_preimage", "row_hermite_with_transform"):
+            monkeypatch.setattr(exactlinalg, name, refuse(name))
+        q = cylinder_ring._k1_closure(a)
+        assert (q.psi, q.depth) == (None, 0)
+        w = random_matrix(random.Random(7), 6, 6)
+        x = CylinderK1Element(a, w, 0)
+        decision = k1_equal(x, CylinderK1Element(a, w + (a.matrix @ w - w @ a.matrix), 0))
+        assert (decision.verdict, decision.witness_level) == (Verdict.EQUAL, 0)
+        y = CylinderK1Element(a, w + IntMatrix.identity(6), 0)
+        assert k1_equal(x, y).verdict is Verdict.NOT_EQUAL
+        rc = cylinder_ring._ra_closure(a)
+        assert (rc.psi, rc.depth) == (None, 0)
+        assert rc.witness(a.matrix.vec()) == 0
+        assert rc.witness(tuple(int(j == 1) for j in range(36))) is None  # E_01 is no member
+        assert calls == []
+
+
+def _lifted(closure, width):
+    """The Hermite basis of a PreimageClosure's closure in ambient coordinates."""
+    return hermite_row_basis([hermite_combine(closure.basis, c) for c in closure.closure], width)
 
 
 def _k1_quotient_oracle(a):
@@ -495,9 +538,16 @@ class TestClosuresInSaturations:
 
     def _assert_agrees(self, a):
         a = validate(a.matrix.to_rows())  # cold
-        q = cylinder_ring._k1_quotient(a)
-        assert (q.coords, q.relations, q.psi, q.closure, q.depth) == _k1_quotient_oracle(a)
-        assert cylinder_ring._ra_closure(a) == _ra_closure_in_centralizer(a)
+        pres = cylinder_ring._k1_presentation(a)
+        q = cylinder_ring._k1_closure(a)
+        coords, relations, psi, closure, depth = _k1_quotient_oracle(a)
+        assert (pres.coords, pres.relations) == (coords, relations)
+        assert (_lifted(q, len(coords)), q.depth) == (closure, depth)
+        if q.psi is not None:  # the map on the lattice's coordinates is psi there
+            for j, b in enumerate(q.basis):
+                assert hermite_combine(q.basis, q.psi.column(j)) == psi.col_apply(b)
+        rc = cylinder_ring._ra_closure(a)
+        assert (_lifted(rc, a.size ** 2), rc.depth) == _ra_closure_in_centralizer(a)
 
     def test_pool_and_families(self, primitive_pool):
         for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
@@ -509,7 +559,7 @@ class TestClosuresInSaturations:
             for d in (1, 2):
                 self._assert_agrees(_ones_plus_identity(k, c, d))
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(a=_adjacency())
     def test_generated_matrices(self, a):
         self._assert_agrees(a)
@@ -835,7 +885,7 @@ class TestSmallestSpaces:
         assert structure.snf_diagonal == tuple(abs(int(d)) for d in reference)
         assert structure.torsion == tuple(d for d in structure.snf_diagonal if d > 1)
         assert structure.free_rank == cent.rank
-        assert cylinder_ring._ra_closure(a)[1] <= _ra_closure_oracle(a)[1]
+        assert cylinder_ring._ra_closure(a).depth <= _ra_closure_oracle(a)[1]
         payloads = list(cent.basis[:4])
         payloads.append(random_centralizer_element(rng, a, 2))
         coeffs = [rng.randint(-2, 2) for _ in range(k)]
@@ -920,13 +970,13 @@ class TestSmallestSpaces:
 
     def test_ra_closure_runs_in_centralizer_coordinates(self, monkeypatch, primitive_pool):
         dims = []
-        closure = cylinder_ring.lattice_closure_under_preimage
+        closure = exactlinalg.lattice_closure_under_preimage
 
         def record(psi, seed):
             dims.append(psi.rows)
             return closure(psi, seed)
 
-        monkeypatch.setattr(cylinder_ring, "lattice_closure_under_preimage", record)
+        monkeypatch.setattr(exactlinalg, "lattice_closure_under_preimage", record)
         for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
             a = validate(a.matrix.to_rows())  # cold
             mp = exactlinalg.minimal_polynomial(a.matrix)
@@ -934,9 +984,9 @@ class TestSmallestSpaces:
             lattice = center_basis(a) if mp.l == 0 else centralizer_basis(a)
             dim = mp.k if mp.l == 0 else centralizer_basis(a).rank
             dims.clear()
-            basis, depth = cylinder_ring._ra_closure(a)
+            rc = cylinder_ring._ra_closure(a)
             # a seed that spans the lattice needs no closure at all
-            fills = depth == 0 and basis == tuple(b.vec() for b in lattice.basis)
+            fills = rc.depth == 0 and _lifted(rc, a.size ** 2) == tuple(b.vec() for b in lattice.basis)
             assert dims == ([] if fills else [dim])
 
 

@@ -700,6 +700,12 @@ class TestMinimalPolynomial:
 RECORDS = [
     (exactlinalg, "IntMatrix", ("rows", "cols", "entries"), {}),
     (exactlinalg, "RowHermiteForm", ("h", "w", "pivots"), {}),
+    (
+        exactlinalg,
+        "PreimageClosure",
+        ("basis", "pivots", "psi", "generators", "seed", "closure", "depth"),
+        {},
+    ),
     (exactlinalg, "MinPolyData", ("l", "k", "p_coeffs", "m_coeffs"), {}),
     (sft, "AdjacencyMatrix", ("matrix",), {}),
     (sft, "SpectralDecomposition", ("period", "classes", "component", "vertex_order"), {}),
@@ -716,12 +722,6 @@ RECORDS = [
     (cylinder_ring, "CylinderK1Element", ("ambient", "matrix", "level"), {}),
     (cylinder_ring, "K1Decision", ("verdict", "witness_level"), {"witness_level": None}),
     (cylinder_ring, "K1Presentation", ("coords", "unit_rows", "relations"), {}),
-    (
-        cylinder_ring,
-        "K1Quotient",
-        ("coords", "unit_rows", "relations", "matrix", "closure", "depth"),
-        {},
-    ),
     (cylinder_ring, "RAElement", ("ambient", "coeffs", "level"), {}),
     (shift_equivalence, "ShiftEquivalenceWitness", ("r", "s", "k"), {}),
     (shift_equivalence, "EquationCheck", ("name", "ok", "residual"), {"residual": None}),
@@ -802,9 +802,9 @@ def _record_samples():
             cylinder_ring._k1_presentation(fib),
             cylinder_ring._k1_presentation(sing),
         ),
-        "K1Quotient": (
-            cylinder_ring._k1_quotient(fib),
-            cylinder_ring._k1_quotient(sing),
+        "PreimageClosure": (
+            cylinder_ring._k1_closure(sing),
+            cylinder_ring._ra_closure(fib),
         ),
         "RAElement": (cylinder_ring.ra_one(fib), cylinder_ring.ra_generator(sing, 2)),
         "ShiftEquivalenceWitness": (
@@ -905,11 +905,6 @@ class TestFrozenRecords:
         assert pos.searched_to is None
 
     def test_inherited_fields(self):
-        q = cylinder_ring._k1_quotient(sft.validate([[1, 1], [1, 1]]))
-        base = cylinder_ring.K1Presentation(q.coords, q.unit_rows, q.relations)
-        assert base.project((1, 2, 3, 4)) == q.project((1, 2, 3, 4))
-        assert base != q and q != base
-
         @frozen
         class Base:
             a: int
@@ -972,8 +967,8 @@ class TestFrozenRecords:
         p = matrix_power(m, 3)
         assert matrix_power(m, 3) is p
         assert any(k.startswith("_memo_") for k in vars(m))
-        q = cylinder_ring._k1_quotient(a)
-        assert cylinder_ring._k1_quotient(a) is q
-        assert "psi" not in vars(q)
-        psi = q.psi
-        assert vars(q)["psi"] is psi and q.psi is psi
+        cent = cylinder_ring.centralizer_basis(a)
+        assert cylinder_ring.centralizer_basis(a) is cent
+        assert "_pivots" not in vars(cent)
+        pivots = cent._pivots
+        assert vars(cent)["_pivots"] is pivots and cent._pivots is pivots

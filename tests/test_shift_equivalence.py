@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -89,10 +90,19 @@ class TestSearch:
         # lambda is the largest root of chi, so no float note is needed
         assert not any("eigenvalue" in o for o in obs)
 
+    @pytest.mark.parametrize("length", range(5))
+    @pytest.mark.parametrize("bound", range(4))
+    def test_combos_come_by_radius_in_product_order(self, length, bound):
+        # every combo with entries in [-bound, bound] once, by increasing
+        # largest |entry|, in itertools.product order within a radius
+        box = itertools.product(range(-bound, bound + 1), repeat=length)
+        want = sorted(box, key=lambda c: max(map(abs, c), default=0))
+        assert list(shift_equivalence._combos_by_radius(length, bound)) == want
+
     def test_search_space_cap(self):
         big = validate([[1] * 9 for _ in range(9)])
         with pytest.raises(SearchSpaceTooLargeError):
-            search(big, big, dim_cap=64)
+            search(big, big)
 
 
 @st.composite
