@@ -5,10 +5,10 @@ inductive-limit dimension groups with decidable equality, the graded ring on
 the mapping-cylinder K-groups together with its module actions, the trace
 maps coming from the dominant eigen-data, the polynomial subring and the
 stable/unstable duality, and shift-equivalence certificates with the
-isomorphisms they induce.  All group-level arithmetic is exact (unbounded
-integers).  The dominant eigenvalue is located exactly, as a root of the
-characteristic polynomial, and rounded once; floating point is confined to
-that rounding and to the eigenvectors and traces built on it.
+isomorphisms they induce.  All group-level arithmetic and every verdict,
+positivity included, is exact (unbounded integers).  The Perron eigenvalue and
+eigenvectors are computed exactly and rounded once; floating point enters only
+in that final rounding and in the traces built on them.
 """
 
 __version__ = "0.1.0"

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation or usage error (an input too large for
-the float traces included), 3 a result was left undecided, 4 a property
-violation was detected (failing witness equations or numerical self-checks)
-or an iteration cap was hit.  JSON reports are byte-identical across
-identical invocations: bases are emitted in canonical order and floats print
-with round-trip precision.
+the float traces included), 3 ``se-search`` found neither a witness nor an
+obstruction, 4 a property violation was detected (failing witness equations
+or numerical self-checks) or an iteration cap was hit.  JSON reports are
+byte-identical across identical invocations: bases are emitted in canonical
+order and floats print with round-trip precision.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import __version__
-from .exactlinalg import minimal_polynomial
+from .exactlinalg import describe_group, minimal_polynomial
 from .sft import (
     AdjacencyMatrix,
     ReducibleError,
@@ -151,18 +151,10 @@ def cmd_kgroups(args) -> int:
         "unstable": f"Z^{a.size}",
         "homoclinic": f"Z^{a.size * a.size}",
         "cylinder_k0": f"Z^{cent.rank}",
-        "cylinder_k1": _describe_group(k1.free_rank, k1.torsion),
+        "cylinder_k1": describe_group(k1.free_rank, k1.torsion),
     }
     _emit(report, args.format)
     return 0
-
-
-def _describe_group(free_rank: int, torsion: tuple) -> str:
-    parts = []
-    if free_rank:
-        parts.append(f"Z^{free_rank}" if free_rank > 1 else "Z")
-    parts.extend(f"Z/{d}" for d in torsion)
-    return " + ".join(parts) if parts else "0"
 
 
 def cmd_decompose(args) -> int:
@@ -277,13 +269,10 @@ def cmd_positive(args) -> int:
     x = _parse_element(a, args.element)
     if not isinstance(x, dg.StableElement):
         raise ValueError("positivity is decided for stable elements (flavor s)")
-    result = dg.is_positive_s(x, tol=args.tol, j_max=args.jmax)
     report = _base_report("positive", a, label)
-    report["positivity"] = result.kind.value
-    if result.searched_to is not None:
-        report["searched_to"] = result.searched_to
+    report["positivity"] = dg.is_positive_s(x).kind.value
     _emit(report, args.format)
-    return UNDECIDED_EXIT if result.kind is dg.Positivity.UNDECIDED else 0
+    return 0
 
 
 def cmd_ra(args) -> int:
@@ -391,11 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tol", type=_non_negative_float, default=1e-9,
-        help="float tolerance of the positivity boundary (default 1e-9)",
+        help="ignored: positivity is exact (accepted for one release)",
     )
     parser.add_argument(
         "--jmax", type=_non_negative_int, default=64,
-        help="bounded-search depth for positivity (default 64)",
+        help="ignored: positivity is exact (accepted for one release)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

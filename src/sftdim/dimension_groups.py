@@ -25,20 +25,22 @@ dual to the stable one under which the trace maps scale by lambda and
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from .exactlinalg import (
     IntMatrix,
+    adjugate_edges,
+    annihilator,
     frozen,
     hermite_combine,
     identity_rows,
     matrix_power,
     memo,
     minimal_polynomial,
+    perron_root,
+    sign_near,
     solve_integer_linear,
 )
 from .sft import AdjacencyMatrix, NotPrimitiveError, is_primitive
-from . import traces
 
 
 class AmbientMismatchError(ValueError):
@@ -285,48 +287,35 @@ class Positivity(enum.Enum):
     POSITIVE = "positive"
     ZERO = "zero"
     NEGATIVE_OR_MIXED = "negative_or_mixed"
-    UNDECIDED = "undecided"
 
 
 @frozen
 class PositivityResult:
     kind: Positivity
-    searched_to: Optional[int] = None
 
 
-# Cap for the sign iteration when the float pairing is safely off the
-# boundary; termination is then guaranteed mathematically, the cap is
-# purely defensive.
-_POSITIVE_ITER_CAP = 4096
-
-
-def is_positive_s(
-    a: StableElement, tol: float = 1e-9, j_max: int = 64
-) -> PositivityResult:
-    """Decide membership in the positive cone of the stable group.
-
-    The cone consists of classes with an eventually non-negative payload.
-    The float pairing v . right_eigenvector gives the verdict away from the
-    boundary; on the boundary (pairing ~ 0 within ``tol``) only a bounded
-    sign search is attempted and an honest UNDECIDED is returned when it is
-    inconclusive, since resolving it exactly needs algebraic-number
-    arithmetic.
-    """
+def is_positive_s(a: StableElement) -> PositivityResult:
+    """Exact membership in the positive cone: for primitive A, the nonzero
+    classes [v, N] with v . r > 0, r the right Perron vector.  Column 0 of
+    adj(lambda I - A) is a positive multiple of r, so q(t) = v . adj(tI - A) e_0
+    has the sign of v . r at lambda; q(lambda) = 0 exactly when lambda is not a
+    root of v's annihilator p_v under A.  As lambda is located to more bits,
+    one of the two signs becomes certain."""
     if not is_primitive(a.ambient):
         raise NotPrimitiveError("positivity needs a primitive ambient matrix")
     if is_zero_s(a):
         return PositivityResult(Positivity.ZERO)
-    data = traces.perron(a.ambient)
-    pairing = sum(float(x) * r for x, r in zip(a.vector, data.right))
-    near_boundary = abs(pairing) <= tol
-    cap = j_max if near_boundary else max(j_max, _POSITIVE_ITER_CAP)
-    w = a.vector
-    for _ in range(cap + 1):
-        if all(x >= 0 for x in w):
-            return PositivityResult(Positivity.POSITIVE)
-        if all(x <= 0 for x in w):
+    m = a.ambient.matrix
+    q = tuple(sum(x * c for x, c in zip(a.vector, col)) for col in reversed(adjugate_edges(m)[1]))
+    p_v, bits = None, 64
+    while True:
+        r = perron_root(m, bits)[0]
+        sign = sign_near(q, r, bits)
+        if sign:
+            kind = Positivity.POSITIVE if sign > 0 else Positivity.NEGATIVE_OR_MIXED
+            return PositivityResult(kind)
+        if p_v is None:
+            p_v = annihilator(a.vector, m.row_apply, m.rows)
+        if sign_near(p_v, r, bits):  # v . r = 0: the class is on the boundary
             return PositivityResult(Positivity.NEGATIVE_OR_MIXED)
-        w = a.ambient.matrix.row_apply(w)
-    if pairing < -tol:
-        return PositivityResult(Positivity.NEGATIVE_OR_MIXED)
-    return PositivityResult(Positivity.UNDECIDED, searched_to=cap)
+        bits *= 2

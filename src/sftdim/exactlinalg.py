@@ -25,7 +25,8 @@ gathered once for all the rows above it: a commutator system row has at most
 integer solving share one pivot read-off, :func:`hermite_coords`.  The Smith
 invariant factors come from alternating row and column Hermite passes with
 no transforms (:func:`invariant_factors`).  Both preimage closures go through
-:func:`preimage_closure`, in the coordinates of a lattice the map keeps.
+:func:`preimage_closure`, in the coordinates of a lattice the map keeps.  The
+Perron root is bracketed by two dyadics (:func:`perron_root`), not rounded.
 """
 
 from __future__ import annotations
@@ -669,6 +670,13 @@ def invariant_factors(m: IntMatrix) -> tuple:
     return tuple(diag)
 
 
+def describe_group(free_rank: int, factors: Sequence[int]) -> str:
+    """Z^free_rank + Z/d + ... over the non-unit ``factors``, free part first; "0" if empty."""
+    parts = [f"Z^{free_rank}"] if free_rank > 1 else ["Z"] * free_rank
+    parts += [f"Z/{d}" for d in factors if d > 1]
+    return " + ".join(parts) or "0"
+
+
 # ---------------------------------------------------------------------------
 # lattice closure under preimages
 # ---------------------------------------------------------------------------
@@ -737,14 +745,24 @@ class PreimageClosure:
             IntMatrix.from_rows([[g[p] for p in self.pivots] for g in self.generators])
         )
 
+    @functools.cached_property
+    def closure_pivots(self) -> tuple:
+        return hermite_pivots(self.closure)
+
+    @functools.cached_property
+    def seed_pivots(self) -> tuple:
+        return hermite_pivots(self.seed)
+
     def witness(self, v: Sequence[int]) -> Optional[int]:
         """The least m with psi^m v in the seed; None when ``v`` is outside the closure."""
         c = _coordinates(self.basis, self.pivots, v)
         # with no psi the seed fills the lattice and holds every member
-        if c is None or self.psi is not None and not lattice_contains(self.closure, c):
+        if c is None or (
+            self.psi is not None and hermite_coords(self.closure, self.closure_pivots, c) is None
+        ):
             return None
         for m in range(self.depth + 1):
-            if self.psi is None or lattice_contains(self.seed, c):
+            if self.psi is None or hermite_coords(self.seed, self.seed_pivots, c) is not None:
                 return m
             c = self.psi.col_apply(c)
         raise RuntimeError("closure membership without a witness level")
@@ -831,29 +849,85 @@ def poly_eval_matrix(coeffs: Sequence[int], m: IntMatrix) -> IntMatrix:
 
 
 @memo
-def characteristic_polynomial(m: IntMatrix) -> tuple:
-    """Monic characteristic polynomial, low degree first (Faddeev-LeVerrier).
+def _faddeev_leverrier(m: IntMatrix) -> tuple:
+    """(chi, row edge, column edge) of ``m`` by Faddeev-LeVerrier.
 
-    With M_1 = I and M_(k+1) = M M_k + c_(n-k) I, the coefficient c_(n-k) is
-    -tr(M M_k) / k; one product M M_k per step gives both the trace and the
-    next M_(k+1).  The only divisions are by the step index and are exact
-    over the integers.
+    With M_1 = I and M_(k+1) = M M_k + c_(n-k) I, c_(n-k) = -tr(M M_k) / k:
+    one product M M_k per step gives the trace and the next M_(k+1), and the
+    division is exact.  adj(tI - M) = sum M_k t^(n-k); the rows 0 and columns 0
+    of the M_k (the edges) cost O(n) a step.
     """
     if not m.is_square:
         raise DimensionMismatchError("characteristic polynomial needs a square matrix")
     n = m.rows
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    ident = IntMatrix.identity(n)
-    product = m  # M M_1
+    coeffs = [0] * n + [1]
+    ident = mk = IntMatrix.identity(n)
+    product, rows, cols = m, [], []  # M M_1
     for k in range(1, n + 1):
+        rows.append(mk.row(0))
+        cols.append(mk.column(0))
         t = product.trace()
         assert t % k == 0
         c = -(t // k)
         coeffs[n - k] = c
         if k < n:
-            product = m @ (product + ident.scale(c))
-    return tuple(coeffs)
+            mk = product + ident.scale(c)
+            product = m @ mk
+    return tuple(coeffs), tuple(rows), tuple(cols)
+
+
+def characteristic_polynomial(m: IntMatrix) -> tuple:
+    """Monic characteristic polynomial, low degree first."""
+    return _faddeev_leverrier(m)[0]
+
+
+def adjugate_edges(m: IntMatrix) -> tuple:
+    """(rows 0, columns 0) of the coefficients M_1..M_n of adj(tI - M) = sum M_k t^(n-k)."""
+    return _faddeev_leverrier(m)[1:]
+
+
+def _horner(coeffs: Sequence[int], r: int, bits: int) -> tuple:
+    """(2^(bits d) p(x), 2^(bits (d - 1)) p'(x)) at x = r / 2^bits, exactly."""
+    val, der, scale = 0, 0, 1
+    for c in reversed(coeffs):
+        der = der * r + val
+        val = val * r + c * scale
+        scale <<= bits
+    return val, der
+
+
+@memo
+def perron_root(m: IntMatrix, bits: int) -> tuple:
+    """(r, steps) with the Perron root lambda of a primitive M in [(r - 1) / 2^bits, r / 2^bits].
+
+    Every other root has smaller real part, so chi(x + lambda) has non-negative
+    coefficients: chi is convex and increasing right of lambda, and Newton steps
+    from the maximum row sum, rounded down to dyadics r / 2^bits, stay upper
+    bounds.  chi((r - 1) / 2^bits) <= 0 certifies the lower end; should it not
+    hold, the root is located with 64 more bits and rounded up.
+    """
+    chi = characteristic_polynomial(m)
+    r, steps = max(map(sum, m.to_rows())) << bits, 0
+    val, der = _horner(chi, r, bits)
+    while val >= der:  # the step val // der is not zero
+        r -= val // der
+        steps += 1
+        val, der = _horner(chi, r, bits)
+    if _horner(chi, r - 1, bits)[0] > 0:
+        finer, more = perron_root(m, bits + 64)
+        return -(-finer >> 64), steps + more
+    return r, steps
+
+
+def sign_near(p: Sequence[int], r: int, bits: int) -> int:
+    """The sign of the integer polynomial ``p`` on [(r - 1) / 2^bits, r / 2^bits], or 0.
+
+    0 (not certain) when |p(r / 2^bits)| is at most 2^-bits sum i |p_i|
+    (r / 2^bits)^(i - 1), which bounds |p'| there for r >= 1.
+    """
+    val = _horner(p, r, bits)[0]
+    bound = _horner([abs(c) for c in p], r, bits)[1]
+    return (val > 0) - (val < 0) if abs(val) > bound else 0
 
 
 @frozen
@@ -928,24 +1002,27 @@ def minimal_polynomial(m: IntMatrix) -> MinPolyData:
 
 
 def _minimal_polynomial_from_powers(m: IntMatrix) -> MinPolyData:
-    """Minimal polynomial via the first linear dependency among powers of M.
-
-    The rows vec(M^d) | e_d go one at a time into a single Hermite builder.
-    Its rows with pivots right of the matrix part are a basis of the
-    relations sum c_d vec(M^d) = 0 found so far, so the first such row holds
-    the minimal polynomial's primitive coefficient vector (monic up to sign,
-    because the minimal polynomial is a monic integer divisor of the
-    characteristic polynomial).
-    """
+    """Minimal polynomial: the annihilator of I under X -> X M."""
     n = m.rows
-    width = n * n
+    return _min_poly_data(
+        annihilator(IntMatrix.identity(n).entries, lambda x: (IntMatrix(n, n, x) @ m).entries, n)
+    )
+
+
+def annihilator(x: Sequence[int], step, n: int) -> tuple:
+    """The least-degree relation sum c_d x_d = 0 among x_0 = x, x_(d+1) = step(x_d), d <= n.
+
+    The rows x_d | e_d go one at a time into one Hermite builder; its first row
+    with a pivot right of the vector part holds the primitive coefficients, low
+    degree first: for a linear integer ``step``, x's monic annihilating polynomial.
+    """
+    width = len(x)
     builder = _HnfBuilder(width + n + 1)
-    power = IntMatrix.identity(n)
     for deg in range(n + 1):
-        builder.insert(power.vec() + tuple(1 if t == deg else 0 for t in range(n + 1)))
+        builder.insert(tuple(x) + tuple(1 if t == deg else 0 for t in range(n + 1)))
         last = builder.rows[-1]
         if builder.pivots[-1] >= width:
             sign = 1 if last[width + deg] > 0 else -1
-            return _min_poly_data(tuple(sign * x for x in last[width : width + deg + 1]))
-        power = power @ m
+            return tuple(sign * c for c in last[width : width + deg + 1])
+        x = step(x)
     raise RuntimeError("no annihilating polynomial up to the matrix size")

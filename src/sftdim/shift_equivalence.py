@@ -36,6 +36,7 @@ from typing import Optional
 from .exactlinalg import (
     IntMatrix,
     characteristic_polynomial,
+    describe_group,
     frozen,
     hermite_combine,
     integer_kernel,
@@ -145,9 +146,7 @@ def _bowen_franks(a: AdjacencyMatrix) -> str:
     shift equivalent, and their I - A then differ in the number of 1s.
     """
     factors = invariant_factors(IntMatrix.identity(a.size) - a.matrix)
-    free = a.size - len(factors)
-    parts = ([f"Z^{free}"] if free > 1 else ["Z"] * free) + [f"Z/{d}" for d in factors if d > 1]
-    return " + ".join(parts) or "0"
+    return describe_group(a.size - len(factors), factors)
 
 
 @frozen

@@ -5,8 +5,9 @@ from typing import Sequence
 import pytest
 from hypothesis import settings
 
-from sftdim import IntMatrix, is_primitive, validate
+from sftdim import IntMatrix, is_primitive, perron, validate
 from sftdim.cylinder_ring import centralizer_basis
+from sftdim.dimension_groups import is_zero_s
 from sftdim.exactlinalg import DimensionMismatchError, RowHermiteForm, kron, xgcd
 
 # `pytest --hypothesis-profile=thorough` runs the property tests that take
@@ -244,3 +245,41 @@ def reference_left_solve(form, b):
             for t, x in enumerate(wrow):
                 y[t] += q * x
     return tuple(y)
+
+
+# The float positivity test that dimension_groups.is_positive_s replaced,
+# kept as a reference: the pairing with the float right Perron vector and a
+# sign search, capped at j_max steps near the boundary and at 4096 elsewhere.
+# None stands for the "undecided" verdict it gave on the boundary.
+def reference_float_positivity(x, tol=1e-9, j_max=64):
+    if is_zero_s(x):
+        return "zero"
+    pairing = sum(float(v) * r for v, r in zip(x.vector, perron(x.ambient).right))
+    near_boundary = abs(pairing) <= tol
+    w = x.vector
+    for _ in range((j_max if near_boundary else max(j_max, 4096)) + 1):
+        if all(v >= 0 for v in w):
+            return "positive"
+        if all(v <= 0 for v in w):
+            return "negative_or_mixed"
+        w = x.ambient.matrix.row_apply(w)
+    return "negative_or_mixed" if pairing < -tol else None
+
+
+# The Newton iteration that exactlinalg.perron_root replaced, kept verbatim
+# as the reference for the bits = 64 root that traces.perron rounds.
+def reference_newton_root(coeffs: tuple, start: int) -> tuple:
+    """(m, steps) with m / 2^64 the largest real root of p, from above."""
+    m = start << 64
+    steps = 0
+    while True:
+        val, der, scale = coeffs[-1], 0, 1
+        for c in reversed(coeffs[:-1]):
+            scale <<= 64
+            der = der * m + val
+            val = val * m + c * scale
+        step = val // der
+        if step == 0:
+            return m, steps
+        m -= step
+        steps += 1

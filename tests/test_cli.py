@@ -194,12 +194,23 @@ class TestElementCommands:
         assert code == 0
         assert json.loads(out)["equal"] is True
 
-    def test_positive_undecided_exit_code(self, capsys, matrix_file):
+    def test_positive_boundary_is_exact(self, capsys, matrix_file):
+        # (1, -1, 0) pairs to zero against the right eigenvector (1, 1, 1)
         path = matrix_file([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
         v = json.dumps({"payload": [1, -1, 0], "level": 0, "flavor": "s"})
         code, out, _ = run_cli(capsys, "--format", "json", "positive", path, v)
-        assert code == 3
-        assert json.loads(out)["positivity"] == "undecided"
+        assert code == 0
+        report = json.loads(out)
+        assert report["positivity"] == "negative_or_mixed"
+        assert "searched_to" not in report
+
+    def test_positive_takes_payloads_beyond_float_range(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        for payload, want in (([10**400, -1], "positive"), ([-(10**400), 1], "negative_or_mixed")):
+            v = json.dumps({"payload": payload, "level": 3, "flavor": "s"})
+            code, out, _ = run_cli(capsys, "--format", "json", "positive", path, v)
+            assert code == 0
+            assert json.loads(out)["positivity"] == want
 
     def test_ra_reduce_and_member(self, capsys, matrix_file):
         path = matrix_file([[1, 1], [1, 0]])

@@ -394,6 +394,39 @@ class TestK1CokernelCoordinates:
             for v in members:
                 assert q.witness(pres.project(v)) is not None
 
+    def test_witness_reads_the_pivots_once(self, primitive_pool, monkeypatch):
+        # the closure's and the seed's pivots are kept on the record, and the
+        # levels still match the membership tests through lattice_contains
+        rng = random.Random(139)
+        calls = []
+        real = exactlinalg.hermite_pivots
+
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
+
+        checked = 0
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
+            for q in (cylinder_ring._k1_closure(a), cylinder_ring._ra_closure(a)):
+                if q.psi is None:
+                    continue
+                coords = [
+                    hermite_combine(q.closure, [rng.randint(-3, 3) for _ in q.closure])
+                    for _ in range(20)
+                ]
+                monkeypatch.setattr(exactlinalg, "hermite_pivots", counting)
+                del calls[:]
+                levels = [q.witness(hermite_combine(q.basis, c)) for c in coords]
+                assert len(calls) <= 2
+                monkeypatch.setattr(exactlinalg, "hermite_pivots", real)
+                for c, level in zip(coords, levels):
+                    for _ in range(level):
+                        assert not lattice_contains(q.seed, c)
+                        c = q.psi.col_apply(c)
+                    assert lattice_contains(q.seed, c)
+                    checked += 1
+        assert checked >= 100
+
     def test_relations_are_the_commutators_inside_the_coordinates(self, primitive_pool):
         for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
             q = cylinder_ring._k1_presentation(a)

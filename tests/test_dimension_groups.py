@@ -1,11 +1,15 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from sftdim import (
     HomoclinicElement,
     IntMatrix,
     Positivity,
+    PositivityResult,
     StableElement,
     UnstableElement,
     add_s,
@@ -19,14 +23,23 @@ from sftdim import (
     equal_s,
     equal_u,
     is_positive_s,
+    is_primitive,
     matrix_power,
     normalize_h,
     normalize_s,
     normalize_u,
+    validate,
 )
+from sftdim import dimension_groups, exactlinalg, traces
 from sftdim.dimension_groups import AmbientMismatchError, is_zero_s
 
-from conftest import random_matrix, random_valid_adjacency
+from conftest import (
+    chord_cycle,
+    random_matrix,
+    random_primitive_adjacency,
+    random_valid_adjacency,
+    reference_float_positivity,
+)
 
 
 def equal_s_oracle(a, b, k_max=20):
@@ -214,12 +227,14 @@ class TestPositivity:
         res = is_positive_s(StableElement(fib, (-1, -1), 0))
         assert res.kind is Positivity.NEGATIVE_OR_MIXED
 
-    def test_boundary_is_undecided(self, sym3):
+    def test_boundary_is_negative_or_mixed(self, sym3):
         # (1, -1, 0) pairs to zero against the right eigenvector and is fixed
-        # by the matrix, so no sign resolution is possible
+        # by the matrix, so no power of A makes it non-negative
         res = is_positive_s(StableElement(sym3, (1, -1, 0), 0))
-        assert res.kind is Positivity.UNDECIDED
-        assert res.searched_to is not None
+        assert res == PositivityResult(Positivity.NEGATIVE_OR_MIXED)
+        assert list(Positivity) == [
+            Positivity.POSITIVE, Positivity.ZERO, Positivity.NEGATIVE_OR_MIXED
+        ]
 
     def test_preserved_by_addition_and_alpha(self, primitive_pool):
         rng = random.Random(47)
@@ -233,3 +248,138 @@ class TestPositivity:
             assert is_positive_s(alpha_s(s1)).kind is Positivity.POSITIVE
             if is_positive_s(s2).kind is Positivity.POSITIVE:
                 assert is_positive_s(add_s(s1, s2)).kind is Positivity.POSITIVE
+
+
+def _perron_factor_matrix(a) -> sympy.Matrix:
+    """f(A) for the irreducible factor f of chi_A that has the Perron root.
+
+    Its row space is the sum of the generalised left eigenspaces of the
+    other roots, so a row vector v has v . r = 0 exactly when it lies there.
+    """
+    mat = sympy.Matrix(a.matrix.to_rows())
+    chi = mat.charpoly(sympy.symbols("x"))
+    factors = [f for f, _ in sympy.factor_list(chi)[1] if f.degree() > 0]
+    lam = max(max(f.real_roots()) for f in factors if f.real_roots())
+    (f,) = [f for f in factors if f.real_roots() and max(f.real_roots()) == lam]
+    out = sympy.zeros(a.size, a.size)
+    for c in f.all_coeffs():  # Horner, highest degree first
+        out = out * mat + c * sympy.eye(a.size)
+    return out
+
+
+def _sympy_positivity(a, v, f_of_a, cap=100_000):
+    """The verdict from its definition: zero if v A^K = 0; on the boundary when v
+    lies in the row space of f(A); else the sign of the first one-signed v A^j."""
+    mat = sympy.Matrix(a.matrix.to_rows())
+    row = sympy.Matrix([list(v)])
+    if (row * mat ** a.size).is_zero_matrix:
+        return Positivity.ZERO
+    if sympy.Matrix.vstack(f_of_a, row).rank() == f_of_a.rank():
+        return Positivity.NEGATIVE_OR_MIXED
+    w = list(v)
+    for _ in range(cap):
+        if all(t >= 0 for t in w):
+            return Positivity.POSITIVE
+        if all(t <= 0 for t in w):
+            return Positivity.NEGATIVE_OR_MIXED
+        w = list(a.matrix.row_apply(w))
+    raise AssertionError("sign search did not end off the boundary")
+
+
+@st.composite
+def _positivity_case(draw):
+    """A primitive matrix (random, cJ + dI, or with a repeated row), a level,
+    and a stable payload: random, or u f(A) on the boundary of the cone."""
+    family = draw(st.sampled_from(("random", "cJ+dI", "repeated row")))
+    k = draw(st.integers(1, 5))
+    entry = st.sampled_from((0, 0, 1, 1, 2, 3))
+    if family == "cJ+dI":
+        c, d = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+        rows = [[c + d * (i == j) for j in range(k)] for i in range(k)]
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+        if family == "repeated row":
+            rows[-1] = list(rows[0])
+    try:
+        a = validate(rows)
+    except ValueError:
+        assume(False)
+    assume(is_primitive(a))
+    u = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    return a, u, draw(st.booleans()), draw(st.integers(0, 2))
+
+
+class TestExactPositivity:
+    """is_positive_s against the sympy oracle above, the float verdict it
+    replaced (where that was not undecided), and the CLI's old failure modes."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(case=_positivity_case())
+    def test_matches_sympy_oracle(self, case):
+        a, u, on_boundary, level = case
+        f_of_a = _perron_factor_matrix(a)
+        v = tuple(sympy.Matrix([u]) * f_of_a) if on_boundary else tuple(u)
+        x = StableElement(a, tuple(int(t) for t in v), level)
+        assert is_positive_s(x).kind is _sympy_positivity(a, x.vector, f_of_a)
+
+    def test_boundary_classes_of_derogatory_matrices(self):
+        # cJ + dI has chi = (x - (cK + d)) (x - d)^(K - 1): every u (A - lambda I)
+        # lies on the boundary, and is nonzero unless u is a multiple of (1, ..., 1)
+        rng = random.Random(61)
+        seen = 0
+        for k in (2, 3, 4, 5):
+            a = validate([[2 + (i == j) for j in range(k)] for i in range(k)])
+            f_of_a = _perron_factor_matrix(a)
+            for _ in range(20):
+                u = sympy.Matrix([[rng.randint(-5, 5) for _ in range(k)]])
+                v = tuple(int(t) for t in u * f_of_a)
+                want = _sympy_positivity(a, v, f_of_a)
+                seen += want is Positivity.NEGATIVE_OR_MIXED and any(v)
+                assert is_positive_s(StableElement(a, v, rng.randint(0, 3))).kind is want
+        assert seen >= 60
+
+    def test_matches_float_verdict_where_it_decided(self, primitive_pool):
+        rng = random.Random(4711)
+        decided = 0
+        for _ in range(600):
+            a = rng.choice(primitive_pool)
+            v = tuple(rng.randint(-6, 6) for _ in range(a.size))
+            x = StableElement(a, v, rng.randint(0, 3))
+            want = reference_float_positivity(x)
+            if want is not None:
+                decided += 1
+                assert is_positive_s(x).kind.value == want
+        assert decided >= 500
+
+    def test_payloads_beyond_float_range(self, fib):
+        big = 10**400
+        assert is_positive_s(StableElement(fib, (big, -1), 0)).kind is Positivity.POSITIVE
+        assert is_positive_s(StableElement(fib, (-big, 1), 5)).kind is Positivity.NEGATIVE_OR_MIXED
+        # v = (F_n, -F_(n+1)) pairs with r = (lambda, 1) to -(-1/lambda)^n: the
+        # sign alternates and the class nears the boundary far below 2^-64
+        f = [0, 1]
+        while len(f) < 400:
+            f.append(f[-1] + f[-2])
+        for n in range(1, 399, 37):
+            want = Positivity.POSITIVE if n % 2 else Positivity.NEGATIVE_OR_MIXED
+            assert is_positive_s(StableElement(fib, (f[n], -f[n + 1]), 0)).kind is want
+
+    def test_never_reads_float_perron_data(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("is_positive_s read traces.perron")
+
+        monkeypatch.setattr(traces, "perron", refuse)
+        rng = random.Random(7)
+        for k in (1, 2, 3, 4, 6):
+            a = random_primitive_adjacency(rng, k)
+            for _ in range(10):
+                v = tuple(rng.randint(-3, 3) for _ in range(k))
+                is_positive_s(StableElement(a, v, rng.randint(0, 2)))
+        is_positive_s(StableElement(chord_cycle(20), (1,) + (-1,) * 19, 0))
+        assert not hasattr(dimension_groups, "traces")
+        assert not hasattr(dimension_groups, "_POSITIVE_ITER_CAP")
+        assert not hasattr(traces, "_null_vector")
+
+    def test_takes_only_the_element(self, fib):
+        with pytest.raises(TypeError):
+            is_positive_s(StableElement(fib, (1, 0), 0), 1e-9)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -19,7 +20,10 @@ from sftdim import (
 from sftdim.exactlinalg import (
     DimensionMismatchError,
     IntMatrix,
+    adjugate_edges,
+    annihilator,
     characteristic_polynomial,
+    describe_group,
     determinant,
     frozen,
     hermite_combine,
@@ -31,10 +35,12 @@ from sftdim.exactlinalg import (
     lattice_contains,
     matrix_power,
     minimal_polynomial,
+    perron_root,
     poly_eval_matrix,
     poly_mod,
     poly_mul,
     row_hermite_with_transform,
+    sign_near,
     solve_integer_linear,
     xgcd,
 )
@@ -42,6 +48,8 @@ from sftdim.exactlinalg import (
 from conftest import (
     chord_cycle,
     random_matrix,
+    random_primitive_adjacency,
+    reference_newton_root,
     reference_hermite_row_basis,
     reference_lattice_contains,
     reference_left_solve,
@@ -438,6 +446,19 @@ class TestInvariantFactors:
         with pytest.raises(RuntimeError):
             invariant_factors(IntMatrix.identity(2))
 
+    def test_describe_group(self):
+        # the string that kgroups' cylinder_k1 and the Bowen-Franks note share
+        cases = [
+            ((0, ()), "0"),
+            ((1, ()), "Z"),
+            ((3, ()), "Z^3"),
+            ((0, (1, 1, 2)), "Z/2"),
+            ((1, (4,)), "Z + Z/4"),
+            ((2, (1, 2, 6)), "Z^2 + Z/2 + Z/6"),
+        ]
+        for (free, factors), want in cases:
+            assert describe_group(free, factors) == want
+
 
 class TestEntryAccess:
     """transpose, kron, submatrix and trace read ``entries`` by slice or
@@ -692,6 +713,119 @@ class TestMinimalPolynomial:
                 assert not value.is_zero, "a smaller divisor annihilates the matrix"
 
 
+@functools.lru_cache(maxsize=None)
+def _perron_matrices() -> tuple:
+    rng = random.Random(2718)
+    pool = [random_primitive_adjacency(rng, k) for k in (1, 2, 3, 4, 5, 6) for _ in range(3)]
+    return tuple(pool + [chord_cycle(k) for k in (12, 20, 40)])
+
+
+class TestAdjugateAndPerronRoot:
+    """The adjugate edges against sympy's adjugate, the located root against
+    sympy's real roots and the Newton iteration it replaced, and the sign test
+    against polynomials whose value at the root is known exactly."""
+
+    def test_edges_against_sympy_adjugate(self):
+        rng = random.Random(909)
+        t = sympy.symbols("t")
+        for _ in range(15):
+            n = rng.randint(1, 5)
+            m = random_matrix(rng, n, n, lo=-3, hi=3)
+            adj = (t * sympy.eye(n) - sympy_matrix(m)).adjugate()
+            rows, cols = adjugate_edges(m)
+            assert len(rows) == len(cols) == n
+            for j in range(n):  # entry j of row 0 and of column 0, as polynomials in t
+                for entry, edge in ((adj[0, j], rows), (adj[j, 0], cols)):
+                    want = sympy.Poly(entry, t).all_coeffs()
+                    got = [e[j] for e in edge]  # M_1 (t^(n-1)) first
+                    assert [int(c) for c in want] == got[len(got) - len(want):]
+                    assert not any(got[: len(got) - len(want)])
+            assert characteristic_polynomial(m) == tuple(
+                int(c) for c in reversed(sympy_matrix(m).charpoly(t).all_coeffs())
+            )
+
+    def test_root_is_enclosed(self):
+        x = sympy.symbols("x")
+        for a in _perron_matrices():
+            chi = sympy.Poly(list(reversed(characteristic_polynomial(a.matrix))), x)
+            lam = max(chi.real_roots())
+            for bits in (64, 128, 256):
+                r, steps = perron_root(a.matrix, bits)
+                assert sympy.Rational(r - 1, 2**bits) <= lam <= sympy.Rational(r, 2**bits)
+                assert steps >= 0
+
+    def test_bits_64_matches_the_replaced_newton(self, primitive_pool):
+        for a in [*primitive_pool, *(chord_cycle(k) for k in (12, 20, 40, 60, 100))]:
+            rows = a.matrix.to_rows()
+            want = reference_newton_root(characteristic_polynomial(a.matrix), max(map(sum, rows)))
+            assert perron_root(a.matrix, 64) == want
+
+    def test_uncertified_root_is_refined_and_rounded_up(self, monkeypatch):
+        want = perron_root(chord_cycle(7).matrix, 64)[0]
+        a = chord_cycle(7)  # a fresh matrix: nothing memoised
+        real = exactlinalg._horner
+        refused = []
+
+        def horner(coeffs, r, bits):
+            # report chi > 0 at the first lower end asked for at 64 bits
+            val, der = real(coeffs, r, bits)
+            if bits == 64 and r == want - 1 and not refused:
+                refused.append(r)
+                return abs(val) + 1, der
+            return val, der
+
+        monkeypatch.setattr(exactlinalg, "_horner", horner)
+        r, _ = perron_root(a.matrix, 64)
+        assert refused == [want - 1]
+        finer = perron_root(a.matrix, 128)[0]
+        assert r == -(-finer >> 64)
+        x = sympy.symbols("x")
+        lam = max(sympy.Poly(x**7 - x - 1, x).real_roots())
+        assert sympy.Rational(r - 1, 2**64) <= lam <= sympy.Rational(r, 2**64)
+
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        h=st.lists(st.integers(-9, 9), max_size=4),
+        c=st.integers(-3, 3),
+    )
+    def test_sign_is_never_wrong(self, data, h, c):
+        # p = chi h + c takes the value c at the Perron root, exactly
+        a = data.draw(st.sampled_from(_perron_matrices()))
+        chi = characteristic_polynomial(a.matrix)
+        p = list(poly_mul(chi, h)) or [0]
+        p[0] += c
+        want = (c > 0) - (c < 0)
+        bits = 64
+        while bits <= 4096:
+            got = sign_near(p, perron_root(a.matrix, bits)[0], bits)
+            assert got in (0, want)
+            if got:
+                break
+            bits *= 2
+        assert got == want
+
+    def test_constant_and_zero_polynomials(self):
+        assert sign_near((), 1 << 64, 64) == 0
+        assert sign_near((0, 0), 1 << 64, 64) == 0
+        assert sign_near((-5,), 3 << 64, 64) == -1
+        # x - 2 on [2 - 2^-64, 2]: zero at the right end, so never certain
+        assert sign_near((-2, 1), 2 << 64, 64) == 0
+
+    @settings(deadline=None)
+    @given(m=_square(), data=st.data())
+    def test_annihilator_is_the_least_relation(self, m, data):
+        v = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=m.rows, max_size=m.rows)))
+        p = annihilator(v, m.row_apply, m.rows)
+        assert p[-1] == 1
+        assert (IntMatrix.row_vector(v) @ poly_eval_matrix(p, m)).is_zero
+        krylov = [v]
+        for _ in range(m.rows):
+            krylov.append(m.row_apply(krylov[-1]))
+        assert sympy.Matrix(krylov).rank() == len(p) - 1
+        assert poly_mod(minimal_polynomial(m).m_coeffs, p) == ()
+
+
 # ---------------------------------------------------------------------------
 # frozen records, against dataclass(frozen=True) twins
 # ---------------------------------------------------------------------------
@@ -713,7 +847,7 @@ RECORDS = [
     (dimension_groups, "StableElement", ("ambient", "vector", "level"), {}),
     (dimension_groups, "UnstableElement", ("ambient", "vector", "level"), {}),
     (dimension_groups, "HomoclinicElement", ("ambient", "matrix", "level"), {}),
-    (dimension_groups, "PositivityResult", ("kind", "searched_to"), {"searched_to": None}),
+    (dimension_groups, "PositivityResult", ("kind",), {}),
     (duality, "StableHom", ("ambient", "z", "level"), {}),
     (cylinder_ring, "CentralizerLattice", ("basis", "rank"), {}),
     (cylinder_ring, "CommutatorLattice", ("basis", "witnesses", "rank"), {}),
@@ -901,8 +1035,6 @@ class TestFrozenRecords:
         check = shift_equivalence.EquationCheck("lag", True)
         assert check.residual is None
         assert repr(check) == "EquationCheck(name='lag', ok=True, residual=None)"
-        pos = dimension_groups.PositivityResult(dimension_groups.Positivity.ZERO)
-        assert pos.searched_to is None
 
     def test_inherited_fields(self):
         @frozen

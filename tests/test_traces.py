@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -123,6 +124,56 @@ class TestPerronOracles:
         assert data.residual < 1e-12
         assert all(v > 0 for v in data.left + data.right)
         assert data.iterations < 100
+
+
+def _perron_vectors_50_digits(a):
+    """The Perron vectors from the 50-digit Perron root, normalised as perron's.
+
+    sympy's real root is evaluated to 50 digits; each vector is then the
+    null vector of A - lambda I (or its transpose) with its last entry fixed
+    at 1, solved by mpmath at 50 digits.
+    """
+    x = sympy.symbols("x")
+    chi = sympy.Matrix(a.matrix.to_rows()).charpoly(x)
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(str(max(chi.real_roots()).evalf(50)))
+        vectors = []
+        for rows in (a.matrix.transpose().to_rows(), a.matrix.to_rows()):
+            k = len(rows)
+            shifted = mpmath.matrix(rows) - lam * mpmath.eye(k)
+            if k == 1:
+                vectors.append([mpmath.mpf(1)])
+                continue
+            head = mpmath.lu_solve(shifted[: k - 1, : k - 1], -shifted[: k - 1, k - 1])
+            vectors.append([head[i] for i in range(k - 1)] + [mpmath.mpf(1)])
+        left, right = vectors
+        left = [v / sum(left) for v in left]
+        dot = sum(u * v for u, v in zip(left, right))
+        return [float(v) for v in left], [float(v / dot) for v in right]
+
+
+class TestPerronVectorsExactly:
+    """Each entry is the adjugate edge at the located root, rounded once, then
+    normalised: within a few ulps of the 50-digit vectors."""
+
+    def _assert_close(self, a, rel=1e-14):
+        data = perron(a)
+        left, right = _perron_vectors_50_digits(a)
+        for mine, ref in ((data.left, left), (data.right, right)):
+            assert all(abs(p - q) <= rel * abs(q) for p, q in zip(mine, ref))
+
+    def test_pool(self, primitive_pool):
+        for a in primitive_pool:
+            self._assert_close(a)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_primitive())
+    def test_generated_primitive_matrices(self, a):
+        self._assert_close(a)
+
+    @pytest.mark.parametrize("k", [12, 30, 45])
+    def test_chord_cycles(self, k):
+        self._assert_close(chord_cycle(k))
 
 
 class TestTraceFormulas:
