@@ -526,19 +526,19 @@ def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
     of payloads solvable for some m is the stabilised division closure of the
     span of {A^(2l + i)}, so membership is one lattice test and the witness
     level is the closure's walk.  The powers are independent (k = deg p), so
-    the coefficients of A^(2m) A^l X A^l in them are unique.
+    the coefficients of A^(2m) A^l X A^l in them are unique.  A^l X A^l is
+    the element's push by l, which is X itself when l = 0.
     """
     amb = x.ambient
     mp = minimal_polynomial(amb.matrix)
-    p_l = matrix_power(amb.matrix, mp.l)
-    y = p_l @ x.matrix @ p_l
+    y = x._push(mp.l)
     closure = _ra_closure(amb)
-    m = closure.witness(y.vec())
+    m = closure.witness(y)
     if m is None:
         return None
     if m:
-        y = matrix_power(amb.matrix, 2 * m) @ y
-    coeffs = closure.seed_form.left_solve([y.entries[p] for p in closure.pivots])
+        y = (matrix_power(amb.matrix, 2 * m) @ IntMatrix.from_vec(y, amb.size, amb.size)).vec()
+    coeffs = closure.seed_form.left_solve([y[p] for p in closure.pivots])
     return RAElement(amb, coeffs, x.level + m)
 
 

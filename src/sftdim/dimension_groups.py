@@ -8,6 +8,8 @@ equal when they merge somewhere down the tower.  The cylinder K-groups and
 the stable homomorphisms are towers of the same kind, so one base class,
 :class:`TowerElement`, carries the group law, equality and normalisation of
 all of them; each element class gives only its payload and its push map.
+A zero-step push is the payload itself: on a nonsingular ambient (l = 0),
+equality at equal levels multiplies nothing.
 
 Equality is decidable in one shot: with l the multiplicity of 0 as a root of
 the minimal polynomial, the kernels of multiplication by A^j stabilise at
@@ -69,10 +71,10 @@ class TowerElement:
     """A class [payload, level] of an inductive limit along one push map.
 
     Subclasses are :func:`~sftdim.exactlinalg.frozen` records with the fields
-    ``ambient``, a payload and ``level``.  Each supplies ``_push(j)``, its
-    payload j levels further up as a flat tuple (matrices row-major); the two
-    payload bases below supply the shape check and the way back from a flat
-    tuple.  The group law, equality and normalisation are shared by every
+    ``ambient``, a payload and ``level``.  Each supplies ``_lift(j)``, its
+    payload j >= 1 levels further up as a flat tuple (matrices row-major); the
+    two payload bases below supply the shape check and the way back from a
+    flat tuple.  The group law, equality and normalisation are shared by every
     tower.
     """
 
@@ -87,9 +89,13 @@ class TowerElement:
         return cls._make(a, (0,) * cls._width(a.size), 0)
 
     @classmethod
-    def _lattice(cls, a: AdjacencyMatrix) -> tuple:
-        """Flat basis of the admissible payloads: all of them unless overridden."""
-        return identity_rows(cls._width(a.size))
+    def _lattice(cls, a: AdjacencyMatrix):
+        """Flat basis of the admissible payloads, or None for all of Z^width."""
+        return None
+
+    def _push(self, j: int) -> tuple:
+        """The flat payload j levels up; zero levels up it is the payload."""
+        return self._lift(j) if j else tuple(self._flat)
 
     def __add__(self, other):
         return add(self, other)
@@ -141,7 +147,7 @@ class MatrixPayload(TowerElement):
     def _make(cls, a: AdjacencyMatrix, flat, level: int):
         return cls(a, IntMatrix(a.size, a.size, tuple(flat)), level)
 
-    def _push(self, j: int) -> tuple:
+    def _lift(self, j: int) -> tuple:
         """X -> A^j X A^j, the push of every matrix tower."""
         p = _apow(self.ambient, j)
         return (p @ self.matrix @ p).entries
@@ -155,7 +161,7 @@ class StableElement(VectorPayload):
     vector: tuple
     level: int
 
-    def _push(self, j: int) -> tuple:
+    def _lift(self, j: int) -> tuple:
         return _apow(self.ambient, j).row_apply(self.vector)
 
 
@@ -167,7 +173,7 @@ class UnstableElement(VectorPayload):
     vector: tuple
     level: int
 
-    def _push(self, j: int) -> tuple:
+    def _lift(self, j: int) -> tuple:
         return _apow(self.ambient, j).col_apply(self.vector)
 
 
@@ -211,11 +217,13 @@ def neg(x: TowerElement) -> TowerElement:
 
 @memo
 def _preimage_system(a: AdjacencyMatrix, cls: type) -> tuple:
-    """The lattice basis of ``cls`` payloads and the matrix of its (l+1)-step push on them."""
+    """The basis of ``cls`` payloads (None: all) and its (l+1)-step push on them."""
     basis = cls._lattice(a)
     l = _zero_index(a)
-    cols = [cls._make(a, b, 0)._push(l + 1) for b in basis]
-    return basis, IntMatrix.from_columns(cols, cls._width(a.size))
+    width = cls._width(a.size)
+    rows = identity_rows(width) if basis is None else basis
+    cols = [cls._make(a, b, 0)._push(l + 1) for b in rows]
+    return basis, IntMatrix.from_columns(cols, width)
 
 
 def normalize(x: TowerElement) -> TowerElement:
@@ -234,7 +242,7 @@ def normalize(x: TowerElement) -> TowerElement:
         sol = solve_integer_linear(system, cur._push(l))
         if sol is None:
             break
-        cur = x._make(a, hermite_combine(basis, sol), cur.level - 1)
+        cur = x._make(a, sol if basis is None else hermite_combine(basis, sol), cur.level - 1)
     return cur
 
 

@@ -46,7 +46,7 @@ class StableHom(VectorPayload):
     z: tuple
     level: int
 
-    def _push(self, j: int) -> tuple:
+    def _lift(self, j: int) -> tuple:
         return matrix_power(self.ambient.matrix, 2 * j).col_apply(self.z)
 
 
@@ -74,9 +74,9 @@ def hom_eval(phi: StableHom, a: StableElement) -> RAElement:
     amb = phi.ambient
     mp = minimal_polynomial(amb.matrix)
     m0 = (mp.l + 1) // 2
-    z = matrix_power(amb.matrix, 2 * m0).col_apply(phi.z)
+    z = phi._push(m0)
     hom_level = phi.level + m0
-    w = matrix_power(amb.matrix, a.level).row_apply(a.vector)
+    w = a._push(a.level)
     coeffs = [0] * mp.k
     for j, tail in enumerate(_horner_tail_matrices(amb)):
         tz = tail.col_apply(z)

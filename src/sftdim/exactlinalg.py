@@ -10,6 +10,10 @@ itself by :func:`memo` and freed with it.  Records are made immutable by
 class, because every CLI call is a fresh process that pays for each import and
 each generated method at start-up.
 
+A product skips the zeros of both operands (``X @ A`` costs nnz(A) K
+multiplications, not K^3), ``row_apply`` skips the vector's zeros, and
+``col_apply`` is one C-level dot product per row in index order.
+
 The workhorse is a Hermite row reduction that keeps the basis fully reduced
 after every insertion; naive two-sided elimination doubles digit counts per
 pivot and dies well below the sizes this package targets.  Kernels and linear
@@ -34,6 +38,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -272,16 +277,16 @@ class IntMatrix:
             )
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
-        out = [0] * (n * m)
+        # the nonzero (column, value) pairs of each row of the right operand
+        nonzero = [[(j, y) for j, y in enumerate(b[s * m : (s + 1) * m]) if y] for s in range(k)]
+        out = []
         for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            base = i * m
-            for s in range(k):
-                x = arow[s]
+            acc = [0] * m
+            for x, row in zip(a[i * k : (i + 1) * k], nonzero):
                 if x:
-                    brow = b[s * m : (s + 1) * m]
-                    for j in range(m):
-                        out[base + j] += x * brow[j]
+                    for j, y in row:
+                        acc[j] += x * y
+            out.extend(acc)
         return IntMatrix(n, m, tuple(out))
 
     def row_apply(self, v: Sequence[int]) -> tuple:
@@ -300,11 +305,8 @@ class IntMatrix:
         """M . w for a column vector ``w`` of length ``cols``."""
         if len(w) != self.cols:
             raise DimensionMismatchError("column vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum(self.entries[base + j] * w[j] for j in range(self.cols)))
-        return tuple(out)
+        c, ents = self.cols, self.entries
+        return tuple(sum(map(mul, ents[i * c : (i + 1) * c], w)) for i in range(self.rows))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
         rows = [self.row(i) for i in row_idx]
@@ -495,11 +497,6 @@ def hermite_combine(rows: Sequence[Sequence[int]], coords: Sequence[int]) -> tup
             for t, x in enumerate(row):
                 out[t] += c * x
     return tuple(out)
-
-
-def lattice_contains(basis_rows: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """Membership of ``target`` in the lattice given by a Hermite row basis."""
-    return hermite_coords(basis_rows, hermite_pivots(basis_rows), target) is not None
 
 
 def saturation(hermite_rows: Sequence[Sequence[int]], width: int) -> tuple:

@@ -8,7 +8,14 @@ from hypothesis import settings
 from sftdim import IntMatrix, is_primitive, perron, validate
 from sftdim.cylinder_ring import centralizer_basis
 from sftdim.dimension_groups import is_zero_s
-from sftdim.exactlinalg import DimensionMismatchError, RowHermiteForm, kron, xgcd
+from sftdim.exactlinalg import (
+    DimensionMismatchError,
+    RowHermiteForm,
+    hermite_coords,
+    hermite_pivots,
+    kron,
+    xgcd,
+)
 
 # `pytest --hypothesis-profile=thorough` runs the property tests that take
 # the default example count at ten times it
@@ -283,3 +290,55 @@ def reference_newton_root(coeffs: tuple, start: int) -> tuple:
             return m, steps
         m -= step
         steps += 1
+
+
+# Lattice membership by the one Hermite read-off, an oracle for the tests.
+def lattice_contains(basis_rows, target):
+    """Membership of ``target`` in the lattice given by a Hermite row basis."""
+    return hermite_coords(basis_rows, hermite_pivots(basis_rows), target) is not None
+
+
+# The IntMatrix product and vector applications that the two-sided
+# zero-skipping kernels replaced, kept verbatim as references.
+def reference_matmul(self, other):
+    if self.cols != other.rows:
+        raise DimensionMismatchError(
+            f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+        )
+    n, k, m = self.rows, self.cols, other.cols
+    a, b = self.entries, other.entries
+    out = [0] * (n * m)
+    for i in range(n):
+        arow = a[i * k : (i + 1) * k]
+        base = i * m
+        for s in range(k):
+            x = arow[s]
+            if x:
+                brow = b[s * m : (s + 1) * m]
+                for j in range(m):
+                    out[base + j] += x * brow[j]
+    return IntMatrix(n, m, tuple(out))
+
+
+def reference_row_apply(self, v):
+    """v . M for a row vector ``v`` of length ``rows``."""
+    if len(v) != self.rows:
+        raise DimensionMismatchError("row vector length mismatch")
+    out = [0] * self.cols
+    for i, x in enumerate(v):
+        if x:
+            base = i * self.cols
+            for j in range(self.cols):
+                out[j] += x * self.entries[base + j]
+    return tuple(out)
+
+
+def reference_col_apply(self, w):
+    """M . w for a column vector ``w`` of length ``cols``."""
+    if len(w) != self.cols:
+        raise DimensionMismatchError("column vector length mismatch")
+    out = []
+    for i in range(self.rows):
+        base = i * self.cols
+        out.append(sum(self.entries[base + j] * w[j] for j in range(self.cols)))
+    return tuple(out)

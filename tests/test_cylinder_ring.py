@@ -53,13 +53,13 @@ from sftdim.exactlinalg import (
     hermite_row_basis,
     kron,
     lattice_closure_under_preimage,
-    lattice_contains,
     solve_integer_linear,
 )
 
 from conftest import (
     chord_cycle,
     commutator_map,
+    lattice_contains,
     random_centralizer_element,
     random_matrix,
     random_primitive_adjacency,

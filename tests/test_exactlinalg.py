@@ -32,7 +32,6 @@ from sftdim.exactlinalg import (
     hermite_row_basis,
     integer_kernel,
     invariant_factors,
-    lattice_contains,
     matrix_power,
     minimal_polynomial,
     perron_root,
@@ -47,12 +46,16 @@ from sftdim.exactlinalg import (
 
 from conftest import (
     chord_cycle,
+    lattice_contains,
     random_matrix,
     random_primitive_adjacency,
     reference_newton_root,
     reference_hermite_row_basis,
     reference_lattice_contains,
     reference_left_solve,
+    reference_matmul,
+    reference_row_apply,
+    reference_col_apply,
     top_down_row_hermite,
 )
 
@@ -307,14 +310,17 @@ _BIG = 2**60
 
 
 @st.composite
-def _sparse_or_dense(draw):
+def _sparse_or_dense(draw, rows=None, cols=None):
     """Matrices of every density, widths 0 to 8, with zero rows and columns,
-    rows combined from earlier ones, negative entries and entries up to 2^60."""
-    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    rows combined from earlier ones, 0/1 entries, negative entries and entries
+    up to 2^60."""
+    rows = draw(st.integers(0, 7)) if rows is None else rows
+    cols = draw(st.integers(0, 8)) if cols is None else cols
     entry = draw(st.sampled_from((
         st.integers(-6, 6),
         st.integers(-_BIG, _BIG),
         st.sampled_from((-_BIG, -1, 1, 2, _BIG)),
+        st.just(1),
     )))
     density = draw(st.integers(1, 10))  # out of 10
     zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
@@ -352,10 +358,98 @@ class TestZeroSkippingRowOperations:
         assert row_hermite_with_transform(m) == top_down_row_hermite(m)
 
 
+@st.composite
+def _product_pair(draw):
+    """(a, b) with a n x k and b k x m, shapes from 0 up, either one possibly all zero."""
+    n, k, m = draw(st.integers(0, 7)), draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    a, b = draw(_sparse_or_dense(n, k)), draw(_sparse_or_dense(k, m))
+    zeroed = draw(st.sampled_from((None, None, None, "a", "b")))
+    if zeroed == "a":
+        a = IntMatrix.zeros(n, k)
+    elif zeroed == "b":
+        b = IntMatrix.zeros(k, m)
+    return a, b
+
+
+def _same_bits(u, v):
+    """Equal entry by entry as numbers of the same type; repr tells -0.0 from 0.0."""
+    return [(type(x), repr(x)) for x in u] == [(type(x), repr(x)) for x in v]
+
+
+class TestProductKernels:
+    """``@`` skips the zero entries of both operands and ``col_apply`` sums one
+    C-level dot product per row; both, and ``row_apply``, must equal the
+    kernels they replaced (kept verbatim in conftest) and the per-entry
+    formula.  Float vectors must give the same bits: the summation order is
+    unchanged."""
+
+    @settings(deadline=None)
+    @given(pair=_product_pair())
+    def test_matmul(self, pair):
+        a, b = pair
+        got = a @ b
+        assert got == reference_matmul(a, b)
+        assert got.to_rows() == [
+            [sum(a.entry(i, s) * b.entry(s, j) for s in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+
+    @settings(deadline=None)
+    @given(m=_sparse_or_dense(), data=st.data())
+    def test_vector_applications(self, m, data):
+        entry = st.integers(-3, 3) | st.integers(-_BIG, _BIG)
+        v = data.draw(st.lists(entry, min_size=m.rows, max_size=m.rows))
+        w = data.draw(st.lists(entry, min_size=m.cols, max_size=m.cols))
+        assert m.row_apply(v) == reference_row_apply(m, v) == tuple(
+            sum(v[i] * m.entry(i, j) for i in range(m.rows)) for j in range(m.cols)
+        )
+        assert m.col_apply(w) == reference_col_apply(m, w) == tuple(
+            sum(m.entry(i, j) * w[j] for j in range(m.cols)) for i in range(m.rows)
+        )
+        real = st.floats(-1e6, 1e6) | st.sampled_from((0.0, -0.0, 1e-300, 2.0**53 + 1))
+        wf = data.draw(st.lists(real, min_size=m.cols, max_size=m.cols))
+        assert _same_bits(m.col_apply(wf), reference_col_apply(m, wf))
+        assert _same_bits(m.col_apply(tuple(wf)), reference_col_apply(m, wf))
+
+    def test_shapes(self):
+        a = IntMatrix.from_rows([[0, 2, -1], [0, 0, 0]])
+        b = IntMatrix.from_rows([[5, 0], [0, 0], [-_BIG, 1]])
+        cases = [
+            (IntMatrix(0, 3, ()), IntMatrix.zeros(3, 2)),  # 0 x n
+            (IntMatrix(3, 0, ()), IntMatrix(0, 2, ())),  # n x 0: the product is all zero
+            (IntMatrix(2, 2, (0, 0, 0, 0)), IntMatrix(2, 0, ())),
+            (IntMatrix(1, 1, (-7,)), IntMatrix(1, 1, (3,))),
+            (a, b),  # non-square, a zero row, a zero column, negative entries
+            (b, a),
+            (a, IntMatrix.zeros(3, 4)),
+            (IntMatrix.zeros(4, 2), a),
+        ]
+        for x, y in cases:
+            assert x @ y == reference_matmul(x, y)
+        assert IntMatrix(3, 0, ()) @ IntMatrix(0, 2, ()) == IntMatrix.zeros(3, 2)
+        assert a @ b == IntMatrix.from_rows([[_BIG, -1], [0, 0]])
+        assert IntMatrix(3, 0, ()).col_apply(()) == (0, 0, 0)
+        assert IntMatrix(0, 3, ()).row_apply(()) == (0, 0, 0)
+        with pytest.raises(DimensionMismatchError):
+            a @ a
+        with pytest.raises(DimensionMismatchError):
+            a.col_apply((1, 2))
+        with pytest.raises(DimensionMismatchError):
+            a.row_apply((1, 2, 3))
+
+    def test_float_vectors_on_perron_data(self, primitive_pool):
+        # the vectors traces.trace_ch and the Perron residuals apply
+        for a in primitive_pool:
+            data = traces.perron(a)
+            m = a.matrix @ a.matrix - a.matrix
+            for w in (data.right, data.left):
+                assert _same_bits(m.col_apply(w), reference_col_apply(m, w))
+
+
 class TestHermiteReadOff:
-    """hermite_coords is the one pivot read-off behind lattice_contains,
-    left_solve and the lattice coordinates; the read-offs it replaced, kept
-    verbatim in conftest, must agree with it."""
+    """hermite_coords is the one pivot read-off behind left_solve, the lattice
+    coordinates and the tests' lattice_contains; the read-offs it replaced,
+    kept verbatim in conftest, must agree with it."""
 
     @settings(deadline=None)
     @given(m=_sparse_or_dense(), data=st.data())

@@ -6,6 +6,8 @@ import random
 import tracemalloc
 import weakref
 
+import pytest
+
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -238,6 +240,117 @@ class TestWarmAmbientFactorsNothing:
         for _ in range(5):
             queries()
         assert factored == []
+
+
+# ---------------------------------------------------------------------------
+# a zero-step push is the payload: what is already level multiplies nothing
+# ---------------------------------------------------------------------------
+
+
+def _record_products(monkeypatch):
+    """The operand pairs of every IntMatrix product from now on."""
+    calls = []
+    original = IntMatrix.__matmul__
+
+    def spy(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", spy)
+    return calls
+
+
+def _record_powers(monkeypatch):
+    """The exponents of every matrix_power call, under each module's own name for it."""
+    exponents = []
+    original = exactlinalg.matrix_power
+
+    def spy(m, e):
+        exponents.append(e)
+        return original(m, e)
+
+    for module in (exactlinalg, dg, cylinder_ring, duality):
+        monkeypatch.setattr(module, "matrix_power", spy)
+    return exponents
+
+
+class TestZeroStepPush:
+    def test_is_the_payload_in_every_tower(self, monkeypatch, sym3):
+        rng = random.Random(15)
+        singular = validate([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
+        elements = [_element(rng, a, f) for a in (sym3, singular) for f in FLAVOURS]
+        assert {type(x) for x in elements} == {
+            StableElement, UnstableElement, HomoclinicElement, CylinderK0Element, CylinderK1Element, StableHom,
+        }
+        products = _record_products(monkeypatch)
+        for name in ("row_apply", "col_apply"):
+            monkeypatch.setattr(IntMatrix, name, lambda *args: pytest.fail("a vector was multiplied"))
+        for x in elements:
+            pushed = x._push(0)
+            assert type(pushed) is tuple and pushed == tuple(x._flat)
+        assert products == []
+
+    def test_equal_levels_on_a_nonsingular_ambient_multiply_nothing(self, monkeypatch, sym3):
+        rng = random.Random(16)
+        assert minimal_polynomial(sym3.matrix).l == 0
+        pairs = []
+        for flavour, equal in (("h", dg.equal_h), ("k0", cylinder_ring.k0_equal)):
+            x = _element(rng, sym3, flavour, level=2)
+            pairs.append((equal, x, _element(rng, sym3, flavour, level=2), False))
+            pairs.append((equal, x, x._make(sym3, x._flat, 2), True))
+        k1_equal = lambda x, y: cylinder_ring.k1_equal(x, y).verdict is Verdict.EQUAL
+        x = _element(rng, sym3, "k1", level=3)
+        w = random_matrix(rng, 3, 3, -2, 2)
+        pairs.append((k1_equal, x, CylinderK1Element(sym3, x.matrix + sym3.matrix @ w - w @ sym3.matrix, 3), True))
+        pairs.append((k1_equal, x, CylinderK1Element(sym3, x.matrix + IntMatrix.identity(3), 3), False))
+        for equal, x, y, want in pairs:  # warm: closures and minimal polynomials
+            assert equal(x, y) == want
+        products = _record_products(monkeypatch)
+        for equal, x, y, want in pairs:
+            assert equal(x, y) == want
+            assert dg.align(x, y)[2] == x.level
+        assert products == []
+        # the spy sees the products that different levels do need
+        assert dg.equal_h(pairs[0][1], _push_one(pairs[0][1]))
+        assert products
+
+    def test_l0_ra_membership_and_hom_eval_compute_no_zeroth_power(self, monkeypatch, sym3):
+        rng = random.Random(17)
+        member = CylinderK0Element(sym3, sym3.matrix @ sym3.matrix + IntMatrix.identity(3), 4)
+        outsider = CylinderK0Element(sym3, IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), 1)
+        phi, v = _element(rng, sym3, "hom", level=2), _element(rng, sym3, "s", level=0)
+        want = (cylinder_ring.ra_membership(member), cylinder_ring.ra_membership(outsider), duality.hom_eval(phi, v))
+        assert want[0] is not None and want[0].level == 4 and want[1] is None
+        exponents, products = _record_powers(monkeypatch), _record_products(monkeypatch)
+        assert cylinder_ring.ra_membership(member) == want[0]
+        assert cylinder_ring.ra_membership(outsider) is None
+        assert duality.hom_eval(phi, v) == want[2]
+        assert 0 not in exponents and products == []
+
+    def test_normalize_takes_the_solution_as_the_payload(self, monkeypatch):
+        # Z^width towers read the preimage off directly; C(A) still combines its basis
+        a = validate([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
+        rng = random.Random(18)
+        elements = [_element(rng, a, f, level=3) for f in ("s", "u", "h", "k0")]
+        want = [old_normalize(x) for x in elements[:3]] + [dg.normalize(elements[3])]
+        combined = []
+        original = dg.hermite_combine
+        monkeypatch.setattr(dg, "hermite_combine", lambda *args: combined.append(args) or original(*args))
+        assert [dg.normalize(x) for x in elements[:3]] == want[:3] and combined == []
+        assert dg.normalize(elements[3]) == want[3] and want[3].level < 3 and combined
+
+    def test_list_payload_compares_as_before(self, sym3):
+        singular = validate([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
+        for a in (sym3, singular):
+            listed, tupled = StableElement(a, [1, -1, 2], 1), StableElement(a, (1, -1, 2), 1)
+            assert dg.equal_s(listed, tupled) and dg.equal_s(tupled, listed)
+            assert old_equal(listed, tupled)
+            assert dg.align(listed, tupled)[:2] == ((1, -1, 2), (1, -1, 2))
+            assert dg.add_s(listed, tupled) == StableElement(a, (2, -2, 4), 1)
+            assert dg.is_zero_s(dg.add_s(listed, dg.neg_s(tupled)))
+            assert not dg.is_zero_s(listed)
+            assert dg.normalize_s(listed) == dg.normalize_s(tupled)
+            assert not dg.equal_s(listed, StableElement(a, [1, -1, 3], 1))
 
 
 # ---------------------------------------------------------------------------
