@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
@@ -52,13 +51,6 @@ def _non_negative_int(text: str) -> int:
     value = _int_arg(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
     return value
 
 
@@ -377,14 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format", choices=("json", "text"), default="text", help="report format"
-    )
-    parser.add_argument(
-        "--tol", type=_non_negative_float, default=1e-9,
-        help="ignored: positivity is exact (accepted for one release)",
-    )
-    parser.add_argument(
-        "--jmax", type=_non_negative_int, default=64,
-        help="ignored: positivity is exact (accepted for one release)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

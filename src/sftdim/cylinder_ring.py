@@ -22,19 +22,21 @@ stabilises, membership of the projected difference in the stabilised
 closure settles equality outright, and applying the induced map until the
 relations are reached gives the merge depth.  Membership in the polynomial
 subring generated by [A, 0] and [A, 1] is the same question in the
-coordinates of C(A), which Y -> A^2 Y maps into itself.  Each closure is one
-call of exactlinalg.preimage_closure, and both answers read its one witness
-walk.  The matrix-level center of C(A) is M_K(Z) intersected with Q[A]
-(double centraliser), so it is C(A) itself whenever A is non-derogatory.
+coordinates of the matrix-level center of C(A), which Y -> A^2 Y maps into
+itself.  Each closure is one call of exactlinalg.preimage_closure, and both
+answers read its one witness walk.  The center is M_K(Z) intersected with
+Q[A] (double centraliser), the saturation of Z[A] in M_K(Z), of rank
+deg m_A; it is C(A) itself whenever A is non-derogatory.  The subring is a
+tower like the groups: Z[x]/p_A(x), pushed by multiplication by x^2.
 
 For nonsingular A both closures run in the saturation of their seed, which
-is far smaller.  X -> AXA is injective on M_K(Q) and maps B(A) into itself,
-so it maps B(A) tensor Q onto itself and the induced map on Q tensor Q is
-injective: whatever some power maps into the relations L lies in sat(L),
-of rank len(relations), and sat(L)/L is the torsion of Q.  A torsion-free Q
-is its own closure.  For the subring, A^-1 lies in Q[A], so whatever some
-A^(2m) maps into Z[A] lies in the center, of rank deg m_A.  A seed that
-fills its lattice is its own closure with depth 0.
+is far smaller; for the subring that is the center, where its closure runs
+for every A (see _ra_closure).  X -> AXA is injective on M_K(Q) and maps
+B(A) into itself, so it maps B(A) tensor Q onto itself and the induced map
+on Q tensor Q is injective: whatever some power maps into the relations L
+lies in sat(L), of rank len(relations), and sat(L)/L is the torsion of Q.
+A torsion-free Q is its own closure, and so is any seed that fills its
+lattice, with depth 0.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .exactlinalg import (
     PreimageClosure,
     RowHermiteForm,
     frozen,
-    hermite_combine,
     hermite_coords,
     hermite_pivots,
     hermite_row_basis,
@@ -70,6 +71,7 @@ from .dimension_groups import (
     MatrixPayload,
     StableElement,
     UnstableElement,
+    VectorPayload,
     _same_ambient,
     add,
     align,
@@ -131,10 +133,6 @@ class CentralizerLattice:
     def coordinates(self, x: IntMatrix) -> Optional[tuple]:
         """The integer c with x = sum c_i basis_i, or None when x is not in the lattice."""
         return hermite_coords([b.vec() for b in self.basis], self._pivots, x.vec())
-
-    def combine(self, coords: Sequence[int]) -> tuple:
-        """The row-major vector sum c_i basis_i."""
-        return hermite_combine([b.vec() for b in self.basis], coords)
 
 
 @memo
@@ -414,34 +412,38 @@ def act_u(h: CylinderK0Element, w: UnstableElement) -> UnstableElement:
 
 
 @frozen
-class RAElement:
+class RAElement(VectorPayload):
     """[p(A), N] with deg p < k, the canonical presentation of the subring.
 
-    At a fixed level the reduced polynomial is unique, so equality reduces to
-    aligning levels (each step multiplies by x^2 modulo the reduced minimal
-    polynomial) and comparing coefficient tuples.
+    A tower like the others: the payload is the coefficient tuple of p
+    reduced modulo the reduced minimal polynomial p_A (k = deg p_A), and one
+    level up multiplies it by x^2 modulo p_A.  p_A(0) is nonzero, so x is a
+    unit modulo p_A, the push is injective, and the tower's equality is
+    coefficient equality at the common level.
     """
 
     ambient: AdjacencyMatrix
     coeffs: tuple
     level: int
 
-    def __post_init__(self):
-        k = minimal_polynomial(self.ambient.matrix).k
-        if len(self.coeffs) != k:
-            raise ValueError(f"expected {k} coefficients, got {len(self.coeffs)}")
-        if self.level < 0:
-            raise ValueError("level must be non-negative")
+    _field = "coeffs"
+
+    @property
+    def _shape_error(self) -> str:
+        return f"expected {self._width(self.ambient)} coefficients, got {len(self.coeffs)}"
+
+    @staticmethod
+    def _width(a: AdjacencyMatrix) -> int:
+        return minimal_polynomial(a.matrix).k
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
-    def __add__(self, other: "RAElement") -> "RAElement":
-        return ra_add(self, other)
-
-    def __neg__(self) -> "RAElement":
-        return RAElement(self.ambient, tuple(-c for c in self.coeffs), self.level)
+    def _lift(self, j: int) -> tuple:
+        mp = minimal_polynomial(self.ambient.matrix)
+        x_2j = (0,) * (2 * j) + (1,)
+        return _pad(poly_mod(poly_mul(self.coeffs, x_2j), mp.p_coeffs), mp.k)
 
 
 def _pad(coeffs: Sequence[int], k: int) -> tuple:
@@ -465,18 +467,8 @@ def ra_generator(a: AdjacencyMatrix, level: int = 0) -> RAElement:
     return ra_reduce(a, (0, 1), level)
 
 
-def ra_add(x: RAElement, y: RAElement) -> RAElement:
-    _same_ambient(x, y)
-    mp = minimal_polynomial(x.ambient.matrix)
-    level = max(x.level, y.level)
-    cx = poly_mod(poly_mul(x.coeffs, _x_power(2 * (level - x.level))), mp.p_coeffs)
-    cy = poly_mod(poly_mul(y.coeffs, _x_power(2 * (level - y.level))), mp.p_coeffs)
-    total = [a + b for a, b in zip(_pad(cx, mp.k), _pad(cy, mp.k))]
-    return RAElement(x.ambient, tuple(total), level)
-
-
-def _x_power(e: int) -> tuple:
-    return (0,) * e + (1,)
+ra_add = add
+ra_equal = equal
 
 
 def ra_mul(x: RAElement, y: RAElement) -> RAElement:
@@ -484,12 +476,6 @@ def ra_mul(x: RAElement, y: RAElement) -> RAElement:
     mp = minimal_polynomial(x.ambient.matrix)
     prod = poly_mod(poly_mul(x.coeffs, y.coeffs), mp.p_coeffs)
     return RAElement(x.ambient, _pad(prod, mp.k), x.level + y.level)
-
-
-def ra_equal(x: RAElement, y: RAElement) -> bool:
-    _same_ambient(x, y)
-    diff = ra_add(x, -y)
-    return diff.is_zero
 
 
 def ra_to_cylinder(x: RAElement) -> CylinderK0Element:
@@ -500,20 +486,22 @@ def ra_to_cylinder(x: RAElement) -> CylinderK0Element:
 
 @memo
 def _ra_closure(a: AdjacencyMatrix) -> PreimageClosure:
-    """Closure of span{A^(2l+i) : i < k} under division by Y -> A^2 Y.
+    """Closure of span{A^(2l+i) : i < k} under division by Y -> A^2 Y, run on
+    the coordinates of the center M_K(Z) meet Q[A] (rank deg m_A = l + k,
+    not K^2) for every A.
 
-    Only payloads in C(A) are ever tested, and Y -> A^2 Y maps C(A) into
-    itself, so the closure runs on C(A) coordinates (dimension rank C(A),
-    not K^2).  For nonsingular A it runs on the coordinates of the center
-    M_K(Z) meet Q[A] (dimension deg m_A): A^-1 is a polynomial in A, so
-    A^(2m) Y in Z[A] puts Y in Q[A].
+    The tested payload Y = A^l X A^l = A^(2l) X vanishes on the nilpotent
+    block of A.  If A^(2m) Y = p(A) A^(2l), then on the invertible block Y is
+    a polynomial in A, and combining it with x^l by the Chinese remainder
+    theorem (x^l and p_A are coprime) gives one polynomial that is Y on both
+    blocks: Y lies in the center, which Y -> A^2 Y maps into itself.  A
+    payload outside the center is no member.
     """
     mp = minimal_polynomial(a.matrix)
-    lattice = centralizer_basis(a) if mp.l else center_basis(a)
     k = a.size
     a2 = matrix_power(a.matrix, 2)
     return preimage_closure(
-        [b.vec() for b in lattice.basis],
+        [b.vec() for b in center_basis(a).basis],
         lambda y: (a2 @ IntMatrix.from_vec(y, k, k)).vec(),
         [matrix_power(a.matrix, 2 * mp.l + i).vec() for i in range(mp.k)],
     )
@@ -555,22 +543,17 @@ def center_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     of the polynomial subring for comparison.  Over Q the matrices commuting
     with everything that commutes with A are exactly the polynomials in A
     (the double centraliser theorem), so the center is M_K(Z) meet Q[A], of
-    rank deg m_A.  When that equals rank C(A) (A is non-derogatory) the
-    center is C(A) itself.  Otherwise the C(A) coordinates of I, A, ...,
-    A^(deg m_A - 1) are saturated in Z^r; that is exact because C(A) is
-    saturated, so every integer matrix in Q[A] has integer coordinates in
-    its basis.
+    rank deg m_A: the saturation of Z[A] = span{I, A, ..., A^(deg m_A - 1)}
+    in M_K(Z).  When deg m_A = K (A is non-derogatory) that is C(A) itself.
     """
-    cent = centralizer_basis(a)
     mp = minimal_polynomial(a.matrix)
     degree = mp.k + mp.l
-    if degree == cent.rank:
-        return cent
-    powers = [IntMatrix.identity(a.size)]
+    if degree == a.size:
+        return centralizer_basis(a)
+    k = a.size
+    powers = [IntMatrix.identity(k)]
     for _ in range(degree - 1):
         powers.append(powers[-1] @ a.matrix)
-    span = hermite_row_basis([cent.coordinates(p) for p in powers], cent.rank)
-    k = a.size
-    rows = hermite_row_basis([cent.combine(c) for c in saturation(span, cent.rank)], k * k)
+    rows = saturation(hermite_row_basis([p.vec() for p in powers], k * k), k * k)
     basis = tuple(IntMatrix.from_vec(rw, k, k) for rw in rows)
     return CentralizerLattice(basis=basis, rank=len(basis))

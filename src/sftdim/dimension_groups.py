@@ -4,10 +4,11 @@ A class is a pair (payload, level): a row vector for the stable group, a
 column vector for the unstable group, a square matrix for the homoclinic
 group.  Raising the level by one multiplies the payload by A (stable), by A
 on the left (unstable), or conjugates it to A X A (homoclinic); two pairs are
-equal when they merge somewhere down the tower.  The cylinder K-groups and
-the stable homomorphisms are towers of the same kind, so one base class,
-:class:`TowerElement`, carries the group law, equality and normalisation of
-all of them; each element class gives only its payload and its push map.
+equal when they merge somewhere down the tower.  The cylinder K-groups, the
+stable homomorphisms and the polynomial subring (Z[x]/p(x) pushed by x^2)
+are towers of the same kind, so one base class, :class:`TowerElement`,
+carries the group law, equality and normalisation of all of them; each
+element class gives only its payload and its push map.
 A zero-step push is the payload itself: on a nonsingular ambient (l = 0),
 equality at equal levels multiplies nothing.
 
@@ -73,9 +74,9 @@ class TowerElement:
     Subclasses are :func:`~sftdim.exactlinalg.frozen` records with the fields
     ``ambient``, a payload and ``level``.  Each supplies ``_lift(j)``, its
     payload j >= 1 levels further up as a flat tuple (matrices row-major); the
-    two payload bases below supply the shape check and the way back from a
-    flat tuple.  The group law, equality and normalisation are shared by every
-    tower.
+    two payload bases below supply the shape check, the payload width
+    ``_width(ambient)`` and the way back from a flat tuple.  The group law,
+    equality and normalisation are shared by every tower.
     """
 
     def __post_init__(self):
@@ -86,7 +87,7 @@ class TowerElement:
 
     @classmethod
     def zero(cls, a: AdjacencyMatrix):
-        return cls._make(a, (0,) * cls._width(a.size), 0)
+        return cls._make(a, (0,) * cls._width(a), 0)
 
     @classmethod
     def _lattice(cls, a: AdjacencyMatrix):
@@ -105,7 +106,8 @@ class TowerElement:
 
 
 class VectorPayload(TowerElement):
-    """Payload: an integer vector of length K, in the field named ``_field``."""
+    """Payload: an integer vector of length ``_width(ambient)`` (K unless a
+    tower says otherwise), in the field named ``_field``."""
 
     _field = "vector"
     _shape_error = "vector length must match the matrix size"
@@ -115,11 +117,11 @@ class VectorPayload(TowerElement):
         return getattr(self, self._field)
 
     def _fits(self) -> bool:
-        return len(self._flat) == self.ambient.size
+        return len(self._flat) == self._width(self.ambient)
 
     @staticmethod
-    def _width(k: int) -> int:
-        return k
+    def _width(a: AdjacencyMatrix) -> int:
+        return a.size
 
     @classmethod
     def _make(cls, a: AdjacencyMatrix, flat, level: int):
@@ -140,8 +142,8 @@ class MatrixPayload(TowerElement):
         return self.matrix.rows == k and self.matrix.cols == k
 
     @staticmethod
-    def _width(k: int) -> int:
-        return k * k
+    def _width(a: AdjacencyMatrix) -> int:
+        return a.size * a.size
 
     @classmethod
     def _make(cls, a: AdjacencyMatrix, flat, level: int):
@@ -220,7 +222,7 @@ def _preimage_system(a: AdjacencyMatrix, cls: type) -> tuple:
     """The basis of ``cls`` payloads (None: all) and its (l+1)-step push on them."""
     basis = cls._lattice(a)
     l = _zero_index(a)
-    width = cls._width(a.size)
+    width = cls._width(a)
     rows = identity_rows(width) if basis is None else basis
     cols = [cls._make(a, b, 0)._push(l + 1) for b in rows]
     return basis, IntMatrix.from_columns(cols, width)

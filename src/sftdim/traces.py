@@ -6,7 +6,10 @@ steps (:func:`~sftdim.exactlinalg.perron_root`) and rounded once.  For
 primitive A, adj(lambda I - A) is positive of rank one, so its row 0 and
 column 0 (:func:`~sftdim.exactlinalg.adjugate_edges`) are the left and right
 eigenvectors, evaluated exactly at the located root and rounded once per
-entry.  Every downstream assertion carries an explicit tolerance.
+entry.  The traces are not correctly rounded: each pairs an integer payload
+with the rounded eigenvectors in floating point and carries no error bound,
+so a class whose pairing cancels can lose every digit, its sign included
+("Exact, correctly rounded traces" in ROADMAP.md).
 
 Normalisation convention: the left eigenvector is scaled to sum to 1 and the
 right eigenvector is then scaled so that (left . right) = 1.  Only the second

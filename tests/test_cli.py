@@ -298,24 +298,26 @@ class TestStrictParsing:
         assert a.matrix.to_rows() == [[1, 1], [1, 0]]
 
     def test_negative_jmax_and_bad_tol_are_refused(self, capsys, matrix_file):
+        # the flags were ignored since positivity became exact, and are gone:
+        # any value of either is a usage error
         path = matrix_file([[1, 1], [1, 0]])
         v = json.dumps({"payload": [1, -1], "level": 0, "flavor": "s"})
-        for flags in (["--jmax", "-3", "--tol", "10"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"]):
-            with pytest.raises(SystemExit) as exc:
-                main([*flags, "positive", path, v])
-            assert exc.value.code == 2
-            out, err = capsys.readouterr()
-            assert out == "" and "Traceback" not in err
-        assert run_cli(capsys, "--jmax", "0", "--tol", "0", "positive", path, v)[0] == 0
+        for flags in (["--jmax", "-3"], ["--jmax", "0"], ["--jmax", "64"], ["--tol", "1e-9"], ["--tol", "nan"]):
+            for argv in ([*flags, "positive", path, v], ["positive", path, v, *flags]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("usage: ") and "Traceback" not in err
+        assert run_cli(capsys, "positive", path, v)[0] == 0
 
     def test_integer_arguments_take_only_ascii_decimals(self, capsys, matrix_file):
         path = matrix_file([[1, 1], [1, 0]])
-        v = json.dumps({"payload": [1, -1], "level": 0, "flavor": "s"})
         refused = [
             ["ra", "reduce", path, "[1, 1]", "١"],
             ["ra", "reduce", path, "[1, 1]", "1_0"],
-            ["--jmax", "1_0", "positive", path, v],
-            ["--jmax", "１", "positive", path, v],
+            ["se-search", path, path, "--kmax", "１"],
+            ["se-search", path, path, "--entry-bound", "1_0"],
             ["se-search", path, path, "--kmax", "1_0"],
             ["se-search", path, path, "--kmax", "-3"],
             ["se-search", path, path, "--entry-bound", "-2"],

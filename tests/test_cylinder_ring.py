@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import weakref
@@ -114,7 +115,7 @@ class TestCentralizer:
             for i, b in enumerate(cent.basis):
                 assert cent.coordinates(b) == tuple(int(t == i) for t in range(r))
             c = tuple(rng.randint(-3, 3) for _ in range(r))
-            x = IntMatrix.from_vec(cent.combine(c), a.size, a.size)
+            x = IntMatrix.from_vec(hermite_combine([b.vec() for b in cent.basis], c), a.size, a.size)
             assert cent.coordinates(x) == c and cent.contains(x)
             # C(A) is saturated, so its non-members are the non-commuting matrices
             if a.size > 1:
@@ -358,6 +359,11 @@ def _ones_plus_identity(k, c, d):
     return validate([[c + d if i == j else c for j in range(k)] for i in range(k)])
 
 
+def _all_ones(k):
+    """J_K: singular (l = 1), and derogatory for K >= 3."""
+    return _ones_plus_identity(k, 1, 0)
+
+
 @st.composite
 def _adjacency(draw):
     k = draw(st.integers(1, 4))
@@ -366,6 +372,25 @@ def _adjacency(draw):
         return validate(rows)
     except ValueError:
         assume(False)
+
+
+@st.composite
+def _singular_derogatory(draw):
+    """B kron J_m and matrices with repeated rows and columns, kept when A is
+    singular and derogatory (deg m_A < K)."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    b = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+    rows = kron(IntMatrix.from_rows(b), IntMatrix.from_rows([[1] * m] * m)).to_rows()
+    if draw(st.booleans()):  # a vertex copied: one more kernel vector
+        rows = [r + [r[0]] for r in rows]
+        rows.append(list(rows[0]))
+    try:
+        a = validate(rows)
+    except ValueError:
+        assume(False)
+    mp = exactlinalg.minimal_polynomial(a.matrix)
+    assume(mp.l and mp.l + mp.k < a.size)
+    return a
 
 
 class TestK1CokernelCoordinates:
@@ -556,14 +581,16 @@ def _k1_quotient_oracle(a):
 
 
 def _ra_closure_in_centralizer(a):
-    """(basis, depth) of the subring closure run in C(A) coordinates for every A."""
+    """(basis, depth) of the subring closure run in C(A) coordinates, as it was
+    for singular A."""
     mp = exactlinalg.minimal_polynomial(a.matrix)
     cent = centralizer_basis(a)
     a2 = matrix_power(a.matrix, 2)
     seed = [cent.coordinates(matrix_power(a.matrix, 2 * mp.l + i)) for i in range(mp.k)]
     psi = IntMatrix.from_columns([cent.coordinates(a2 @ b) for b in cent.basis], cent.rank)
     closure, depth = lattice_closure_under_preimage(psi, seed)
-    return hermite_row_basis([cent.combine(c) for c in closure], a.size * a.size), depth
+    rows = [b.vec() for b in cent.basis]
+    return hermite_row_basis([hermite_combine(rows, c) for c in closure], a.size * a.size), depth
 
 
 class TestClosuresInSaturations:
@@ -579,8 +606,18 @@ class TestClosuresInSaturations:
         if q.psi is not None:  # the map on the lattice's coordinates is psi there
             for j, b in enumerate(q.basis):
                 assert hermite_combine(q.basis, q.psi.column(j)) == psi.col_apply(b)
+        # the subring closure runs in the center for every A; C(A) holds the
+        # same closure unless A is singular and derogatory, where the part of
+        # C(A)'s closure outside the center is killed by a power of A
         rc = cylinder_ring._ra_closure(a)
-        assert (_lifted(rc, a.size ** 2), rc.depth) == _ra_closure_in_centralizer(a)
+        assert rc.basis == tuple(b.vec() for b in center_basis(a).basis)
+        closure, depth = _ra_closure_in_centralizer(a)
+        mp = exactlinalg.minimal_polynomial(a.matrix)
+        if mp.l == 0 or mp.l + mp.k == a.size:
+            assert (_lifted(rc, a.size ** 2), rc.depth) == (closure, depth)
+        else:
+            assert all(lattice_contains(closure, row) for row in _lifted(rc, a.size ** 2))
+            assert rc.depth <= depth
 
     def test_pool_and_families(self, primitive_pool):
         for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
@@ -877,6 +914,7 @@ def _center_oracle(a):
     return hermite_row_basis(vectors, k * k)
 
 
+@functools.lru_cache(maxsize=16)
 def _ra_closure_oracle(a):
     """The closure of span{A^(2l+i)} under division by Y -> A^2 Y in all of M_K(Z)."""
     mp = exactlinalg.minimal_polynomial(a.matrix)
@@ -932,7 +970,8 @@ class TestSmallestSpaces:
     def test_matches_old_paths_on_pool(self, primitive_pool):
         rng = random.Random(149)
         doubled_ones = validate([[3, 2, 2, 2], [2, 3, 2, 2], [2, 2, 3, 2], [2, 2, 2, 3]])
-        for a in [*primitive_pool, CJ_PLUS_DI, doubled_ones, REPEATED_ROW, BIPARTITE]:
+        singular = [_all_ones(k) for k in range(2, 7)]  # derogatory for K >= 3
+        for a in [*primitive_pool, CJ_PLUS_DI, doubled_ones, REPEATED_ROW, BIPARTITE, *singular]:
             self._assert_agrees(a, rng)
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -1001,7 +1040,7 @@ class TestSmallestSpaces:
                 assert not solves
                 assert (witness.coeffs, witness.level) == _ra_membership_oracle(x)
 
-    def test_ra_closure_runs_in_centralizer_coordinates(self, monkeypatch, primitive_pool):
+    def test_ra_closure_runs_in_center_coordinates(self, monkeypatch, primitive_pool):
         dims = []
         closure = exactlinalg.lattice_closure_under_preimage
 
@@ -1010,17 +1049,24 @@ class TestSmallestSpaces:
             return closure(psi, seed)
 
         monkeypatch.setattr(exactlinalg, "lattice_closure_under_preimage", record)
-        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE]:
+        singular = [_all_ones(k) for k in (3, 4, 5)]  # l = 1, derogatory
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE, *singular]:
             a = validate(a.matrix.to_rows())  # cold
             mp = exactlinalg.minimal_polynomial(a.matrix)
-            # the center M_K(Z) meet Q[A], of rank deg m_A = k, for nonsingular A
-            lattice = center_basis(a) if mp.l == 0 else centralizer_basis(a)
-            dim = mp.k if mp.l == 0 else centralizer_basis(a).rank
+            # the center M_K(Z) meet Q[A], of rank deg m_A = l + k, for every A
+            lattice = center_basis(a)
+            assert lattice.rank == mp.l + mp.k
             dims.clear()
             rc = cylinder_ring._ra_closure(a)
             # a seed that spans the lattice needs no closure at all
             fills = rc.depth == 0 and _lifted(rc, a.size ** 2) == tuple(b.vec() for b in lattice.basis)
-            assert dims == ([] if fills else [dim])
+            assert dims == ([] if fills else [lattice.rank])
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_singular_derogatory(), seed=st.integers(0, 2**16))
+    def test_matches_old_paths_on_singular_derogatory_matrices(self, a, seed):
+        # the subring closure runs in the center, far smaller than C(A) here
+        self._assert_agrees(a, random.Random(seed))
 
 
 class TestCommutatorForm:

@@ -16,6 +16,7 @@ from sftdim import (
     CylinderK1Element,
     HomoclinicElement,
     IntMatrix,
+    RAElement,
     StableElement,
     UnstableElement,
     Verdict,
@@ -31,11 +32,11 @@ from sftdim import (
 )
 from sftdim import cylinder_ring, dimension_groups as dg, duality, exactlinalg
 from sftdim.duality import StableHom
-from sftdim.exactlinalg import kron, solve_integer_linear
+from sftdim.exactlinalg import kron, poly_mod, poly_mul, solve_integer_linear
 
 from conftest import random_centralizer_element, random_matrix, random_primitive_adjacency
 
-FLAVOURS = ("s", "u", "h", "k0", "k1", "hom")
+FLAVOURS = ("s", "u", "h", "k0", "k1", "hom", "ra")
 
 
 def _element(rng, a, flavour, level=None):
@@ -46,6 +47,9 @@ def _element(rng, a, flavour, level=None):
         return cls(a, tuple(rng.randint(-3, 3) for _ in range(k)), level)
     if flavour == "k0":
         return CylinderK0Element(a, random_centralizer_element(rng, a, bound=2), level)
+    if flavour == "ra":
+        width = minimal_polynomial(a.matrix).k
+        return RAElement(a, tuple(rng.randint(-3, 3) for _ in range(width)), level)
     cls = HomoclinicElement if flavour == "h" else CylinderK1Element
     return cls(a, random_matrix(rng, k, k, lo=-3, hi=3), level)
 
@@ -67,7 +71,7 @@ def _primitive(draw):
     return a
 
 
-_HYPOTHESIS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+_HYPOTHESIS = settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +91,21 @@ def _old_push(x, j):
     return p @ x.matrix @ p
 
 
+def old_ra_add(x, y):
+    """The subring's own level alignment: each level multiplies by x^2 modulo p."""
+    mp = minimal_polynomial(x.ambient.matrix)
+    level = max(x.level, y.level)
+
+    def pushed(z):
+        c = poly_mod(poly_mul(z.coeffs, (0,) * (2 * (level - z.level)) + (1,)), mp.p_coeffs)
+        return c + (0,) * (mp.k - len(c))
+
+    return RAElement(x.ambient, tuple(a + b for a, b in zip(pushed(x), pushed(y))), level)
+
+
 def old_equal(x, y):
+    if isinstance(x, RAElement):  # zero difference at the common level
+        return not any(old_ra_add(x, old_neg(y)).coeffs)
     if x.level > y.level:
         x, y = y, x
     l = minimal_polynomial(x.ambient.matrix).l
@@ -95,6 +113,8 @@ def old_equal(x, y):
 
 
 def old_add(x, y):
+    if isinstance(x, RAElement):
+        return old_ra_add(x, y)
     level = max(x.level, y.level)
     px, py = _old_push(x, level - x.level), _old_push(y, level - y.level)
     if isinstance(px, IntMatrix):
@@ -107,6 +127,8 @@ def old_neg(x):
         return type(x)(x.ambient, tuple(-s for s in x.vector), x.level)
     if isinstance(x, StableHom):
         return StableHom(x.ambient, tuple(-s for s in x.z), x.level)
+    if isinstance(x, RAElement):
+        return RAElement(x.ambient, tuple(-c for c in x.coeffs), x.level)
     return type(x)(x.ambient, -x.matrix, x.level)
 
 
@@ -163,6 +185,18 @@ class TestMatchesTheOldFormulas:
         assert dg.equal_s is dg.equal_u is dg.equal_h is cylinder_ring.k0_equal is duality.hom_equal
         assert dg.add_s is dg.add_h is cylinder_ring.k0_add is cylinder_ring.k1_add is duality.hom_add
         assert dg.normalize_s is dg.normalize_u is dg.normalize_h is dg.normalize
+        assert cylinder_ring.ra_add is dg.add and cylinder_ring.ra_equal is dg.equal
+
+    def test_ra_zero_has_one_coefficient_per_degree(self, primitive_pool):
+        singular = [validate([[1, 1, 1], [1, 1, 1], [0, 1, 1]]), validate([[1] * 4] * 4)]
+        for a in [*primitive_pool, *singular]:
+            k = minimal_polynomial(a.matrix).k
+            zero = RAElement.zero(a)
+            assert zero == RAElement(a, (0,) * k, 0) == cylinder_ring.ra_reduce(a, (), 0)
+            assert zero.is_zero and dg.is_zero(zero)
+            assert dg._preimage_system(a, RAElement)[1].rows == k
+            with pytest.raises(ValueError, match=f"expected {k} coefficients, got {k + 1}"):
+                RAElement(a, (0,) * (k + 1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +315,7 @@ class TestZeroStepPush:
         elements = [_element(rng, a, f) for a in (sym3, singular) for f in FLAVOURS]
         assert {type(x) for x in elements} == {
             StableElement, UnstableElement, HomoclinicElement, CylinderK0Element, CylinderK1Element, StableHom,
+            RAElement,
         }
         products = _record_products(monkeypatch)
         for name in ("row_apply", "col_apply"):
