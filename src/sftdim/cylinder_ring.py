@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from typing import Optional, Sequence
 
 from . import exactlinalg
@@ -331,21 +330,13 @@ def _k1_closure(a: AdjacencyMatrix) -> PreimageClosure:
     Q is torsion-free."""
     pres = _k1_presentation(a)
     m, k, width = a.matrix, a.size, len(pres.coords)
-    if minimal_polynomial(m).l:
-        basis = identity_rows(width)
-    elif not k1_group_structure(a).torsion:
-        basis = pres.relations
-    else:
-        basis = saturation(pres.relations, width)
+    basis = identity_rows(width) if minimal_polynomial(m).l else saturation(pres.relations, width)
 
     def image(v):
-        # A X A sums x (column p of A)(row q of A) over the entries x of X at (p, q)
-        out = [0] * (k * k)
-        for j, x in zip(pres.coords, v):
-            if x:
-                col, row = m.column(j // k), m.row(j % k)
-                out = [o + x * c * y for o, (c, y) in zip(out, itertools.product(col, row))]
-        return pres.project(out)
+        x = [0] * (k * k)
+        for j, c in zip(pres.coords, v):
+            x[j] = c
+        return pres.project((m @ IntMatrix(k, k, tuple(x)) @ m).entries)
 
     return preimage_closure(basis, image, pres.relations)
 

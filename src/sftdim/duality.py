@@ -7,6 +7,9 @@ reduced minimal polynomial p(x) = x^k + a_{k-1} x^{k-1} + ... + a_0:
     phi[v, n] = [ sum_j (v A^n H_j(A) z) A^(k-1-j), N + n ],
     H_0 = 1,  H_{j+1}(x) = x H_j(x) + a_{k-1-j}.
 
+Evaluation runs the recurrence on the vectors H_j(A) z, one application of
+A a step, so it forms no matrix.
+
 The pairs form the inductive system z -> A^2 z, which is the unstable system
 with levels counted twice; that identification realises the duality between
 the stable and unstable groups and fixes the conversion maps below.  The odd
@@ -16,14 +19,7 @@ the deterministic choice that makes both round trips the identity.
 
 from __future__ import annotations
 
-from .exactlinalg import (
-    frozen,
-    matrix_power,
-    memo,
-    minimal_polynomial,
-    poly_add,
-    poly_eval_matrix,
-)
+from .exactlinalg import frozen, matrix_power, minimal_polynomial, poly_eval_matrix
 from .sft import AdjacencyMatrix
 from .dimension_groups import (
     StableElement,
@@ -50,16 +46,6 @@ class StableHom(VectorPayload):
         return matrix_power(self.ambient.matrix, 2 * j).col_apply(self.z)
 
 
-@memo
-def _horner_tail_matrices(a: AdjacencyMatrix) -> tuple:
-    mp = minimal_polynomial(a.matrix)
-    tails = [(1,)]
-    for j in range(mp.k - 1):
-        shifted = (0,) + tails[-1]
-        tails.append(poly_add(shifted, (mp.p_coeffs[mp.k - 1 - j],)))
-    return tuple(poly_eval_matrix(t, a.matrix) for t in tails)
-
-
 def hom_eval(phi: StableHom, a: StableElement) -> RAElement:
     """Apply the classified homomorphism to a stable class.
 
@@ -77,11 +63,12 @@ def hom_eval(phi: StableHom, a: StableElement) -> RAElement:
     z = phi._push(m0)
     hom_level = phi.level + m0
     w = a._push(a.level)
-    coeffs = [0] * mp.k
-    for j, tail in enumerate(_horner_tail_matrices(amb)):
-        tz = tail.col_apply(z)
-        coeffs[mp.k - 1 - j] = sum(x * y for x, y in zip(w, tz))
-    return RAElement(amb, tuple(coeffs), hom_level + a.level)
+    tz = z  # H_j(A) z, from j = 0 up
+    coeffs = [sum(x * y for x, y in zip(w, tz))]
+    for c in mp.p_coeffs[mp.k - 1 : 0 : -1]:  # H_(j+1)(A) z = A H_j(A) z + a_(k-1-j) z
+        tz = [x + c * y for x, y in zip(amb.matrix.col_apply(tz), z)]
+        coeffs.append(sum(x * y for x, y in zip(w, tz)))
+    return RAElement(amb, tuple(reversed(coeffs)), hom_level + a.level)
 
 
 # equality is tested once at the kernel-stabilising depth, as in every tower

@@ -795,11 +795,6 @@ def poly_trim(coeffs: Sequence[int]) -> tuple:
     return tuple(c)
 
 
-def poly_add(a: Sequence[int], b: Sequence[int]) -> tuple:
-    n = max(len(a), len(b))
-    return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple:
     if not a or not b:
         return ()

@@ -15,7 +15,7 @@ from typing import Union
 
 from .exactlinalg import IntMatrix
 from .sft import AdjacencyMatrix, validate
-from .dimension_groups import HomoclinicElement, StableElement, UnstableElement
+from .dimension_groups import HomoclinicElement, MatrixPayload, StableElement, UnstableElement
 from .cylinder_ring import CylinderK0Element, CylinderK1Element, RAElement
 from .duality import StableHom
 from .shift_equivalence import ShiftEquivalenceWitness
@@ -30,13 +30,14 @@ Element = Union[
 ]
 
 _FLAVORS = {
-    StableElement: "s",
-    UnstableElement: "u",
-    HomoclinicElement: "h",
-    CylinderK0Element: "k0",
-    CylinderK1Element: "k1",
-    RAElement: "ra",
+    "s": StableElement,
+    "u": UnstableElement,
+    "h": HomoclinicElement,
+    "k0": CylinderK0Element,
+    "k1": CylinderK1Element,
+    "ra": RAElement,
 }
+_FLAVOR_OF = {cls: flavor for flavor, cls in _FLAVORS.items()}
 
 
 def matrix_sha256(a: AdjacencyMatrix) -> str:
@@ -45,13 +46,8 @@ def matrix_sha256(a: AdjacencyMatrix) -> str:
 
 
 def element_to_dict(e: Element) -> dict:
-    flavor = _FLAVORS[type(e)]
-    if flavor in ("s", "u"):
-        payload = list(e.vector)
-    elif flavor == "ra":
-        payload = list(e.coeffs)
-    else:
-        payload = e.matrix.to_rows()
+    flavor = _FLAVOR_OF[type(e)]
+    payload = e.matrix.to_rows() if isinstance(e, MatrixPayload) else list(e._flat)
     return {"payload": payload, "level": e.level, "flavor": flavor}
 
 
@@ -81,19 +77,12 @@ def element_from_dict(a: AdjacencyMatrix, d: dict) -> Element:
     flavor = d["flavor"]
     level = _int(d["level"])
     payload = d["payload"]
-    if flavor == "s":
-        return StableElement(a, _ints(payload), level)
-    if flavor == "u":
-        return UnstableElement(a, _ints(payload), level)
-    if flavor == "h":
-        return HomoclinicElement(a, IntMatrix.from_rows(_int_rows(payload)), level)
-    if flavor == "k0":
-        return CylinderK0Element(a, IntMatrix.from_rows(_int_rows(payload)), level)
-    if flavor == "k1":
-        return CylinderK1Element(a, IntMatrix.from_rows(_int_rows(payload)), level)
-    if flavor == "ra":
-        return RAElement(a, _ints(payload), level)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    cls = _FLAVORS.get(flavor) if isinstance(flavor, str) else None
+    if cls is None:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    if issubclass(cls, MatrixPayload):
+        return cls(a, IntMatrix.from_rows(_int_rows(payload)), level)
+    return cls(a, _ints(payload), level)
 
 
 def hom_to_dict(phi: StableHom) -> dict:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from sftdim import IntMatrix, is_primitive, perron, validate
-from sftdim.cylinder_ring import centralizer_basis
+from sftdim.cylinder_ring import RAElement, centralizer_basis
 from sftdim.dimension_groups import is_zero_s
 from sftdim.exactlinalg import (
     DimensionMismatchError,
@@ -14,6 +14,8 @@ from sftdim.exactlinalg import (
     hermite_coords,
     hermite_pivots,
     kron,
+    minimal_polynomial,
+    poly_eval_matrix,
     xgcd,
 )
 
@@ -342,3 +344,19 @@ def reference_col_apply(self, w):
         base = i * self.cols
         out.append(sum(self.entries[base + j] * w[j] for j in range(self.cols)))
     return tuple(out)
+
+
+def reference_hom_eval(phi, x):
+    """duality.hom_eval by the tail matrices it used to build, the reference
+    for the vector recurrence: coefficient k-1-j of phi(x) is
+    (v A^n) . (H_j(A) z), with H_j(x) = x^j + a_(k-1) x^(j-1) + ... + a_(k-j)
+    the j-th Horner tail of the reduced minimal polynomial."""
+    a = phi.ambient.matrix
+    mp = minimal_polynomial(a)
+    m0 = (mp.l + 1) // 2
+    z, w = phi._push(m0), x._push(x.level)
+    coeffs = [0] * mp.k
+    for j in range(mp.k):
+        tz = poly_eval_matrix(mp.p_coeffs[mp.k - j :], a).col_apply(z)
+        coeffs[mp.k - 1 - j] = sum(p * q for p, q in zip(w, tz))
+    return RAElement(phi.ambient, tuple(coeffs), phi.level + m0 + x.level)

@@ -21,7 +21,6 @@ changed invocation with the change:
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -278,16 +277,13 @@ def corpus() -> list:
 def replay(files: dict, cases: list, workdir) -> list:
     """[argv, exit code, stdout sha256, stderr sha256] per case, run in ``workdir``.
 
-    ``main`` builds the same parser on every call, which costs more than most
-    cases; the replay builds it once and hands that one back each time.
+    Every case calls ``main`` as a shell would, and ``main`` builds its parser
+    once per process, so the cases after the first pay for no parser.
     """
-    from sftdim import cli
-
     for name, text in files.items():
         Path(workdir, name).write_text(text, encoding="utf-8")
-    cwd, build_parser = os.getcwd(), cli.build_parser
+    cwd = os.getcwd()
     os.chdir(workdir)
-    cli.build_parser = functools.cache(build_parser)
     try:
         results = []
         for argv in cases:
@@ -295,7 +291,6 @@ def replay(files: dict, cases: list, workdir) -> list:
             results.append([argv, code, digest(out), digest(err)])
         return results
     finally:
-        cli.build_parser = build_parser
         os.chdir(cwd)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sftdim import exactlinalg
+from sftdim import cli, exactlinalg
 from sftdim.cli import main
 from sftdim import IntMatrix, StableElement, validate
 from sftdim.serialization import (
@@ -289,6 +290,18 @@ class TestStrictParsing:
             self._assert_refused(*run_cli(capsys, "--format", "json", "ra", "reduce", path, coeffs, "0"))
         assert run_cli(capsys, "--format", "json", "ra", "reduce", path, "[1, 2]", "0")[0] == 0
 
+    def test_deeply_nested_json_is_refused(self, capsys, matrix_file, tmp_path):
+        # the JSON decoder gives up with a RecursionError, a RuntimeError like
+        # the iteration caps that exit 4; too deep an input is invalid input
+        deep = "[" * 50_000 + "]" * 50_000
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        self._assert_refused(*run_cli(capsys, "--format", "json", "info", str(path)))
+        fib = matrix_file([[1, 1], [1, 0]])
+        v = json.dumps({"payload": [1, 0], "level": 0, "flavor": "s"})
+        self._assert_refused(*run_cli(capsys, "--format", "json", "equal", fib, deep, v))
+        self._assert_refused(*run_cli(capsys, "--format", "json", "equal", fib, v, f"@{path}"))
+
     def test_text_matrix_takes_only_ascii_decimal_tokens(self, capsys, tmp_path):
         path = tmp_path / "matrix.txt"
         for token in ("1_0", "\u0661", "0x1", "1.0", "\uff11"):
@@ -508,6 +521,23 @@ class TestFuzz:
 
 
 class TestEntryPoint:
+    def test_two_calls_build_the_parser_once(self, capsys, matrix_file, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        path = matrix_file([[2]])
+        assert run_cli(capsys, "info", path)[0] == 0
+        # the sftdim parser and one sub-parser per row of the subcommand table
+        assert len(built) == 1 + len(cli.COMMANDS)
+        assert run_cli(capsys, "--format", "json", "kgroups", path)[0] == 0
+        assert len(built) == 1 + len(cli.COMMANDS)
+
     def test_console_script(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("2\n")

@@ -1,5 +1,6 @@
 import random
 
+from conftest import random_valid_adjacency, reference_hom_eval
 from sftdim import (
     CylinderK0Element,
     StableElement,
@@ -45,6 +46,16 @@ class TestHomEval:
         out = hom_eval(phi, StableElement(two, (5,), 2))
         assert out.coeffs == (3 * 5 * 4,)
         assert out.level == 3
+
+    def test_matches_the_tail_matrices(self):
+        # singular and derogatory matrices included: small entries make both common
+        rng = random.Random(127)
+        for _ in range(150):
+            a = random_valid_adjacency(rng, rng.randint(3, 8), hi=rng.choice((1, 2, 3)))
+            k = a.size
+            phi = StableHom(a, tuple(rng.randint(-3, 3) for _ in range(k)), rng.randint(0, 3))
+            v = StableElement(a, tuple(rng.randint(-3, 3) for _ in range(k)), rng.randint(0, 3))
+            assert hom_eval(phi, v) == reference_hom_eval(phi, v)
 
     def test_linearity_in_argument(self, primitive_pool):
         rng = random.Random(131)
