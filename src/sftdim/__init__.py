@@ -18,7 +18,6 @@ from .exactlinalg import (
     IntMatrix,
     MinPolyData,
     characteristic_polynomial,
-    determinant,
     integer_kernel,
     matrix_power,
     minimal_polynomial,

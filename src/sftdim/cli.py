@@ -83,11 +83,20 @@ def _parse_hom(a, arg: str):
 
 
 def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for key, value in sorted(report.items()):
-            print(f"{key}: {json.dumps(value, sort_keys=True)}")
+    """Render the whole report, then print it, its integers in full: Python's
+    limit on the digits of str(int) (3.11 on) is lifted while it renders."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            text = json.dumps(report, sort_keys=True, indent=2)
+        else:
+            text = "\n".join(f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(report.items()))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def _basis_report(lat) -> dict:
@@ -134,7 +143,7 @@ def cmd_info(args, report, a):
             "right": list(data.right),
             "residual": data.residual,
         }
-        if data.residual > 1e-6:
+        if data.relative_residual > 1e-9:
             return "perron residual too large"
     return 0
 

@@ -42,7 +42,6 @@ lattice, with depth 0.
 from __future__ import annotations
 
 import enum
-import functools
 from typing import Optional, Sequence
 
 from . import exactlinalg
@@ -51,8 +50,6 @@ from .exactlinalg import (
     PreimageClosure,
     RowHermiteForm,
     frozen,
-    hermite_coords,
-    hermite_pivots,
     hermite_row_basis,
     identity_rows,
     invariant_factors,
@@ -121,17 +118,6 @@ class CentralizerLattice:
 
     basis: tuple
     rank: int
-
-    @functools.cached_property
-    def _pivots(self) -> tuple:
-        return hermite_pivots(b.vec() for b in self.basis)
-
-    def contains(self, x: IntMatrix) -> bool:
-        return self.coordinates(x) is not None
-
-    def coordinates(self, x: IntMatrix) -> Optional[tuple]:
-        """The integer c with x = sum c_i basis_i, or None when x is not in the lattice."""
-        return hermite_coords([b.vec() for b in self.basis], self._pivots, x.vec())
 
 
 @memo

@@ -197,14 +197,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
-    @classmethod
-    def row_vector(cls, v: Sequence[int]) -> "IntMatrix":
-        return cls.from_rows([list(v)])
-
-    @classmethod
-    def column_vector(cls, v: Sequence[int]) -> "IntMatrix":
-        return cls.from_rows([[x] for x in v])
-
     # -- access ------------------------------------------------------------
 
     @property
@@ -608,31 +600,6 @@ def solve_integer_linear(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     return _column_hermite(m).left_solve(b)
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if not m.is_square:
-        raise DimensionMismatchError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(m.row(i)) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # invariant factors
 # ---------------------------------------------------------------------------
@@ -769,13 +736,10 @@ def preimage_closure(basis, image, generators) -> PreimageClosure:
     """The closure of the span of ``generators`` under preimages of a map that
     sends the saturated lattice with Hermite basis ``basis`` into itself, and a
     member (an ambient row) to ``image(member)``.  A seed that fills the lattice
-    is its own closure and needs no psi; the basis itself fills it unread."""
+    is its own closure and needs no psi."""
     basis, generators = tuple(basis), tuple(generators)
     pivots, rank = hermite_pivots(basis), len(basis)
-    if generators == basis:
-        seed = identity_rows(rank)
-    else:
-        seed = hermite_row_basis([_coordinates(basis, pivots, g) for g in generators], rank)
+    seed = hermite_row_basis([_coordinates(basis, pivots, g) for g in generators], rank)
     if len(seed) == rank and all(row[i] == 1 for i, row in enumerate(seed)):
         return PreimageClosure(basis, pivots, None, generators, seed, seed, 0)
     psi = IntMatrix.from_columns([_coordinates(basis, pivots, image(b)) for b in basis], rank)

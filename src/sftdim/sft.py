@@ -5,6 +5,10 @@ zero row or column (every vertex of the underlying graph must have both an
 incoming and an outgoing edge).  Reducible matrices pass validation but are
 rejected with a distinct error by every invariant that assumes irreducibility,
 because a silent wrong answer is worse than a refusal.
+
+The graph structure comes from one breadth-first search from vertex 0: run
+forward and along the reversed edges it decides irreducibility, and its
+depths give the period and the cyclic classes.
 """
 
 from __future__ import annotations
@@ -78,43 +82,25 @@ def wielandt_bound(k: int) -> int:
     return (k - 1) ** 2 + 1
 
 
-def _successors(a: AdjacencyMatrix, v: int) -> list:
-    m = a.matrix
-    return [j for j in range(a.size) if m.entry(v, j) > 0]
-
-
-def _reachable(a: AdjacencyMatrix, start: int, reverse: bool = False) -> set:
-    m = a.matrix
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for j in range(a.size):
-            edge = m.entry(j, v) if reverse else m.entry(v, j)
-            if edge > 0 and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return seen
+def _bfs_levels(a: AdjacencyMatrix, reverse: bool = False) -> list:
+    """Breadth-first depth of each vertex from vertex 0, None where unreached;
+    along the edges reversed (the graph of A^T) when ``reverse``."""
+    edges = a.matrix.column if reverse else a.matrix.row
+    levels = [None] * a.size
+    levels[0] = 0
+    queue = [0]
+    for v in queue:  # the queue grows while it is read
+        for j, x in enumerate(edges(v)):
+            if x > 0 and levels[j] is None:
+                levels[j] = levels[v] + 1
+                queue.append(j)
+    return levels
 
 
 @memo
 def is_irreducible(a: AdjacencyMatrix) -> bool:
-    """Strong connectivity of the directed graph."""
-    n = a.size
-    return len(_reachable(a, 0)) == n and len(_reachable(a, 0, reverse=True)) == n
-
-
-def _bfs_levels(a: AdjacencyMatrix, start: int = 0) -> list:
-    levels = [None] * a.size
-    levels[start] = 0
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        for j in _successors(a, v):
-            if levels[j] is None:
-                levels[j] = levels[v] + 1
-                queue.append(j)
-    return levels
+    """Strong connectivity: vertex 0 reaches every vertex and every vertex reaches it."""
+    return None not in _bfs_levels(a) and None not in _bfs_levels(a, reverse=True)
 
 
 @memo
@@ -136,8 +122,8 @@ def period(a: AdjacencyMatrix) -> int:
 def is_primitive(a: AdjacencyMatrix) -> bool:
     """True iff some power is entrywise positive.
 
-    That holds iff the graph is strongly connected with period 1, which two
-    graph searches decide; squaring boolean powers up to
+    That holds iff the graph is strongly connected with period 1, which the
+    breadth-first search decides; squaring boolean powers up to
     :func:`wielandt_bound` would cost O(K^5).
     """
     return is_irreducible(a) and period(a) == 1

@@ -5,11 +5,12 @@ traces.  The dominant eigenvalue lambda is located exactly by integer Newton
 steps (:func:`~sftdim.exactlinalg.perron_root`) and rounded once.  For
 primitive A, adj(lambda I - A) is positive of rank one, so its row 0 and
 column 0 (:func:`~sftdim.exactlinalg.adjugate_edges`) are the left and right
-eigenvectors, evaluated exactly at the located root and rounded once per
-entry.  The traces are not correctly rounded: each pairs an integer payload
-with the rounded eigenvectors in floating point and carries no error bound,
-so a class whose pairing cancels can lose every digit, its sign included
-("Exact, correctly rounded traces" in ROADMAP.md).
+eigenvectors, evaluated exactly at the located root by the Horner rule that
+locates it and rounded once per entry.  The traces are not correctly
+rounded: each pairs an integer payload with the rounded eigenvectors in
+floating point and carries no error bound, so a class whose pairing cancels
+can lose every digit, its sign included ("Exact, correctly rounded traces"
+in ROADMAP.md).
 
 Normalisation convention: the left eigenvector is scaled to sum to 1 and the
 right eigenvector is then scaled so that (left . right) = 1.  Only the second
@@ -19,7 +20,7 @@ reported vectors (and therefore golden tests) deterministic.
 
 from __future__ import annotations
 
-from .exactlinalg import adjugate_edges, frozen, memo, perron_root
+from .exactlinalg import _horner, adjugate_edges, frozen, memo, perron_root
 from .sft import AdjacencyMatrix, NotPrimitiveError, is_primitive
 
 _FRACTION_BITS = 64
@@ -27,26 +28,29 @@ _FRACTION_BITS = 64
 
 @frozen
 class PerronData:
-    """Dominant eigenvalue with left/right eigenvectors and a residual bound.
+    """Dominant eigenvalue with left/right eigenvectors and their residuals.
 
-    ``iterations`` counts the Newton steps that located the eigenvalue.
+    ``residual`` is the largest entry of A^T left - lambda left and of
+    A right - lambda right; ``relative_residual`` measures each in units of
+    lambda times its vector's largest entry, so it does not grow with the
+    scale of A.  ``iterations`` counts the Newton steps that located the
+    eigenvalue.
     """
 
     eigenvalue: float
     left: tuple
     right: tuple
     residual: float
+    relative_residual: float
     iterations: int
 
 
 def _eigenvector(edge: tuple, r: int) -> list:
-    """An edge of adj(tI - A) at t = r / 2^64 by Horner, each entry rounded once
-    in its ratio to the largest, so the common scale 2^(64 (K - 1)) cancels."""
-    acc = list(edge[0])
-    for k, row in enumerate(edge[1:], 1):
-        acc = [x * r + (y << (_FRACTION_BITS * k)) for x, y in zip(acc, row)]
-    top = max(acc)
-    return [x / top for x in acc]
+    """An edge of adj(tI - A) at t = r / 2^64, each entry rounded once in its
+    ratio to the largest, so the common scale 2^(64 (K - 1)) cancels."""
+    exact = [_horner(column[::-1], r, _FRACTION_BITS)[0] for column in zip(*edge)]
+    top = max(exact)
+    return [x / top for x in exact]
 
 
 @memo
@@ -68,6 +72,7 @@ def perron(a: AdjacencyMatrix) -> PerronData:
         left=tuple(left),
         right=tuple(right),
         residual=max(res_l, res_r),
+        relative_residual=max(res_l / max(left), res_r / max(right)) / lam,
         iterations=steps,
     )
 

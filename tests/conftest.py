@@ -294,10 +294,28 @@ def reference_newton_root(coeffs: tuple, start: int) -> tuple:
         steps += 1
 
 
+# The Horner loop that traces._eigenvector wrote out before it called
+# exactlinalg._horner, kept verbatim as the reference for its bits.
+def reference_eigenvector(edge: tuple, r: int) -> list:
+    """An edge of adj(tI - A) at t = r / 2^64, each entry divided by the largest."""
+    acc = list(edge[0])
+    for k, row in enumerate(edge[1:], 1):
+        acc = [x * r + (y << (64 * k)) for x, y in zip(acc, row)]
+    top = max(acc)
+    return [x / top for x in acc]
+
+
 # Lattice membership by the one Hermite read-off, an oracle for the tests.
 def lattice_contains(basis_rows, target):
     """Membership of ``target`` in the lattice given by a Hermite row basis."""
     return hermite_coords(basis_rows, hermite_pivots(basis_rows), target) is not None
+
+
+def lattice_coordinates(lattice, x):
+    """The integer c with x = sum c_i lattice.basis_i for a matrix ``x`` and a
+    lattice of matrices (C(A), B(A), the centre), or None when x is outside."""
+    rows = [b.vec() for b in lattice.basis]
+    return hermite_coords(rows, hermite_pivots(rows), x.vec())
 
 
 # The IntMatrix product and vector applications that the two-sided

@@ -9,8 +9,10 @@ stored beside the cases, so the corpus needs nothing else.
 The corpus covers every subcommand and flavour at levels 0-3 over the
 conftest matrices, scaled all-ones matrices ``cJ + dI``, ``J_4``, a period-2
 matrix, chord cycles at K = 12, 16 and 20 and a seeded random K = 12 matrix,
-plus inputs the CLI refuses (exit 2).  ``kgroups`` runs on nothing larger
-than K = 12, so a replay stays within a few seconds.
+plus inputs the CLI refuses (exit 2), ``@file`` arguments, positivity that
+needs the Perron root to more than 64 bits, integers past Python's default
+4300-digit limit and failing witnesses (exit 4).  ``kgroups`` runs on nothing
+larger than K = 12, so a replay stays within a few seconds.
 
 Run it only when a change alters the output on purpose, and list every
 changed invocation with the change:
@@ -253,6 +255,70 @@ def _other_cases():
     ]
 
 
+def _edge_cases():
+    """Refused matrix files, reducible matrices, ``@file`` arguments, exact
+    positivity on the zero class and on and near the boundary, a matrix whose
+    Perron residual is large only in absolute terms, a report with integers
+    past Python's default digit limit, and a failing witness (exit 4)."""
+    fib_class = _elem([1, 0], 30000, "s")
+    hom = json.dumps({"z": [1, 0], "level": 0})
+    cases = [
+        ["--format", fmt, command, name]
+        for name in REFUSED
+        for fmt, command in (("json", "info"), ("text", "kgroups"))
+    ]
+    cases += [
+        ["--format", fmt, command, name]
+        for name in ("reducible.json", "reducible.txt", "cycles.json")
+        for fmt in ("json", "text")
+        for command in ("kgroups", "decompose")
+    ]
+    cases += [
+        ["--format", "json", "equal", "fib.json", "@elem_s.json", "@elem_s_up.json"],
+        ["--format", "json", "trace", "fib.json", "@elem_s.json"],
+        ["--format", "json", "duality", "eval", "fib.json", "@hom.json", "@elem_s.json"],
+        ["--format", "json", "se-verify", "fib.json", "fib.json", "@witness.json"],
+        ["--format", "json", "trace", "fib.json", "@missing.json"],
+        ["--format", "json", "positive", "fib.json", _elem([0, 0], 2, "s")],
+        ["--format", "json", "positive", "sym3.json", _elem([1, -1, 0], 0, "s")],
+        ["--format", "json", "positive", "sym3.json", _elem([0, 0, 0], 1, "s")],
+    ]
+    # (F_n, -F_(n+1)) pairs with the right Perron vector to -phi^-n for even n:
+    # the sign needs lambda to 128 bits at n = 60 and to 512 at n = 200
+    fib = [0, 1]
+    while len(fib) < 202:
+        fib.append(fib[-1] + fib[-2])
+    for n in (60, 100, 150, 200):
+        for sign in (1, -1):
+            v = [sign * fib[n], -sign * fib[n + 1]]
+            cases.append(["--format", "json", "positive", "fib.json", _elem(v, 3, "s")])
+    cases += [
+        ["--format", "json", "info", "huge.json"],
+        ["--format", "text", "info", "huge.json"],
+        ["--format", "json", "duality", "eval", "fib.json", hom, fib_class],
+        ["--format", "text", "duality", "eval", "fib.json", hom, fib_class],
+        ["--format", "text", "se-verify", "fib.json", "fib.json", "@bad_witness.json"],
+    ]
+    return cases
+
+
+# matrix files the CLI refuses, beside negative.json and ragged.json: a zero
+# row, a zero column, non-square, a negative entry, empty, ragged
+REFUSED = {
+    "zero_row.json": "[[1, 1], [0, 0]]",
+    "zero_row.txt": "1 1\n0 0\n",
+    "zero_column.json": "[[1, 0], [1, 0]]",
+    "zero_column.txt": "1 0\n1 0\n",
+    "wide.json": "[[1, 1, 1], [1, 1, 1]]",
+    "wide.txt": "1 1 1\n1 1 1\n",
+    "negative.txt": "1 -1\n1 0\n",
+    "empty.json": "[]",
+    "empty_rows.json": "[[]]",
+    "blank.txt": " \n\n",
+    "ragged.txt": "1 1\n1\n",
+}
+
+
 def matrix_files() -> dict:
     files = {f"{name}.json": json.dumps(rows) for name, rows in {**SMALL, **LARGE}.items()}
     files["fib.txt"] = "1 1\n1 0\n"
@@ -261,6 +327,15 @@ def matrix_files() -> dict:
     files["reducible.json"] = json.dumps([[1, 1], [0, 1]])
     files["negative.json"] = json.dumps([[1, -1], [1, 0]])
     files["ragged.json"] = json.dumps([[1, 1], [1]])
+    files.update(REFUSED)
+    files["reducible.txt"] = "1 1\n0 1\n"
+    files["cycles.json"] = json.dumps([[0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
+    files["huge.json"] = json.dumps([[10**12, 1, 0], [1, 10**12, 3], [2, 0, 10**12 - 1]])
+    files["elem_s.json"] = _elem([1, -2], 1, "s")
+    files["elem_s_up.json"] = _elem([-1, 1], 2, "s")
+    files["hom.json"] = json.dumps({"z": [2, -1], "level": 1})
+    files["witness.json"] = json.dumps({"R": [[1, 0], [0, 1]], "S": [[1, 1], [1, 0]], "k": 1})
+    files["bad_witness.json"] = json.dumps({"R": [[1, 0], [0, 1]], "S": [[1, 0], [0, 1]], "k": 1})
     return files
 
 
@@ -271,6 +346,7 @@ def corpus() -> list:
     for name, rows in LARGE.items():
         cases.extend(_large_cases(name, rows))
     cases.extend(_other_cases())
+    cases.extend(_edge_cases())
     return cases
 
 

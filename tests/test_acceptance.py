@@ -58,6 +58,7 @@ from sftdim.cylinder_ring import alpha_k0
 from sftdim.exactlinalg import solve_integer_linear
 
 from conftest import (
+    lattice_coordinates,
     random_centralizer_element,
     random_primitive_adjacency,
     random_valid_adjacency,
@@ -109,7 +110,7 @@ def test_criterion_02_symmetric_example_centralizer_and_traces():
     assert cent.rank == 5
     # lattice equality by mutual membership
     for x in listed:
-        assert cent.contains(x)
+        assert lattice_coordinates(cent, x) is not None
     span = IntMatrix.from_columns([x.vec() for x in listed], 9)
     for b in cent.basis:
         assert solve_integer_linear(span, b.vec()) is not None
@@ -342,7 +343,8 @@ def test_criterion_10_golden_mean_invariants():
     span = IntMatrix.from_columns([IntMatrix.identity(2).vec(), fib.matrix.vec()], 4)
     for b in cent.basis:
         assert solve_integer_linear(span, b.vec()) is not None
-    assert cent.contains(IntMatrix.identity(2)) and cent.contains(fib.matrix)
+    assert lattice_coordinates(cent, IntMatrix.identity(2)) is not None
+    assert lattice_coordinates(cent, fib.matrix) is not None
     k1 = k1_group_structure(fib)
     assert k1.snf_diagonal == (1, 1, 0, 0)
     assert (k1.free_rank, k1.torsion) == (2, ())

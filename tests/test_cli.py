@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import itertools
 import json
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sftdim import cli, exactlinalg
+from sftdim import cli, exactlinalg, traces
 from sftdim.cli import main
 from sftdim import IntMatrix, StableElement, validate
 from sftdim.serialization import (
@@ -19,7 +21,7 @@ from sftdim.serialization import (
     parse_matrix_text,
     witness_from_dict,
 )
-from sftdim.duality import StableHom
+from sftdim.duality import StableHom, hom_eval
 
 
 @pytest.fixture
@@ -98,6 +100,32 @@ class TestInfoAndReports:
         report = json.loads(out)
         assert report["perron"]["eigenvalue"] == pytest.approx(4.0)
         assert report["centralizer_rank"] == 5
+
+    def test_perron_self_check_is_scale_free(self, capsys, matrix_file):
+        # the residual is 2^-12, one ulp at lambda ~ 10^12: far above 1e-6, but
+        # relative to lambda and the vectors it is rounding error
+        path = matrix_file([[10**12, 1, 0], [1, 10**12, 3], [2, 0, 10**12 - 1]])
+        code, out, err = run_cli(capsys, "--format", "json", "info", path)
+        assert (code, err) == (0, "") and json.loads(out)["perron"]["residual"] > 1e-6
+        code, _, err = run_cli(capsys, "--format", "text", "info", path)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_perturbed_perron_vector_exits_4(self, capsys, matrix_file, monkeypatch, which):
+        # left is about (0.001, 1) and right (500, 0.5): one part in 10^6 of
+        # either vector's small entry is caught in units of that vector
+        calls, exact = itertools.count(), traces._eigenvector
+
+        def perturbed(edge, r):
+            v = exact(edge, r)
+            if next(calls) == which:  # 0: the left vector, 1: the right one
+                v[0] *= 1 + 1e-6
+            return v
+
+        monkeypatch.setattr(traces, "_eigenvector", perturbed)
+        code, out, err = run_cli(capsys, "--format", "json", "info", matrix_file([[1, 10**6], [1, 1]]))
+        assert code == 4 and err == "perron residual too large\n"
+        assert "perron" in json.loads(out)  # the report is printed in full first
 
     def test_reports_are_byte_identical(self, capsys, matrix_file):
         path = matrix_file([[1, 1], [1, 0]])
@@ -257,6 +285,45 @@ class TestElementCommands:
         code, out, _ = run_cli(capsys, "--format", "json", "duality", "eval", path, hom, v)
         report = json.loads(out)
         assert report["result"] == {"payload": [60], "level": 3, "flavor": "ra"}
+
+
+class TestHugeIntegers:
+    """Exact integers past Python's default 4300-digit str limit print in
+    full, in one piece, and the limit is restored afterwards."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_deep_duality_eval_prints_in_full(self, capsys, matrix_file, fmt):
+        path = matrix_file([[1, 1], [1, 0]])
+        hom, x = {"z": [1, 0], "level": 0}, {"payload": [1, 0], "level": 30000, "flavor": "s"}
+        a = validate([[1, 1], [1, 0]])
+        want = element_to_dict(hom_eval(hom_from_dict(a, hom), element_from_dict(a, x)))
+        limit = _digit_limit()
+        code, out, err = run_cli(capsys, "--format", fmt, "duality", "eval", path, json.dumps(hom), json.dumps(x))
+        assert (code, err) == (0, "") and _digit_limit() == limit
+        with _all_digits():
+            if fmt == "json":
+                got = json.loads(out)["result"]
+            else:
+                line = next(t for t in out.splitlines() if t.startswith("result: "))
+                got = json.loads(line[len("result: "):])
+            assert got == want and len(str(want["payload"][0])) > 4300
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextlib.contextmanager
+def _all_digits():
+    """No limit on the digits of int <-> str conversions (Python 3.11 on) inside."""
+    limit = _digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestStrictParsing:

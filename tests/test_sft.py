@@ -1,6 +1,10 @@
+import functools
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from sftdim import (
     NegativeEntryError,
@@ -9,6 +13,7 @@ from sftdim import (
     ZeroRowOrColumnError,
     is_irreducible,
     is_primitive,
+    matrix_power,
     period,
     spectral_decomposition,
     validate,
@@ -166,3 +171,85 @@ class TestSpectralDecomposition:
 
             lam = max(abs(v) for v in np.linalg.eigvals(np.array(a.matrix.to_rows(), dtype=float)))
             assert abs(lam_comp - lam**n) < 1e-6
+
+
+@st.composite
+def _graphs(draw):
+    """Valid adjacency matrices, K = 1..6: unrestricted, block-triangular
+    (reducible unless the cut is at an end), or with edges only from class c to
+    class c + 1 mod 2 or 3 (every cycle length a multiple of 2 or 3)."""
+    k = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(("any", "triangular", 2, 3)))
+    cut = draw(st.integers(0, k))
+    cls = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k))
+
+    def allowed(i, j):
+        if shape == "any":
+            return True
+        if shape == "triangular":  # no edge from the head into the tail
+            return not i < cut <= j
+        return cls[j] % shape == (cls[i] + 1) % shape
+
+    entry = st.sampled_from((0, 1, 1, 2) if shape in (2, 3) else (0, 0, 1, 1, 2))
+    rows = [[draw(entry) if allowed(i, j) else 0 for j in range(k)] for i in range(k)]
+    try:
+        return validate(rows)
+    except ValueError:
+        assume(False)
+
+
+def _bool_powers(a, top):
+    """The boolean powers A^0 .. A^top as K x K lists of bools."""
+    k = a.size
+    b = [[a.matrix.entry(i, j) > 0 for j in range(k)] for i in range(k)]
+    powers = [[[i == j for j in range(k)] for i in range(k)]]
+    for _ in range(top):
+        p = powers[-1]
+        powers.append([[any(p[i][s] and b[s][j] for s in range(k)) for j in range(k)] for i in range(k)])
+    return powers
+
+
+def _oracle_irreducible(a):
+    """(I + A)^(K - 1) > 0: every vertex reaches every other in fewer than K steps."""
+    powers = _bool_powers(a, a.size - 1)
+    return all(any(p[i][j] for p in powers) for i in range(a.size) for j in range(a.size))
+
+
+def _oracle_period(a):
+    """gcd{n <= K^2 : tr A^n > 0}."""
+    powers = _bool_powers(a, a.size**2)
+    return functools.reduce(
+        math.gcd, (n for n, p in enumerate(powers) if n and any(p[i][i] for i in range(a.size))), 0
+    )
+
+
+class TestOneGraphSearch:
+    """Irreducibility, the period and the cyclic classes, all read off one
+    breadth-first search, against boolean matrix powers."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_graphs())
+    @example(a=validate([[1]]))
+    @example(a=validate([[0, 1], [1, 0]]))
+    @example(a=validate([[0, 2, 0], [0, 0, 1], [3, 0, 0]]))
+    @example(a=validate([[1, 1], [0, 1]]))
+    def test_against_boolean_powers(self, a):
+        irreducible = _oracle_irreducible(a)
+        assert is_irreducible(a) == irreducible
+        if not irreducible:
+            for f in (period, spectral_decomposition):
+                with pytest.raises(ReducibleError):
+                    f(a)
+            assert not is_primitive(a)
+            return
+        n = _oracle_period(a)
+        assert period(a) == n and is_primitive(a) == (n == 1)
+        dec = spectral_decomposition(a)
+        # the class of v is the length mod n of every path from vertex 0 to v
+        powers = _bool_powers(a, a.size**2)
+        for c, cls in enumerate(dec.classes):
+            for v in cls:
+                assert {t % n for t, p in enumerate(powers) if p[0][v]} == {c}
+        # the component is the return map A^n on the class of vertex 0
+        first = dec.classes[0]
+        assert dec.component.matrix == matrix_power(a.matrix, n).submatrix(first, first)

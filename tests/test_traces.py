@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -23,9 +24,10 @@ from sftdim import (
     trace_u,
     validate,
 )
+from sftdim import traces
 from sftdim.cylinder_ring import act_s, act_u, alpha_k0
 
-from conftest import chord_cycle, random_centralizer_element
+from conftest import chord_cycle, random_centralizer_element, reference_eigenvector
 
 
 class TestPerron:
@@ -174,6 +176,31 @@ class TestPerronVectorsExactly:
     @pytest.mark.parametrize("k", [12, 30, 45])
     def test_chord_cycles(self, k):
         self._assert_close(chord_cycle(k))
+
+
+class TestEigenvectorBitIdentity:
+    """perron evaluates the adjugate edges with the Horner rule that locates
+    lambda: bit for bit the vectors, residuals and root of the loop that
+    evaluated them before."""
+
+    def _assert_identical(self, rows):
+        got = perron(validate(rows))
+        with mock.patch.object(traces, "_eigenvector", reference_eigenvector):
+            want = perron(validate(rows))
+        assert got == want
+
+    def test_pool(self, primitive_pool):
+        for a in primitive_pool:
+            self._assert_identical(a.matrix.to_rows())
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_primitive())
+    def test_generated_primitive_matrices(self, a):
+        self._assert_identical(a.matrix.to_rows())
+
+    @pytest.mark.parametrize("k", [12, 16, 20, 40])
+    def test_chord_cycles(self, k):
+        self._assert_identical(chord_cycle(k).matrix.to_rows())
 
 
 class TestTraceFormulas:
