@@ -83,19 +83,11 @@ def _parse_hom(a, arg: str):
 
 
 def _emit(report: dict, fmt: str) -> None:
-    """Render the whole report, then print it, its integers in full: Python's
-    limit on the digits of str(int) (3.11 on) is lifted while it renders."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        if fmt == "json":
-            text = json.dumps(report, sort_keys=True, indent=2)
-        else:
-            text = "\n".join(f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(report.items()))
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    """Render the whole report, then print it."""
+    if fmt == "json":
+        text = json.dumps(report, sort_keys=True, indent=2)
+    else:
+        text = "\n".join(f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(report.items()))
     print(text)
 
 
@@ -379,6 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # exact integers are read and printed in full: Python's limit on the
+    # digits of int <-> str conversions (3.11 on) is lifted until main returns
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         report = {"command": args.command, "library_version": __version__}
         matrices = []
@@ -399,6 +396,9 @@ def main(argv=None) -> int:
         # iteration caps: Smith passes, closures, minimal polynomial
         print(f"error: {exc}", file=sys.stderr)
         return VIOLATION_EXIT
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     if isinstance(status, str):
         print(status, file=sys.stderr)
         return VIOLATION_EXIT

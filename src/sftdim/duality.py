@@ -19,7 +19,7 @@ the deterministic choice that makes both round trips the identity.
 
 from __future__ import annotations
 
-from .exactlinalg import frozen, matrix_power, minimal_polynomial, poly_eval_matrix
+from .exactlinalg import frozen, matrix_power, minimal_polynomial, poly_apply
 from .sft import AdjacencyMatrix
 from .dimension_groups import (
     StableElement,
@@ -79,8 +79,8 @@ hom_add = add
 def hom_scale(r: RAElement, phi: StableHom) -> StableHom:
     """The module action of the polynomial subring: (r . phi)(a) = r * phi(a)."""
     _same_ambient(r, phi)
-    pa = poly_eval_matrix(r.coeffs, phi.ambient.matrix)
-    return StableHom(phi.ambient, pa.col_apply(phi.z), phi.level + r.level)
+    z = poly_apply(r.coeffs, phi.ambient.matrix, phi.z)
+    return StableHom(phi.ambient, z, phi.level + r.level)
 
 
 def hom_to_unstable(phi: StableHom) -> UnstableElement:

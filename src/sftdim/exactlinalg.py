@@ -31,6 +31,9 @@ invariant factors come from alternating row and column Hermite passes with
 no transforms (:func:`invariant_factors`).  Both preimage closures go through
 :func:`preimage_closure`, in the coordinates of a lattice the map keeps.  The
 Perron root is bracketed by two dyadics (:func:`perron_root`), not rounded.
+The minimal polynomial is the lcm of the annihilators of the unit vectors
+(:func:`minimal_polynomial`), each found in a builder 2K + 1 wide, for every
+matrix alike.
 """
 
 from __future__ import annotations
@@ -799,6 +802,14 @@ def poly_eval_matrix(coeffs: Sequence[int], m: IntMatrix) -> IntMatrix:
     return acc
 
 
+def poly_apply(coeffs: Sequence[int], m: IntMatrix, v: Sequence[int]) -> tuple:
+    """p(M) v by Horner's rule on vectors: one application of M a coefficient."""
+    acc = [0] * len(v)
+    for c in reversed(coeffs):
+        acc = [x + c * y for x, y in zip(m.col_apply(acc), v)]
+    return tuple(acc)
+
+
 # ---------------------------------------------------------------------------
 # characteristic and minimal polynomials
 # ---------------------------------------------------------------------------
@@ -901,33 +912,6 @@ class MinPolyData:
     m_coeffs: tuple
 
 
-# A Mersenne prime: the squarefree test runs modulo it.
-_SQUAREFREE_PRIME = 2**61 - 1
-
-
-def _coprime_mod(a: Sequence[int], b: Sequence[int], p: int) -> bool:
-    """Whether integer polynomials ``a`` and ``b`` are coprime over F_p."""
-
-    def reduce(c):
-        c = [x % p for x in c]
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = reduce(a), reduce(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            q = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - q * c) % p
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
 def _min_poly_data(m_coeffs: tuple) -> MinPolyData:
     l = 0
     while m_coeffs[l] == 0:
@@ -938,31 +922,27 @@ def _min_poly_data(m_coeffs: tuple) -> MinPolyData:
 
 @memo
 def minimal_polynomial(m: IntMatrix) -> MinPolyData:
-    """Minimal polynomial, with ``chi_A`` itself whenever that is squarefree.
+    """Minimal polynomial: the lcm of the annihilators of the unit vectors.
 
-    A squarefree characteristic polynomial has only simple roots, so it is
-    the minimal polynomial.  It is squarefree when ``gcd(chi, chi')`` is 1
-    modulo a prime: ``chi`` is monic, so a common factor over Q is a monic
-    integer one and would survive the reduction.  Otherwise the powers of M
-    are searched for their first linear dependency.
+    With p the lcm so far, the annihilator of p(M) e_i is
+    ann(e_i) / gcd(ann(e_i), p), so p times it is lcm(p, ann(e_i)) with no
+    gcd taken.  Each annihilator divides the monic integer chi_M, so by
+    Gauss's lemma it is monic and integral.  Each search runs in a Hermite
+    builder 2K + 1 wide, and the loop stops once deg p = K.
     """
     if not m.is_square:
         raise DimensionMismatchError("minimal polynomial needs a square matrix")
-    if m.rows == 0:
-        raise DimensionMismatchError("empty matrix")
-    chi = characteristic_polynomial(m)
-    derivative = [i * c for i, c in enumerate(chi)][1:]
-    if _coprime_mod(chi, derivative, _SQUAREFREE_PRIME):
-        return _min_poly_data(chi)
-    return _minimal_polynomial_from_powers(m)
-
-
-def _minimal_polynomial_from_powers(m: IntMatrix) -> MinPolyData:
-    """Minimal polynomial: the annihilator of I under X -> X M."""
     n = m.rows
-    return _min_poly_data(
-        annihilator(IntMatrix.identity(n).entries, lambda x: (IntMatrix(n, n, x) @ m).entries, n)
-    )
+    if n == 0:
+        raise DimensionMismatchError("empty matrix")
+    p = (1,)
+    for i in range(n):
+        if len(p) > n:
+            break
+        v = poly_apply(p, m, tuple(int(t == i) for t in range(n)))
+        if any(v):
+            p = poly_mul(p, annihilator(v, m.col_apply, n))
+    return _min_poly_data(p)
 
 
 def annihilator(x: Sequence[int], step, n: int) -> tuple:

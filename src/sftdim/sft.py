@@ -77,11 +77,6 @@ def validate(raw: Union[IntMatrix, Sequence[Sequence[int]]]) -> AdjacencyMatrix:
     return AdjacencyMatrix(m)
 
 
-def wielandt_bound(k: int) -> int:
-    """Smallest exponent that must be entrywise positive for a primitive matrix."""
-    return (k - 1) ** 2 + 1
-
-
 def _bfs_levels(a: AdjacencyMatrix, reverse: bool = False) -> list:
     """Breadth-first depth of each vertex from vertex 0, None where unreached;
     along the edges reversed (the graph of A^T) when ``reverse``."""
@@ -123,8 +118,8 @@ def is_primitive(a: AdjacencyMatrix) -> bool:
     """True iff some power is entrywise positive.
 
     That holds iff the graph is strongly connected with period 1, which the
-    breadth-first search decides; squaring boolean powers up to
-    :func:`wielandt_bound` would cost O(K^5).
+    breadth-first search decides; squaring boolean powers up to Wielandt's
+    bound (K - 1)^2 + 1 would cost O(K^5).
     """
     return is_irreducible(a) and period(a) == 1
 

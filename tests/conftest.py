@@ -10,7 +10,10 @@ from sftdim.cylinder_ring import RAElement, centralizer_basis
 from sftdim.dimension_groups import is_zero_s
 from sftdim.exactlinalg import (
     DimensionMismatchError,
+    MinPolyData,
     RowHermiteForm,
+    _min_poly_data,
+    annihilator,
     hermite_coords,
     hermite_pivots,
     kron,
@@ -214,6 +217,18 @@ def top_down_row_hermite(m):
     w = tuple(r[m.cols :] for r in rows)
     pivots = tuple(next(j for j, x in enumerate(r) if x) for r in h if any(r))
     return RowHermiteForm(h=h, w=w, pivots=pivots)
+
+
+# The builder that exactlinalg.minimal_polynomial ran whenever chi_A was not
+# squarefree, before the lcm of the vector annihilators replaced it, kept
+# verbatim as the reference: it searches the powers of M themselves, in one
+# Hermite builder K^2 + K + 1 wide.
+def reference_minimal_polynomial(m: IntMatrix) -> MinPolyData:
+    """Minimal polynomial: the annihilator of I under X -> X M."""
+    n = m.rows
+    return _min_poly_data(
+        annihilator(IntMatrix.identity(n).entries, lambda x: (IntMatrix(n, n, x) @ m).entries, n)
+    )
 
 
 # The Hermite read-offs that exactlinalg.hermite_coords replaced, kept

@@ -11,7 +11,7 @@ conftest matrices, scaled all-ones matrices ``cJ + dI``, ``J_4``, a period-2
 matrix, chord cycles at K = 12, 16 and 20 and a seeded random K = 12 matrix,
 plus inputs the CLI refuses (exit 2), ``@file`` arguments, positivity that
 needs the Perron root to more than 64 bits, integers past Python's default
-4300-digit limit and failing witnesses (exit 4).  ``kgroups`` runs on nothing
+4300-digit limit, printed and read back, and failing witnesses (exit 4).  ``kgroups`` runs on nothing
 larger than K = 12, so a replay stays within a few seconds.
 
 Run it only when a change alters the output on purpose, and list every
@@ -258,8 +258,8 @@ def _other_cases():
 def _edge_cases():
     """Refused matrix files, reducible matrices, ``@file`` arguments, exact
     positivity on the zero class and on and near the boundary, a matrix whose
-    Perron residual is large only in absolute terms, a report with integers
-    past Python's default digit limit, and a failing witness (exit 4)."""
+    Perron residual is large only in absolute terms, integers past Python's
+    default digit limit, printed and read back, and a failing witness (exit 4)."""
     fib_class = _elem([1, 0], 30000, "s")
     hom = json.dumps({"z": [1, 0], "level": 0})
     cases = [
@@ -298,8 +298,36 @@ def _edge_cases():
         ["--format", "json", "duality", "eval", "fib.json", hom, fib_class],
         ["--format", "text", "duality", "eval", "fib.json", hom, fib_class],
         ["--format", "text", "se-verify", "fib.json", "fib.json", "@bad_witness.json"],
+        ["--format", "json", "positive", "fib.json", "@big.json"],
+        ["--format", "json", "equal", "fib.json", "@deep_ra.json", "@deep_ra_up.json"],
     ]
     return cases
+
+
+def _deep_files() -> dict:
+    """Arguments past Python's default 4300-digit limit: a 5001-digit stable
+    payload, and the level-30000 ``duality eval`` result over fib.json beside
+    the same class written one level up."""
+    from sftdim import ra_reduce, validate
+    from sftdim.duality import hom_eval
+    from sftdim.serialization import element_from_dict, element_to_dict, hom_from_dict
+
+    a = validate(SMALL["fib"])
+    hom = hom_from_dict(a, {"z": [1, 0], "level": 0})
+    deep = hom_eval(hom, element_from_dict(a, {"payload": [1, 0], "level": 30000, "flavor": "s"}))
+    up = ra_reduce(a, (0, 0, *deep.coeffs), deep.level + 1)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return {
+            "big.json": _elem([10**5000, -1], 0, "s"),
+            "deep_ra.json": json.dumps(element_to_dict(deep)),
+            "deep_ra_up.json": json.dumps(element_to_dict(up)),
+        }
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 # matrix files the CLI refuses, beside negative.json and ragged.json: a zero
@@ -336,6 +364,7 @@ def matrix_files() -> dict:
     files["hom.json"] = json.dumps({"z": [2, -1], "level": 1})
     files["witness.json"] = json.dumps({"R": [[1, 0], [0, 1]], "S": [[1, 1], [1, 0]], "k": 1})
     files["bad_witness.json"] = json.dumps({"R": [[1, 0], [0, 1]], "S": [[1, 0], [0, 1]], "k": 1})
+    files.update(_deep_files())
     return files
 
 

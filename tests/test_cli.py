@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sftdim import cli, exactlinalg, traces
 from sftdim.cli import main
-from sftdim import IntMatrix, StableElement, validate
+from sftdim import IntMatrix, StableElement, ra_reduce, validate
 from sftdim.serialization import (
     element_from_dict,
     element_to_dict,
@@ -288,8 +288,8 @@ class TestElementCommands:
 
 
 class TestHugeIntegers:
-    """Exact integers past Python's default 4300-digit str limit print in
-    full, in one piece, and the limit is restored afterwards."""
+    """Exact integers past Python's default 4300-digit str limit are read and
+    printed in full, in one piece, and the limit is restored afterwards."""
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_deep_duality_eval_prints_in_full(self, capsys, matrix_file, fmt):
@@ -307,6 +307,43 @@ class TestHugeIntegers:
                 line = next(t for t in out.splitlines() if t.startswith("result: "))
                 got = json.loads(line[len("result: "):])
             assert got == want and len(str(want["payload"][0])) > 4300
+
+    def test_a_5001_digit_payload_is_read_in_full(self, capsys, matrix_file, tmp_path):
+        path = matrix_file([[1, 1], [1, 0]])
+        big = tmp_path / "big.json"
+        with _all_digits():
+            big.write_text(json.dumps({"payload": [10**5000, -1], "level": 0, "flavor": "s"}))
+        code, out, err = run_cli(capsys, "--format", "json", "positive", path, f"@{big}")
+        assert (code, err, json.loads(out)["positivity"]) == (0, "", "positive")
+
+    def test_the_deep_eval_result_reads_back_through_a_file(self, capsys, matrix_file, tmp_path):
+        # the level-30000 class that duality eval prints, against the same
+        # class written one level up: [x^2 p, N + 1]
+        path = matrix_file([[1, 1], [1, 0]])
+        hom, x = {"z": [1, 0], "level": 0}, {"payload": [1, 0], "level": 30000, "flavor": "s"}
+        _, out, _ = run_cli(capsys, "--format", "json", "duality", "eval", path, json.dumps(hom), json.dumps(x))
+        with _all_digits():
+            result = json.loads(out)["result"]
+            up = ra_reduce(validate([[1, 1], [1, 0]]), (0, 0, *result["payload"]), result["level"] + 1)
+            (tmp_path / "result.json").write_text(json.dumps(result))
+            (tmp_path / "up.json").write_text(json.dumps(element_to_dict(up)))
+        limit = _digit_limit()
+        code, out, err = run_cli(
+            capsys, "--format", "json", "equal", path, f"@{tmp_path / 'result.json'}", f"@{tmp_path / 'up.json'}")
+        assert (code, err, json.loads(out)["equal"]) == (0, "", True) and _digit_limit() == limit
+
+    def test_main_lifts_the_limit_until_it_returns(self, capsys, matrix_file, monkeypatch):
+        # loading, the handler's reads and emitting all run without the limit,
+        # and a refused input restores it as a success does
+        path = matrix_file([[1, 1], [1, 0]])
+        limit, seen = _digit_limit(), []
+        for name in ("_load_matrix", "_load_json_arg", "_emit"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, real=real: (seen.append(_digit_limit()), real(*args))[1])
+        code, _, _ = run_cli(capsys, "positive", path, json.dumps({"payload": [1, 0], "level": 0, "flavor": "s"}))
+        assert code == 0 and seen == [None if limit is None else 0] * 3 and _digit_limit() == limit
+        code, _, err = run_cli(capsys, "positive", path, json.dumps({"payload": [1], "level": 0, "flavor": "s"}))
+        assert code == 2 and err.startswith("error: ") and _digit_limit() == limit
 
 
 def _digit_limit():

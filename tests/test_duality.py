@@ -1,6 +1,8 @@
 import random
 
 from conftest import random_valid_adjacency, reference_hom_eval
+from sftdim.cylinder_ring import RAElement
+from sftdim.exactlinalg import minimal_polynomial, poly_eval_matrix
 from sftdim import (
     CylinderK0Element,
     StableElement,
@@ -102,6 +104,18 @@ class TestHomEval:
             v = StableElement(a, tuple(rng.randint(-3, 3) for _ in range(k)), rng.randint(0, 2))
             r = ra_mul(ra_generator(a, rng.randint(0, 1)), ra_generator(a, rng.randint(0, 1)))
             assert ra_equal(hom_eval(hom_scale(r, phi), v), ra_mul(r, hom_eval(phi, v)))
+
+    def test_scale_matches_the_matrix_polynomial(self):
+        # hom_scale runs Horner's rule on z; the reference forms the matrix p(A)
+        rng = random.Random(149)
+        for _ in range(100):
+            a = random_valid_adjacency(rng, rng.randint(1, 8), hi=rng.choice((1, 2, 3)))
+            k = a.size
+            phi = StableHom(a, tuple(rng.randint(-3, 3) for _ in range(k)), rng.randint(0, 3))
+            coeffs = tuple(rng.randint(-3, 3) for _ in range(minimal_polynomial(a.matrix).k))
+            r = RAElement(a, coeffs, rng.randint(0, 3))
+            want = poly_eval_matrix(coeffs, a.matrix).col_apply(phi.z)
+            assert hom_scale(r, phi) == StableHom(a, want, phi.level + r.level)
 
 
 class TestHomEquality:

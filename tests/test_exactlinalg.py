@@ -4,7 +4,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
@@ -50,6 +50,7 @@ from conftest import (
     random_primitive_adjacency,
     reference_newton_root,
     reference_hermite_row_basis,
+    reference_minimal_polynomial,
     reference_lattice_contains,
     reference_left_solve,
     reference_matmul,
@@ -699,7 +700,32 @@ def _square(draw):
     block = draw(st.lists(st.lists(st.integers(-2, 2), min_size=h, max_size=h), min_size=h, max_size=h))
     m = IntMatrix.from_rows(
         [[block[i % h][j % h] if i // h == j // h else 0 for j in range(k)] for i in range(k)])
-    # conjugate by elementary matrices I + c e_i e_j^T, whose inverse is I - c e_i e_j^T
+    return _conjugated(draw, m)
+
+
+@st.composite
+def _jordan(draw):
+    """U (J_s1(c1) + ... + J_sr(cr)) U^-1 with K <= 12: nilpotent blocks (c = 0)
+    and repeated eigenvalues are common, so m_A is often a proper divisor of
+    chi_A with a power of x in it."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 4), st.sampled_from((0, 0, 1, -1, 2))),
+                           min_size=1, max_size=3))
+    k = sum(s for s, _ in blocks)
+    rows = [[0] * k for _ in range(k)]
+    start = 0
+    for size, c in blocks:
+        for t in range(start, start + size):
+            rows[t][t] = c
+            if t + 1 < start + size:
+                rows[t][t + 1] = 1
+        start += size
+    return _conjugated(draw, IntMatrix.from_rows(rows))
+
+
+def _conjugated(draw, m):
+    """``m`` conjugated by up to three elementary matrices I + c e_i e_j^T,
+    whose inverse is I - c e_i e_j^T."""
+    k = m.rows
     for _ in range(draw(st.integers(0, 3))):
         i, j, c = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1)), draw(st.integers(-2, 2))
         if i == j:
@@ -762,21 +788,41 @@ class TestMinimalPolynomial:
         degree = len(mp.m_coeffs) - 1
         powers = sympy.Matrix([matrix_power(m, i).vec() for i in range(degree)])
         assert powers.rank() == degree
-        # squarefree characteristic polynomials skip the builder; the rest take it
-        assert mp == exactlinalg._minimal_polynomial_from_powers(m)
+        assert mp == reference_minimal_polynomial(m)
 
-    @pytest.mark.parametrize("k", [5, 12, 20, 30])
-    def test_chord_cycles_skip_the_builder(self, k, monkeypatch):
-        a = chord_cycle(k).matrix
-        oracle = exactlinalg._minimal_polynomial_from_powers(a)
+    @given(m=st.one_of(_square(), _jordan()))
+    @example(m=IntMatrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
+    @example(m=IntMatrix.zeros(3, 3))
+    def test_matches_the_powers_builder(self, m):
+        assert minimal_polynomial(m) == reference_minimal_polynomial(m)
 
-        def refuse(m):
-            raise AssertionError("squarefree characteristic polynomial sent to the builder")
+    @pytest.mark.parametrize("rows, m_coeffs", [
+        *((chord_cycle(k).matrix.to_rows(), (-1, -1) + (0,) * (k - 2) + (1,)) for k in (5, 12, 20, 30)),
+        ([[2 + (i == j) for j in range(8)] for i in range(8)], (17, -18, 1)),  # 2J + I
+        ([[1, 2, 0, 0], [3, 1, 0, 0], [0, 0, 1, 2], [0, 0, 3, 1]], (-5, -2, 1)),  # diag(B, B)
+        ([[0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 1, 1]], (0, 1, -2, 1)),  # chi = x (x - 1)^3
+    ], ids=["chord5", "chord12", "chord20", "chord30", "2J+I", "diag(B,B)", "repeated_row"])
+    def test_no_builder_wider_than_2k_plus_1(self, rows, m_coeffs, monkeypatch):
+        # chord cycles: chi = x^k - x - 1 is squarefree; the other three are derogatory
+        k = len(rows)
+        oracle = reference_minimal_polynomial(IntMatrix.from_rows(rows))
+        widths, chi_calls = [], []
 
-        monkeypatch.setattr(exactlinalg, "_minimal_polynomial_from_powers", refuse)
-        mp = minimal_polynomial(a)
-        assert mp == oracle
-        assert mp.m_coeffs == (-1, -1) + (0,) * (k - 2) + (1,)  # x^k - x - 1
+        class Recording(exactlinalg._HnfBuilder):
+            def __init__(self, width):
+                widths.append(width)
+                super().__init__(width)
+
+        def recorded_chi(m):
+            chi_calls.append(m)
+            return characteristic_polynomial(m)
+
+        monkeypatch.setattr(exactlinalg, "_HnfBuilder", Recording)
+        monkeypatch.setattr(exactlinalg, "characteristic_polynomial", recorded_chi)
+        mp = minimal_polynomial(IntMatrix.from_rows(rows))  # a fresh matrix: nothing is memoised
+        assert mp == oracle and mp.m_coeffs == m_coeffs
+        assert widths and max(widths) <= 2 * k + 1
+        assert not chi_calls
 
     def test_divisor_lattice_minimality(self):
         # No proper monic divisor of the characteristic polynomial of lower

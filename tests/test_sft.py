@@ -18,7 +18,6 @@ from sftdim import (
     spectral_decomposition,
     validate,
 )
-from sftdim.sft import wielandt_bound
 from sftdim import traces
 
 from conftest import random_valid_adjacency
@@ -88,6 +87,11 @@ class TestPrimitivity:
         rows[0][2] = 1
         a = validate(rows)
         assert is_primitive(a) and _wielandt_primitive(a)
+
+
+def wielandt_bound(k: int) -> int:
+    """Smallest exponent that must be entrywise positive for a primitive matrix."""
+    return (k - 1) ** 2 + 1
 
 
 def _wielandt_primitive(a):
