@@ -26,8 +26,9 @@ coordinates of the matrix-level center of C(A), which Y -> A^2 Y maps into
 itself.  Each closure is one call of exactlinalg.preimage_closure, and both
 answers read its one witness walk.  The center is M_K(Z) intersected with
 Q[A] (double centraliser), the saturation of Z[A] in M_K(Z), of rank
-deg m_A; it is C(A) itself whenever A is non-derogatory.  The subring is a
-tower like the groups: Z[x]/p_A(x), pushed by multiplication by x^2.
+deg m_A, built from the powers of A for every A and factoring no
+commutator form; for non-derogatory A it equals C(A), as the tests check.
+The subring is a tower like the groups: Z[x]/p_A(x), pushed by x^2.
 
 For nonsingular A both closures run in the saturation of their seed, which
 is far smaller; for the subring that is the center, where its closure runs
@@ -521,16 +522,12 @@ def center_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     with everything that commutes with A are exactly the polynomials in A
     (the double centraliser theorem), so the center is M_K(Z) meet Q[A], of
     rank deg m_A: the saturation of Z[A] = span{I, A, ..., A^(deg m_A - 1)}
-    in M_K(Z).  When deg m_A = K (A is non-derogatory) that is C(A) itself.
+    in M_K(Z), one path for every A.  When deg m_A = K (A is non-derogatory)
+    that lattice is C(A) itself, which the tests check basis for basis.
     """
     mp = minimal_polynomial(a.matrix)
-    degree = mp.k + mp.l
-    if degree == a.size:
-        return centralizer_basis(a)
     k = a.size
-    powers = [IntMatrix.identity(k)]
-    for _ in range(degree - 1):
-        powers.append(powers[-1] @ a.matrix)
-    rows = saturation(hermite_row_basis([p.vec() for p in powers], k * k), k * k)
+    powers = [matrix_power(a.matrix, i).vec() for i in range(mp.k + mp.l)]
+    rows = saturation(hermite_row_basis(powers, k * k), k * k)
     basis = tuple(IntMatrix.from_vec(rw, k, k) for rw in rows)
     return CentralizerLattice(basis=basis, rank=len(basis))

@@ -523,8 +523,9 @@ def saturation(hermite_rows: Sequence[Sequence[int]], width: int) -> tuple:
         d = rows[i][pivots[i]]
         g[i] = [x // d for x in acc]
     ys = [[1 if t == i else 0 for t in range(s)] for i in range(s)]
+    combos = g  # combos[i] = ys[i] G, whose column j holds the residues
     for j in range(width):
-        residues = [sum(c * g[t][j] for t, c in enumerate(y) if c) % det for y in ys]
+        residues = [r[j] % det for r in combos]
         if any(residues):
             # rows [y . G_j | y] and [D | 0]: the Hermite rows after the first
             # have a zero residue, and they are a basis of the y that satisfy it
@@ -532,7 +533,8 @@ def saturation(hermite_rows: Sequence[Sequence[int]], width: int) -> tuple:
                 [[x, *y] for x, y in zip(residues, ys)] + [[det] + [0] * s], s + 1
             )
             ys = [r[1:] for r in step[1:]]
-    vectors = [[x // det for x in hermite_combine(g, y)] for y in ys]
+            combos = [hermite_combine(g, y) for y in ys]
+    vectors = [[x // det for x in r] for r in combos]
     return hermite_row_basis(vectors, width)
 
 
@@ -853,14 +855,13 @@ def adjugate_edges(m: IntMatrix) -> tuple:
     return _faddeev_leverrier(m)[1:]
 
 
-def _horner(coeffs: Sequence[int], r: int, bits: int) -> tuple:
-    """(2^(bits d) p(x), 2^(bits (d - 1)) p'(x)) at x = r / 2^bits, exactly."""
-    val, der, scale = 0, 0, 1
+def _horner(coeffs: Sequence[int], r: int, bits: int) -> int:
+    """2^(bits d) p(x) at x = r / 2^bits, exactly (d = len(coeffs) - 1)."""
+    val, scale = 0, 1
     for c in reversed(coeffs):
-        der = der * r + val
         val = val * r + c * scale
         scale <<= bits
-    return val, der
+    return val
 
 
 @memo
@@ -874,13 +875,14 @@ def perron_root(m: IntMatrix, bits: int) -> tuple:
     hold, the root is located with 64 more bits and rounded up.
     """
     chi = characteristic_polynomial(m)
+    slope = [i * c for i, c in enumerate(chi)][1:]  # _horner: 2^(bits (d - 1)) chi'(x)
     r, steps = max(map(sum, m.to_rows())) << bits, 0
-    val, der = _horner(chi, r, bits)
+    val, der = _horner(chi, r, bits), _horner(slope, r, bits)
     while val >= der:  # the step val // der is not zero
         r -= val // der
         steps += 1
-        val, der = _horner(chi, r, bits)
-    if _horner(chi, r - 1, bits)[0] > 0:
+        val, der = _horner(chi, r, bits), _horner(slope, r, bits)
+    if _horner(chi, r - 1, bits) > 0:
         finer, more = perron_root(m, bits + 64)
         return -(-finer >> 64), steps + more
     return r, steps
@@ -892,8 +894,8 @@ def sign_near(p: Sequence[int], r: int, bits: int) -> int:
     0 (not certain) when |p(r / 2^bits)| is at most 2^-bits sum i |p_i|
     (r / 2^bits)^(i - 1), which bounds |p'| there for r >= 1.
     """
-    val = _horner(p, r, bits)[0]
-    bound = _horner([abs(c) for c in p], r, bits)[1]
+    val = _horner(p, r, bits)
+    bound = _horner([i * abs(c) for i, c in enumerate(p)][1:], r, bits)
     return (val > 0) - (val < 0) if abs(val) > bound else 0
 
 

@@ -48,7 +48,7 @@ class PerronData:
 def _eigenvector(edge: tuple, r: int) -> list:
     """An edge of adj(tI - A) at t = r / 2^64, each entry rounded once in its
     ratio to the largest, so the common scale 2^(64 (K - 1)) cancels."""
-    exact = [_horner(column[::-1], r, _FRACTION_BITS)[0] for column in zip(*edge)]
+    exact = [_horner(column[::-1], r, _FRACTION_BITS) for column in zip(*edge)]
     top = max(exact)
     return [x / top for x in exact]
 

@@ -11,7 +11,8 @@ conftest matrices, scaled all-ones matrices ``cJ + dI``, ``J_4``, a period-2
 matrix, chord cycles at K = 12, 16 and 20 and a seeded random K = 12 matrix,
 plus inputs the CLI refuses (exit 2), ``@file`` arguments, positivity that
 needs the Perron root to more than 64 bits, integers past Python's default
-4300-digit limit, printed and read back, and failing witnesses (exit 4).  ``kgroups`` runs on nothing
+4300-digit limit, printed and read back, and failing witnesses (exit 4).
+``kgroups`` and ``ra member`` (on ``p(A)`` at two levels) run on nothing
 larger than K = 12, so a replay stays within a few seconds.
 
 Run it only when a change alters the output on purpose, and list every
@@ -227,6 +228,12 @@ def _large_cases(name, rows):
             ["--format", "json", "equal", path, _elem(v, level, "s"), _elem(m.row_apply(v), level + 1, "s")]
         )
         cases.append(["--format", "json", "equal", path, _elem(v, level, "u"), _elem(w, level, "u")])
+    if name in KGROUPS_LARGE:
+        from sftdim.exactlinalg import poly_eval_matrix
+
+        for level in (0, 2):
+            member = poly_eval_matrix([rng.randint(-2, 2) for _ in range(k)], m).to_rows()
+            cases.append(["--format", "json", "ra", "member", path, _elem(member, level, "k0")])
     return cases
 
 

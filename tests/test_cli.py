@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sftdim import cli, exactlinalg, traces
+from sftdim import cli, cylinder_ring, exactlinalg, traces
 from sftdim.cli import main
 from sftdim import IntMatrix, StableElement, ra_reduce, validate
 from sftdim.serialization import (
@@ -22,6 +22,8 @@ from sftdim.serialization import (
     witness_from_dict,
 )
 from sftdim.duality import StableHom, hom_eval
+
+from make_cli_digests import LARGE
 
 
 @pytest.fixture
@@ -252,6 +254,25 @@ class TestElementCommands:
         member_elem = json.dumps({"payload": [[1, 1], [1, 0]], "level": 2, "flavor": "k0"})
         code, out, _ = run_cli(capsys, "--format", "json", "ra", "member", path, member_elem)
         assert json.loads(out)["member"] is True
+
+    def test_ra_member_builds_no_commutator_form(self, capsys, matrix_file, monkeypatch):
+        # the closure runs in the centre sat(Z[A]), read off the powers of A,
+        # so a non-derogatory K = 12 matrix never builds the K^2-wide system
+        rows = LARGE["seeded12"]
+        m = validate(rows).matrix
+        assert exactlinalg.minimal_polynomial(m).k == 12
+        builds = []
+        system = cylinder_ring.commutator_system
+
+        def counted(a):
+            builds.append(a.rows)
+            return system(a)
+
+        monkeypatch.setattr(cylinder_ring, "commutator_system", counted)
+        member = exactlinalg.poly_eval_matrix([2, -1, 0, 1, 3], m).to_rows()
+        elem = json.dumps({"payload": member, "level": 1, "flavor": "k0"})
+        code, out, _ = run_cli(capsys, "--format", "json", "ra", "member", matrix_file(rows), elem)
+        assert (code, json.loads(out)["member"], builds) == (0, True, [])
 
     def test_ra_non_member(self, capsys, matrix_file):
         path = matrix_file([[1, 2], [2, 1]])

@@ -354,6 +354,7 @@ def _k1_pairs(rng, a, count):
 CJ_PLUS_DI = validate([[3, 2, 2], [2, 3, 2], [2, 2, 3]])
 REPEATED_ROW = validate([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
 BIPARTITE = validate([[0, 0, 1, 1], [0, 0, 1, 2], [1, 2, 0, 0], [1, 1, 0, 0]])
+COMPANION = validate([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [3, 1, 2, 1]])
 
 
 def _ones_plus_identity(k, c, d):
@@ -952,6 +953,9 @@ class TestSmallestSpaces:
         k = a.size
         cent = centralizer_basis(a)
         assert tuple(b.vec() for b in center_basis(a).basis) == _center_oracle(a)
+        mp = exactlinalg.minimal_polynomial(a.matrix)
+        if mp.k + mp.l == k:  # non-derogatory: sat(Z[A]) is C(A), basis for basis
+            assert center_basis(a) == cent
         reference = invariant_factors(sympy.Matrix(commutator_map(a).to_rows()), domain=sympy.ZZ)
         structure = k1_group_structure(a)
         assert structure.snf_diagonal == tuple(abs(int(d)) for d in reference)
@@ -972,7 +976,9 @@ class TestSmallestSpaces:
         rng = random.Random(149)
         doubled_ones = validate([[3, 2, 2, 2], [2, 3, 2, 2], [2, 2, 3, 2], [2, 2, 2, 3]])
         singular = [_all_ones(k) for k in range(2, 7)]  # derogatory for K >= 3
-        for a in [*primitive_pool, CJ_PLUS_DI, doubled_ones, REPEATED_ROW, BIPARTITE, *singular]:
+        inputs = [*primitive_pool, CJ_PLUS_DI, doubled_ones, REPEATED_ROW, BIPARTITE, *singular]
+        inputs += [chord_cycle(k) for k in (5, 8, 12)] + [COMPANION]  # non-derogatory
+        for a in inputs:
             self._assert_agrees(a, rng)
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -990,19 +996,22 @@ class TestSmallestSpaces:
         assert lattice_coordinates(center, IntMatrix.from_rows([[1, 1, 1]] * 3)) is not None
 
     def test_non_derogatory_center_factors_nothing(self, monkeypatch):
-        a = validate([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [3, 1, 2, 1]])  # companion
-        centralizer_basis(a)
-        exactlinalg.minimal_polynomial(a.matrix)
-        factored = []
-        original = exactlinalg.row_hermite_with_transform
+        a = validate(COMPANION.matrix.to_rows())  # cold: C(A) is not built
+        calls = []
+        for module, name in (
+            (exactlinalg, "row_hermite_with_transform"),
+            (cylinder_ring, "commutator_system"),
+        ):
+            original = getattr(module, name)
 
-        def counted(m):
-            factored.append(m)
-            return original(m)
+            def counted(m, original=original, name=name):
+                calls.append(name)
+                return original(m)
 
-        monkeypatch.setattr(exactlinalg, "row_hermite_with_transform", counted)
-        assert center_basis(a) is centralizer_basis(a)
-        assert factored == []
+            monkeypatch.setattr(module, name, counted)
+        center = center_basis(a)
+        assert calls == []
+        assert center == centralizer_basis(a)  # equal, reached without the form
 
     def test_k1_structure_skips_the_full_map(self, monkeypatch):
         a = validate([

@@ -906,11 +906,11 @@ class TestAdjugateAndPerronRoot:
 
         def horner(coeffs, r, bits):
             # report chi > 0 at the first lower end asked for at 64 bits
-            val, der = real(coeffs, r, bits)
+            val = real(coeffs, r, bits)
             if bits == 64 and r == want - 1 and not refused:
                 refused.append(r)
-                return abs(val) + 1, der
-            return val, der
+                return abs(val) + 1
+            return val
 
         monkeypatch.setattr(exactlinalg, "_horner", horner)
         r, _ = perron_root(a.matrix, 64)
