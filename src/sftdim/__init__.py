@@ -91,6 +91,7 @@ from .cylinder_ring import (
     k1_equal,
     k1_group_structure,
     k1_neg,
+    mul,
     mul_00,
     mul_01,
     mul_10,

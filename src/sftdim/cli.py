@@ -7,8 +7,9 @@ library version and each matrix's SHA-256, calls the subcommand's handler,
 emits the report and returns the exit code.  A handler only fills the report
 and returns its exit code.  :data:`COMMANDS` declares every subcommand.
 
-Exit codes: 0 success, 2 validation or usage error (an input too large for
-the float traces, or JSON nested too deeply to read, included), 3
+Exit codes: 0 success, 2 validation or usage error (an input past the size
+bounds below, an input too large for the float traces, or JSON nested too
+deeply to read, included), 3
 ``se-search`` found neither a witness nor an obstruction, 4 a property
 violation was detected (failing witness equations or numerical self-checks)
 or an iteration cap was hit.  JSON reports are byte-identical across
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import __version__
@@ -44,14 +46,30 @@ VIOLATION_EXIT = 4
 _MATRIX_ARGS = ("matrix", "matrix_a", "matrix_b")
 
 
-def _load_matrix(path: str):
+# Every input (a matrix file, a JSON argument inline or @file, an integer
+# argument) is checked against these bounds before it is parsed: reading an
+# integer takes time quadratic in its digits.
+_MAX_DIGITS = 100_000
+_MAX_INPUT_CHARS = 1_000_000
+_LONG_INTEGER = re.compile(f"(?<![0-9])[0-9]{{{_MAX_DIGITS + 1}}}")
+
+
+def _bounded(text: str) -> str:
+    if len(text) > _MAX_INPUT_CHARS:
+        raise ValueError(f"inputs are limited to {_MAX_INPUT_CHARS} characters")
+    if _LONG_INTEGER.search(text):
+        raise ValueError(f"integers are limited to {_MAX_DIGITS} digits")
+    return text
+
+
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return ser.parse_matrix_text(fh.read())
+        return _bounded(fh.read(_MAX_INPUT_CHARS + 1))
 
 
 def _int_arg(text: str) -> int:
     try:
-        return ser._int_token(text)
+        return ser._int_token(_bounded(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -64,10 +82,7 @@ def _non_negative_int(text: str) -> int:
 
 
 def _load_json_arg(arg: str):
-    if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(arg)
+    return json.loads(_read(arg[1:]) if arg.startswith("@") else _bounded(arg))
 
 
 def _parse_element(a, arg: str, cls=None, error=None):
@@ -95,12 +110,6 @@ def _basis_report(lat) -> dict:
     return {"rank": lat.rank, "basis": [b.to_rows() for b in lat.basis]}
 
 
-_PRODUCTS = {
-    (cyl.CylinderK0Element, cyl.CylinderK0Element): cyl.mul_00,
-    (cyl.CylinderK0Element, cyl.CylinderK1Element): cyl.mul_01,
-    (cyl.CylinderK1Element, cyl.CylinderK0Element): cyl.mul_10,
-    (cyl.CylinderK1Element, cyl.CylinderK1Element): cyl.mul_11,
-}
 _TRACES = {
     dg.StableElement: traces.trace_s,
     dg.UnstableElement: traces.trace_u,
@@ -180,17 +189,14 @@ def cmd_decompose(args, report, a):
 def cmd_mul(args, report, a):
     x = _parse_element(a, args.left)
     y = _parse_element(a, args.right)
-    product = _PRODUCTS.get((type(x), type(y)))
-    if product is None:
-        raise ValueError("mul needs two cylinder classes (flavors k0/k1)")
-    result = product(x, y)
-    if product is cyl.mul_00:
+    result = cyl.mul(x, y)
+    if type(x) is type(y) is cyl.CylinderK1Element:
+        report["equals_zero"] = True
+    elif isinstance(result, cyl.CylinderK0Element):
         report["equals_identity"] = cyl.k0_equal(result, cyl.k0_identity(a))
         report["equals_zero"] = cyl.k0_equal(result, cyl.k0_zero(a))
         if is_primitive(a):
             report["trace"] = traces.trace_ch(result)
-    elif product is cyl.mul_11:
-        report["equals_zero"] = True
     report["result"] = ser.element_to_dict(result)
     return 0
 
@@ -380,7 +386,7 @@ def main(argv=None) -> int:
         report = {"command": args.command, "library_version": __version__}
         matrices = []
         for name in (n for n in _MATRIX_ARGS if n in vars(args)):
-            a, label = _load_matrix(getattr(args, name))
+            a, label = ser.parse_matrix_text(_read(getattr(args, name)))
             report[f"{name}_sha256"] = ser.matrix_sha256(a)
             if label and name == "matrix":  # the se-* reports carry no labels
                 report["label"] = label

@@ -351,25 +351,20 @@ def k1_equal(x: CylinderK1Element, y: CylinderK1Element) -> K1Decision:
 # ---------------------------------------------------------------------------
 
 
-def mul_00(x: CylinderK0Element, y: CylinderK0Element) -> CylinderK0Element:
+def mul(x, y):
+    """The graded product [X, N] [Y, M] = [XY, N + M]: degrees add, and the
+    product of two degree-one classes vanishes identically."""
+    graded = (CylinderK0Element, CylinderK1Element)
+    if type(x) not in graded or type(y) not in graded:
+        raise ValueError("mul needs two cylinder classes (flavors k0/k1)")
     _same_ambient(x, y)
-    return CylinderK0Element(x.ambient, x.matrix @ y.matrix, x.level + y.level)
+    if type(x) is type(y) is CylinderK1Element:
+        return k0_zero(x.ambient)
+    cls = CylinderK0Element if type(x) is type(y) else CylinderK1Element
+    return cls(x.ambient, x.matrix @ y.matrix, x.level + y.level)
 
 
-def mul_01(x: CylinderK0Element, y: CylinderK1Element) -> CylinderK1Element:
-    _same_ambient(x, y)
-    return CylinderK1Element(x.ambient, x.matrix @ y.matrix, x.level + y.level)
-
-
-def mul_10(y: CylinderK1Element, x: CylinderK0Element) -> CylinderK1Element:
-    _same_ambient(y, x)
-    return CylinderK1Element(y.ambient, y.matrix @ x.matrix, y.level + x.level)
-
-
-def mul_11(x: CylinderK1Element, y: CylinderK1Element) -> CylinderK0Element:
-    """The product of two degree-one classes vanishes identically."""
-    _same_ambient(x, y)
-    return k0_zero(x.ambient)
+mul_00 = mul_01 = mul_10 = mul_11 = mul
 
 
 def act_s(v: StableElement, h: CylinderK0Element) -> StableElement:
@@ -419,21 +414,19 @@ class RAElement(VectorPayload):
         return not any(self.coeffs)
 
     def _lift(self, j: int) -> tuple:
-        mp = minimal_polynomial(self.ambient.matrix)
-        x_2j = (0,) * (2 * j) + (1,)
-        return _pad(poly_mod(poly_mul(self.coeffs, x_2j), mp.p_coeffs), mp.k)
+        return _reduce(self.ambient, (0,) * (2 * j) + self.coeffs)  # x^(2j) p
 
 
-def _pad(coeffs: Sequence[int], k: int) -> tuple:
-    c = tuple(coeffs)
-    return c + (0,) * (k - len(c))
+def _reduce(a: AdjacencyMatrix, coeffs: Sequence[int]) -> tuple:
+    """The k coefficients of ``coeffs`` modulo p_A."""
+    mp = minimal_polynomial(a.matrix)
+    c = poly_mod(coeffs, mp.p_coeffs)
+    return c + (0,) * (mp.k - len(c))
 
 
 def ra_reduce(a: AdjacencyMatrix, coeffs: Sequence[int], level: int) -> RAElement:
     """Reduce an arbitrary integer polynomial to its canonical representative."""
-    mp = minimal_polynomial(a.matrix)
-    reduced = poly_mod(coeffs, mp.p_coeffs)
-    return RAElement(a, _pad(reduced, mp.k), level)
+    return RAElement(a, _reduce(a, coeffs), level)
 
 
 def ra_one(a: AdjacencyMatrix) -> RAElement:
@@ -451,15 +444,11 @@ ra_equal = equal
 
 def ra_mul(x: RAElement, y: RAElement) -> RAElement:
     _same_ambient(x, y)
-    mp = minimal_polynomial(x.ambient.matrix)
-    prod = poly_mod(poly_mul(x.coeffs, y.coeffs), mp.p_coeffs)
-    return RAElement(x.ambient, _pad(prod, mp.k), x.level + y.level)
+    return ra_reduce(x.ambient, poly_mul(x.coeffs, y.coeffs), x.level + y.level)
 
 
 def ra_to_cylinder(x: RAElement) -> CylinderK0Element:
-    return CylinderK0Element(
-        x.ambient, poly_eval_matrix(x.coeffs, x.ambient.matrix), x.level
-    )
+    return CylinderK0Element(x.ambient, poly_eval_matrix(x.coeffs, x.ambient.matrix), x.level)
 
 
 @memo

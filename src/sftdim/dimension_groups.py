@@ -40,7 +40,6 @@ from .exactlinalg import (
     memo,
     minimal_polynomial,
     perron_root,
-    sign_near,
     solve_integer_linear,
 )
 from .sft import AdjacencyMatrix, NotPrimitiveError, is_primitive
@@ -277,15 +276,11 @@ def alpha_u_inv(a: UnstableElement) -> UnstableElement:
 
 
 def alpha_h(a: HomoclinicElement) -> HomoclinicElement:
-    return HomoclinicElement(
-        a.ambient, a.matrix @ _apow(a.ambient, 2), a.level + 1
-    )
+    return HomoclinicElement(a.ambient, a.matrix @ _apow(a.ambient, 2), a.level + 1)
 
 
 def alpha_h_inv(a: HomoclinicElement) -> HomoclinicElement:
-    return HomoclinicElement(
-        a.ambient, _apow(a.ambient, 2) @ a.matrix, a.level + 1
-    )
+    return HomoclinicElement(a.ambient, _apow(a.ambient, 2) @ a.matrix, a.level + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +304,7 @@ def is_positive_s(a: StableElement) -> PositivityResult:
     classes [v, N] with v . r > 0, r the right Perron vector.  Column 0 of
     adj(lambda I - A) is a positive multiple of r, so q(t) = v . adj(tI - A) e_0
     has the sign of v . r at lambda; q(lambda) = 0 exactly when lambda is not a
-    root of v's annihilator p_v under A.  As lambda is located to more bits,
+    root of v's annihilator p_v under A.  As the located root is refined,
     one of the two signs becomes certain."""
     if not is_primitive(a.ambient):
         raise NotPrimitiveError("positivity needs a primitive ambient matrix")
@@ -317,15 +312,14 @@ def is_positive_s(a: StableElement) -> PositivityResult:
         return PositivityResult(Positivity.ZERO)
     m = a.ambient.matrix
     q = tuple(sum(x * c for x, c in zip(a.vector, col)) for col in reversed(adjugate_edges(m)[1]))
-    p_v, bits = None, 64
+    root, p_v = perron_root(m), None
     while True:
-        r = perron_root(m, bits)[0]
-        sign = sign_near(q, r, bits)
+        sign = root.sign(q)
         if sign:
             kind = Positivity.POSITIVE if sign > 0 else Positivity.NEGATIVE_OR_MIXED
             return PositivityResult(kind)
         if p_v is None:
             p_v = annihilator(a.vector, m.row_apply, m.rows)
-        if sign_near(p_v, r, bits):  # v . r = 0: the class is on the boundary
+        if root.sign(p_v):  # v . r = 0: the class is on the boundary
             return PositivityResult(Positivity.NEGATIVE_OR_MIXED)
-        bits *= 2
+        root = root.refined()

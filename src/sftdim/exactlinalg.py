@@ -30,7 +30,9 @@ integer solving share one pivot read-off, :func:`hermite_coords`.  The Smith
 invariant factors come from alternating row and column Hermite passes with
 no transforms (:func:`invariant_factors`).  Both preimage closures go through
 :func:`preimage_closure`, in the coordinates of a lattice the map keeps.  The
-Perron root is bracketed by two dyadics (:func:`perron_root`), not rounded.
+Perron root is located once per matrix (:func:`perron_root`) in one record
+that every reader shares, :class:`LocatedRoot`: two dyadics that bracket it,
+its Horner rule and sign test, and refinements from the last upper end.
 The minimal polynomial is the lcm of the annihilators of the unit vectors
 (:func:`minimal_polynomial`), each found in a builder 2K + 1 wide, for every
 matrix alike.
@@ -855,48 +857,56 @@ def adjugate_edges(m: IntMatrix) -> tuple:
     return _faddeev_leverrier(m)[1:]
 
 
-def _horner(coeffs: Sequence[int], r: int, bits: int) -> int:
-    """2^(bits d) p(x) at x = r / 2^bits, exactly (d = len(coeffs) - 1)."""
-    val, scale = 0, 1
-    for c in reversed(coeffs):
-        val = val * r + c * scale
-        scale <<= bits
-    return val
+@frozen
+class LocatedRoot:
+    """The Perron root lambda of a primitive M in [(r - 1) / 2^bits, r / 2^bits],
+    with chi = chi_M, low degree first, and the Newton steps since the row sum."""
+
+    chi: tuple
+    r: int
+    bits: int
+    steps: int
+
+    def value(self, p: Sequence[int]) -> int:
+        """2^(bits d) p(r / 2^bits), exactly, by the Horner rule (d = len(p) - 1)."""
+        val, scale, r, bits = 0, 1, self.r, self.bits
+        for c in reversed(p):
+            val = val * r + c * scale
+            scale <<= bits
+        return val
+
+    def sign(self, p: Sequence[int]) -> int:
+        """The sign of ``p`` on the interval, or 0 (not certain) when |p(r / 2^bits)|
+        is at most 2^-bits sum i |p_i| (r / 2^bits)^(i - 1), which bounds |p'| there for r >= 1."""
+        val = self.value(p)
+        bound = self.value([i * abs(c) for i, c in enumerate(p)][1:])
+        return (val > 0) - (val < 0) if abs(val) > bound else 0
+
+    @memo
+    def refined(self) -> "LocatedRoot":
+        """lambda to twice the bits, by Newton steps from the upper end."""
+        return _newton(self.chi, self.r << self.bits, 2 * self.bits, self.steps)
+
+
+def _newton(chi: tuple, r: int, bits: int, steps: int) -> LocatedRoot:
+    """Newton steps on chi from the upper bound r / 2^bits, rounded down to dyadics.
+
+    Every other root has smaller real part, so chi is convex and increasing
+    right of lambda and each step stays an upper bound; chi((r - 1) / 2^bits)
+    <= 0 certifies the lower end, and otherwise the root is refined."""
+    slope = [i * c for i, c in enumerate(chi)][1:]  # value: 2^(bits (d - 1)) chi'(x)
+    while True:
+        root = LocatedRoot(chi, r, bits, steps)
+        val, der = root.value(chi), root.value(slope)
+        if val < der:  # the step val // der is zero
+            return root.refined() if LocatedRoot(chi, r - 1, bits, steps).value(chi) > 0 else root
+        r, steps = r - val // der, steps + 1
 
 
 @memo
-def perron_root(m: IntMatrix, bits: int) -> tuple:
-    """(r, steps) with the Perron root lambda of a primitive M in [(r - 1) / 2^bits, r / 2^bits].
-
-    Every other root has smaller real part, so chi(x + lambda) has non-negative
-    coefficients: chi is convex and increasing right of lambda, and Newton steps
-    from the maximum row sum, rounded down to dyadics r / 2^bits, stay upper
-    bounds.  chi((r - 1) / 2^bits) <= 0 certifies the lower end; should it not
-    hold, the root is located with 64 more bits and rounded up.
-    """
-    chi = characteristic_polynomial(m)
-    slope = [i * c for i, c in enumerate(chi)][1:]  # _horner: 2^(bits (d - 1)) chi'(x)
-    r, steps = max(map(sum, m.to_rows())) << bits, 0
-    val, der = _horner(chi, r, bits), _horner(slope, r, bits)
-    while val >= der:  # the step val // der is not zero
-        r -= val // der
-        steps += 1
-        val, der = _horner(chi, r, bits), _horner(slope, r, bits)
-    if _horner(chi, r - 1, bits) > 0:
-        finer, more = perron_root(m, bits + 64)
-        return -(-finer >> 64), steps + more
-    return r, steps
-
-
-def sign_near(p: Sequence[int], r: int, bits: int) -> int:
-    """The sign of the integer polynomial ``p`` on [(r - 1) / 2^bits, r / 2^bits], or 0.
-
-    0 (not certain) when |p(r / 2^bits)| is at most 2^-bits sum i |p_i|
-    (r / 2^bits)^(i - 1), which bounds |p'| there for r >= 1.
-    """
-    val = _horner(p, r, bits)
-    bound = _horner([i * abs(c) for i, c in enumerate(p)][1:], r, bits)
-    return (val > 0) - (val < 0) if abs(val) > bound else 0
+def perron_root(m: IntMatrix) -> LocatedRoot:
+    """The Perron root of a primitive M, to 64 bits when that lower end is certified."""
+    return _newton(characteristic_polynomial(m), max(map(sum, m.to_rows())) << 64, 64, 0)
 
 
 @frozen

@@ -59,6 +59,9 @@ def _int(x) -> int:
 
 
 def _ints(xs) -> tuple:
+    """The ints of the JSON list ``xs``; a number, a string or an object is refused."""
+    if type(xs) is not list:
+        raise TypeError(f"list of integers expected, got {xs!r}")
     return tuple(_int(x) for x in xs)
 
 
@@ -70,6 +73,8 @@ def _int_token(tok: str) -> int:
 
 
 def _int_rows(rows) -> list:
+    if type(rows) is not list:
+        raise TypeError(f"list of rows expected, got {rows!r}")
     return [_ints(row) for row in rows]
 
 

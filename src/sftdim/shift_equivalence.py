@@ -211,13 +211,8 @@ def _solve_for_s(
     # Equations linear in S: RS = A^k, SR = B^k, SA - BS = 0.
     top = kron(r, IntMatrix.identity(n))
     mid = kron(IntMatrix.identity(m), r.transpose())
-    bot = kron(IntMatrix.identity(m), a.matrix.transpose()) - kron(
-        b.matrix, IntMatrix.identity(n)
-    )
-    system_rows = []
-    for block in (top, mid, bot):
-        system_rows.extend(block.to_rows())
-    system = IntMatrix.from_rows(system_rows)
+    bot = kron(IntMatrix.identity(m), a.matrix.transpose()) - kron(b.matrix, IntMatrix.identity(n))
+    system = IntMatrix.from_rows([row for block in (top, mid, bot) for row in block.to_rows()])
     homogeneous = integer_kernel(system)
     for k in range(1, k_max + 1):
         rhs = (

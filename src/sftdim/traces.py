@@ -1,12 +1,13 @@
 """Perron-Frobenius data and the trace maps on the limit groups.
 
 Floating point enters the package here, in one final rounding and in the
-traces.  The dominant eigenvalue lambda is located exactly by integer Newton
-steps (:func:`~sftdim.exactlinalg.perron_root`) and rounded once.  For
-primitive A, adj(lambda I - A) is positive of rank one, so its row 0 and
+traces.  The dominant eigenvalue lambda is read from its located root
+(:class:`~sftdim.exactlinalg.LocatedRoot`, the record that
+:func:`~sftdim.exactlinalg.perron_root` keeps per matrix) and rounded once.
+For primitive A, adj(lambda I - A) is positive of rank one, so its row 0 and
 column 0 (:func:`~sftdim.exactlinalg.adjugate_edges`) are the left and right
-eigenvectors, evaluated exactly at the located root by the Horner rule that
-locates it and rounded once per entry.  The traces are not correctly
+eigenvectors, evaluated exactly at the upper end of the located root by its
+Horner rule and rounded once per entry.  The traces are not correctly
 rounded: each pairs an integer payload with the rounded eigenvectors in
 floating point and carries no error bound, so a class whose pairing cancels
 can lose every digit, its sign included ("Exact, correctly rounded traces"
@@ -20,10 +21,8 @@ reported vectors (and therefore golden tests) deterministic.
 
 from __future__ import annotations
 
-from .exactlinalg import _horner, adjugate_edges, frozen, memo, perron_root
+from .exactlinalg import LocatedRoot, adjugate_edges, frozen, memo, perron_root
 from .sft import AdjacencyMatrix, NotPrimitiveError, is_primitive
-
-_FRACTION_BITS = 64
 
 
 @frozen
@@ -45,10 +44,10 @@ class PerronData:
     iterations: int
 
 
-def _eigenvector(edge: tuple, r: int) -> list:
-    """An edge of adj(tI - A) at t = r / 2^64, each entry rounded once in its
-    ratio to the largest, so the common scale 2^(64 (K - 1)) cancels."""
-    exact = [_horner(column[::-1], r, _FRACTION_BITS) for column in zip(*edge)]
+def _eigenvector(edge: tuple, root: LocatedRoot) -> list:
+    """An edge of adj(tI - A) at the upper end of ``root``, each entry rounded
+    once in its ratio to the largest, so the common power of two cancels."""
+    exact = [root.value(column[::-1]) for column in zip(*edge)]
     top = max(exact)
     return [x / top for x in exact]
 
@@ -58,9 +57,9 @@ def perron(a: AdjacencyMatrix) -> PerronData:
     """Dominant eigen-data of a primitive matrix."""
     if not is_primitive(a):
         raise NotPrimitiveError("Perron data needs a primitive matrix")
-    r, steps = perron_root(a.matrix, _FRACTION_BITS)
-    lam = r / (1 << _FRACTION_BITS)
-    left, right = (_eigenvector(edge, r) for edge in adjugate_edges(a.matrix))
+    root = perron_root(a.matrix)
+    lam = root.r / (1 << root.bits)
+    left, right = (_eigenvector(edge, root) for edge in adjugate_edges(a.matrix))
     total = sum(left)
     left = [x / total for x in left]
     dot = _dot(left, right)
@@ -73,7 +72,7 @@ def perron(a: AdjacencyMatrix) -> PerronData:
         right=tuple(right),
         residual=max(res_l, res_r),
         relative_residual=max(res_l / max(left), res_r / max(right)) / lam,
-        iterations=steps,
+        iterations=root.steps,
     )
 
 

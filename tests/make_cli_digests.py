@@ -204,6 +204,15 @@ def _small_cases(name, rows):
     ]
     if k > 1:
         refused.append(["equal", path, _elem(bad_k0, 0, "k0"), _elem(bad_k0, 0, "k0")])
+    # flat payloads under the matrix flavours, and string payloads
+    refused += [
+        ["act", path, _elem([1] * k, 0, "h"), _elem(bad_k0, 0, "k0")],
+        ["equal", path, _elem([1] * k, 0, "h"), _elem([1] * k, 0, "h")],
+        ["mul", path, _elem([1] * k, 0, "k0"), _elem(bad_k0, 0, "k1")],
+        ["mul", path, _elem(bad_k0, 0, "k1"), _elem([1] * k, 0, "k1")],
+        ["trace", path, _elem("1" * k, 0, "s")],
+        ["equal", path, _elem("1" * k, 0, "h"), _elem("1" * k, 0, "h")],
+    ]
     cases.extend(["--format", "json", *argv] for argv in refused)
     return cases
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -358,13 +359,55 @@ class TestHugeIntegers:
         # and a refused input restores it as a success does
         path = matrix_file([[1, 1], [1, 0]])
         limit, seen = _digit_limit(), []
-        for name in ("_load_matrix", "_load_json_arg", "_emit"):
+        for name in ("_read", "_load_json_arg", "_emit"):
             real = getattr(cli, name)
             monkeypatch.setattr(cli, name, lambda *args, real=real: (seen.append(_digit_limit()), real(*args))[1])
         code, _, _ = run_cli(capsys, "positive", path, json.dumps({"payload": [1, 0], "level": 0, "flavor": "s"}))
         assert code == 0 and seen == [None if limit is None else 0] * 3 and _digit_limit() == limit
         code, _, err = run_cli(capsys, "positive", path, json.dumps({"payload": [1], "level": 0, "flavor": "s"}))
         assert code == 2 and err.startswith("error: ") and _digit_limit() == limit
+
+
+class TestInputBounds:
+    """Every input is checked against two bounds before it is parsed: no
+    integer longer than cli._MAX_DIGITS digits and no input longer than
+    cli._MAX_INPUT_CHARS characters; past either, exit 2 with the bound named."""
+
+    def test_a_million_digit_payload_is_refused_at_once(self, capsys, matrix_file, tmp_path):
+        path = matrix_file([[1, 1], [1, 0]])
+        big = tmp_path / "big.json"
+        big.write_text('{"payload": [' + "9" * 10**6 + ', -1], "level": 0, "flavor": "s"}')
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "--format", "json", "positive", path, f"@{big}")
+        assert time.perf_counter() - start < 0.25
+        assert (code, out, err) == (2, "", "error: inputs are limited to 1000000 characters\n")
+
+    def test_an_integer_past_the_digit_bound_is_refused(self, capsys, matrix_file, tmp_path):
+        long = "1" * (cli._MAX_DIGITS + 1)
+        fib = matrix_file([[1, 1], [1, 0]])
+        refused = [
+            ("info", str(tmp_path / "long.txt")),
+            ("positive", fib, '{"payload": [' + long + ', 0], "level": 0, "flavor": "s"}'),
+            ("duality", "eval", fib, '{"z": [1, 0], "level": ' + long + "}", "@" + str(tmp_path / "x.json")),
+        ]
+        (tmp_path / "long.txt").write_text(f"1 {long}\n1 0\n")
+        (tmp_path / "x.json").write_text('{"payload": [1, 0], "level": 0, "flavor": "s"}')
+        for argv in refused:
+            code, out, err = run_cli(capsys, "--format", "json", *argv)
+            assert (code, out, err) == (2, "", "error: integers are limited to 100000 digits\n"), argv[0]
+        with pytest.raises(SystemExit) as exc:
+            main(["ra", "reduce", fib, "[1, 1]", long])
+        assert exc.value.code == 2 and "integers are limited to 100000 digits" in capsys.readouterr().err
+
+    def test_the_bounds_themselves(self):
+        assert (cli._MAX_DIGITS, cli._MAX_INPUT_CHARS) == (100_000, 1_000_000)
+        at_bound = "[" + "1" * cli._MAX_DIGITS + ", " + "2" * cli._MAX_DIGITS + "]"
+        assert cli._bounded(at_bound) is at_bound
+        assert cli._bounded(" " * cli._MAX_INPUT_CHARS)
+        with pytest.raises(ValueError, match="integers are limited to 100000 digits"):
+            cli._bounded("[1, -" + "1" * (cli._MAX_DIGITS + 1) + "]")
+        with pytest.raises(ValueError, match="inputs are limited to 1000000 characters"):
+            cli._bounded(" " * (cli._MAX_INPUT_CHARS + 1))
 
 
 def _digit_limit():
@@ -487,6 +530,27 @@ class TestStrictParsing:
                 witness_from_dict({"R": [[1, 0], [0, 1]], "S": [[1, 1], [1, 0]], "k": bad})
             with pytest.raises(TypeError):
                 parse_matrix_text(json.dumps({"matrix": [[1, 1], [1, bad]]}))
+
+
+class TestPayloadShapes:
+    """A payload that is not a JSON list (of rows, under h, k0 and k1) is
+    refused with exit 2 and a message that says what was expected."""
+
+    def test_flat_and_string_payloads(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        k0 = json.dumps({"payload": [[1, 0], [0, 1]], "level": 0, "flavor": "k0"})
+        refused = [
+            (["act", path, json.dumps({"payload": [1, 0], "level": 0, "flavor": "h"}), k0],
+             "list of integers expected, got 1"),
+            (["mul", path, k0, json.dumps({"payload": [1, 0], "level": 0, "flavor": "k1"})],
+             "list of integers expected, got 1"),
+            (["trace", path, json.dumps({"payload": "10", "level": 0, "flavor": "s"})],
+             "list of integers expected, got '10'"),
+            (["equal", path, *[json.dumps({"payload": "10", "level": 0, "flavor": "h"})] * 2],
+             "list of rows expected, got '10'"),
+        ]
+        for argv, message in refused:
+            assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv[0]
 
 
 class TestTraceOverflow:

@@ -34,6 +34,7 @@ from sftdim import (
     k1_equal,
     k1_group_structure,
     matrix_power,
+    mul,
     mul_00,
     mul_01,
     mul_10,
@@ -662,6 +663,22 @@ class TestProducts:
         d = CylinderK1Element(two, IntMatrix.from_rows([[5]]), 2)
         product = mul_01(c, d)
         assert product.matrix.to_rows() == [[15]] and product.level == 2
+
+    def test_one_product_picks_the_degree(self, sym3):
+        assert mul_00 is mul_01 is mul_10 is mul_11 is mul
+        h = CylinderK0Element(sym3, X1, 1)
+        y = CylinderK1Element(sym3, X3, 2)
+        for left, right, cls in ((h, h, CylinderK0Element), (h, y, CylinderK1Element),
+                                 (y, h, CylinderK1Element)):
+            product = mul(left, right)
+            assert type(product) is cls
+            assert product.matrix == left.matrix @ right.matrix
+            assert product.level == left.level + right.level
+        assert mul(y, y) == k0_zero(sym3)
+        for other in (StableElement(sym3, (1, 0, 0), 0), ra_one(sym3)):
+            for args in ((h, other), (other, y)):
+                with pytest.raises(ValueError, match=r"mul needs two cylinder classes \(flavors k0/k1\)"):
+                    mul(*args)
 
     def test_degree_one_squares_to_zero(self, primitive_pool):
         rng = random.Random(71)

@@ -20,6 +20,7 @@ from sftdim import (
 from sftdim.exactlinalg import (
     DimensionMismatchError,
     IntMatrix,
+    LocatedRoot,
     adjugate_edges,
     annihilator,
     characteristic_polynomial,
@@ -38,7 +39,6 @@ from sftdim.exactlinalg import (
     poly_mod,
     poly_mul,
     row_hermite_with_transform,
-    sign_near,
     solve_integer_linear,
     xgcd,
 )
@@ -859,9 +859,10 @@ def _perron_matrices() -> tuple:
 
 
 class TestAdjugateAndPerronRoot:
-    """The adjugate edges against sympy's adjugate, the located root against
-    sympy's real roots and the Newton iteration it replaced, and the sign test
-    against polynomials whose value at the root is known exactly."""
+    """The adjugate edges against sympy's adjugate, the located root and its
+    refinements against sympy's real roots and the Newton iteration it
+    replaced, the sign test against polynomials whose value at the root is
+    known exactly, and the cost of each refinement."""
 
     def test_edges_against_sympy_adjugate(self):
         rng = random.Random(909)
@@ -886,40 +887,47 @@ class TestAdjugateAndPerronRoot:
         x = sympy.symbols("x")
         for a in _perron_matrices():
             chi = sympy.Poly(list(reversed(characteristic_polynomial(a.matrix))), x)
-            lam = max(chi.real_roots())
-            for bits in (64, 128, 256):
-                r, steps = perron_root(a.matrix, bits)
-                assert sympy.Rational(r - 1, 2**bits) <= lam <= sympy.Rational(r, 2**bits)
-                assert steps >= 0
+            root = perron_root(a.matrix)
+            for bits in (64, 128, 256, 512):
+                assert root.bits == bits and root.steps >= 0
+                # by Sturm sequences: chi has a root in [lo, hi] and none above hi
+                lo, hi = sympy.Rational(root.r - 1, 2**bits), sympy.Rational(root.r, 2**bits)
+                inside = chi.count_roots(lo, hi)
+                assert inside >= 1 and chi.count_roots(lo) == inside
+                root = root.refined()
 
     def test_bits_64_matches_the_replaced_newton(self, primitive_pool):
         for a in [*primitive_pool, *(chord_cycle(k) for k in (12, 20, 40, 60, 100))]:
             rows = a.matrix.to_rows()
             want = reference_newton_root(characteristic_polynomial(a.matrix), max(map(sum, rows)))
-            assert perron_root(a.matrix, 64) == want
+            root = perron_root(a.matrix)
+            assert (root.r, root.steps, root.bits) == (*want, 64)
 
-    def test_uncertified_root_is_refined_and_rounded_up(self, monkeypatch):
-        want = perron_root(chord_cycle(7).matrix, 64)[0]
+    def test_takes_only_the_matrix(self):
+        with pytest.raises(TypeError):
+            perron_root(chord_cycle(7).matrix, 64)
+
+    def test_uncertified_root_is_refined(self, monkeypatch):
+        want = perron_root(chord_cycle(7).matrix)
         a = chord_cycle(7)  # a fresh matrix: nothing memoised
-        real = exactlinalg._horner
+        real = LocatedRoot.value
         refused = []
 
-        def horner(coeffs, r, bits):
+        def value(root, p):
             # report chi > 0 at the first lower end asked for at 64 bits
-            val = real(coeffs, r, bits)
-            if bits == 64 and r == want - 1 and not refused:
-                refused.append(r)
+            val = real(root, p)
+            if root.bits == 64 and root.r == want.r - 1 and not refused:
+                refused.append(root.r)
                 return abs(val) + 1
             return val
 
-        monkeypatch.setattr(exactlinalg, "_horner", horner)
-        r, _ = perron_root(a.matrix, 64)
-        assert refused == [want - 1]
-        finer = perron_root(a.matrix, 128)[0]
-        assert r == -(-finer >> 64)
+        monkeypatch.setattr(LocatedRoot, "value", value)
+        root = perron_root(a.matrix)
+        assert refused == [want.r - 1]
+        assert root == want.refined() and root.bits == 128
         x = sympy.symbols("x")
         lam = max(sympy.Poly(x**7 - x - 1, x).real_roots())
-        assert sympy.Rational(r - 1, 2**64) <= lam <= sympy.Rational(r, 2**64)
+        assert sympy.Rational(root.r - 1, 2**128) <= lam <= sympy.Rational(root.r, 2**128)
 
     @settings(deadline=None)
     @given(
@@ -934,21 +942,57 @@ class TestAdjugateAndPerronRoot:
         p = list(poly_mul(chi, h)) or [0]
         p[0] += c
         want = (c > 0) - (c < 0)
-        bits = 64
-        while bits <= 4096:
-            got = sign_near(p, perron_root(a.matrix, bits)[0], bits)
+        root = perron_root(a.matrix)
+        while root.bits <= 4096:
+            got = root.sign(p)
             assert got in (0, want)
             if got:
                 break
-            bits *= 2
+            root = root.refined()
         assert got == want
 
     def test_constant_and_zero_polynomials(self):
-        assert sign_near((), 1 << 64, 64) == 0
-        assert sign_near((0, 0), 1 << 64, 64) == 0
-        assert sign_near((-5,), 3 << 64, 64) == -1
+        def root_of(c):  # the full c-shift: lambda = c located exactly, on [c - 2^-64, c]
+            return LocatedRoot((-c, 1), c << 64, 64, 0)
+
+        assert root_of(1).sign(()) == 0
+        assert root_of(1).sign((0, 0)) == 0
+        assert root_of(3).sign((-5,)) == -1
         # x - 2 on [2 - 2^-64, 2]: zero at the right end, so never certain
-        assert sign_near((-2, 1), 2 << 64, 64) == 0
+        assert root_of(2).sign((-2, 1)) == 0
+
+    def test_refinements_start_from_the_last_upper_end(self, monkeypatch):
+        # every refinement takes at most 3 Newton steps, where a restart from
+        # the row sum takes about log2(bits); a warm positivity test takes none
+        real, seen = exactlinalg._newton, []  # (bits, Newton steps) of each location
+
+        def newton(chi, r, bits, steps):
+            root = real(chi, r, bits, steps)
+            seen.append((bits, root.steps - steps))
+            return root
+
+        monkeypatch.setattr(exactlinalg, "_newton", newton)
+        fib = sft.validate([[1, 1], [1, 0]])
+        f = [0, 1]
+        while len(f) < 802:
+            f.append(f[-1] + f[-2])
+        ladder = range(60, 801, 37)
+        for n in ladder:
+            want = "positive" if n % 2 else "negative_or_mixed"
+            assert dimension_groups.is_positive_s(
+                dimension_groups.StableElement(fib, (f[n], -f[n + 1]), 3)
+            ).kind.value == want
+        for k in (5, 12, 20, 40):
+            root = perron_root(chord_cycle(k).matrix)
+            while root.bits < 2048:
+                root = root.refined()
+        refinements = [steps for bits, steps in seen if bits > 64]
+        assert max(bits for bits, _ in seen) >= 1024
+        assert len(refinements) >= 4 * 5 and max(refinements) <= 3
+        seen.clear()
+        for n in ladder:
+            dimension_groups.is_positive_s(dimension_groups.StableElement(fib, (f[n], -f[n + 1]), 3))
+        assert seen == []
 
     @settings(deadline=None)
     @given(m=_square(), data=st.data())
@@ -979,6 +1023,7 @@ RECORDS = [
         {},
     ),
     (exactlinalg, "MinPolyData", ("l", "k", "p_coeffs", "m_coeffs"), {}),
+    (exactlinalg, "LocatedRoot", ("chi", "r", "bits", "steps"), {}),
     (sft, "AdjacencyMatrix", ("matrix",), {}),
     (sft, "SpectralDecomposition", ("period", "classes", "component", "vertex_order"), {}),
     (traces, "PerronData", ("eigenvalue", "left", "right", "residual", "relative_residual", "iterations"), {}),
@@ -1029,6 +1074,7 @@ def _record_samples():
             exactlinalg.row_hermite_with_transform(n),
         ),
         "MinPolyData": (minimal_polynomial(m), minimal_polynomial(sing.matrix)),
+        "LocatedRoot": (perron_root(fib.matrix), perron_root(sing.matrix).refined()),
         "AdjacencyMatrix": (fib, sing),
         "SpectralDecomposition": (
             sft.spectral_decomposition(cyc),
@@ -1122,7 +1168,7 @@ class TestFrozenRecords:
             if isinstance(obj, type) and obj.__module__ == mod.__name__
             and "_frozen_fields" in obj.__dict__
         }
-        assert len(RECORDS) == 24
+        assert len(RECORDS) == 25
         assert listed == found
 
     @pytest.mark.parametrize("mod, name, fields, defaults", RECORDS, ids=[r[1] for r in RECORDS])
