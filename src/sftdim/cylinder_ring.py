@@ -12,10 +12,12 @@ and the stable/unstable limit groups are right/left modules via
 [v, N] * [X, M] = [vX, N + 2M] and [X, M] * [w, N] = [Xw, N + 2M].
 
 Each per-matrix invariant is computed in the smallest space that holds it.
-The cached Hermite basis of B(A) presents the level group Q = M_K(Z)/B(A)
-as Z^J modulo a few relations: a basis row with pivot 1 eliminates its
-coordinate, and J keeps the rest (usually far fewer than K^2).  The torsion
-of Q is read off the invariant factors of those relations.  Degree-one equality
+One cached Hermite basis of B(A), built with no transform, presents the
+level group Q = M_K(Z)/B(A) as Z^J modulo a few relations: a basis row with
+pivot 1 eliminates its coordinate, and J keeps the rest (usually far fewer
+than K^2).  The torsion of Q is read off the invariant factors of those
+relations, and C(A), the transpose of the orthogonal complement of B(A),
+off their kernel (see centralizer_basis).  Degree-one equality
 has no single-shot test like the degree-zero one: the preimages of the
 relations under the map induced by X -> AXA form an ascending chain that
 stabilises, membership of the projected difference in the stabilised
@@ -26,8 +28,8 @@ coordinates of the matrix-level center of C(A), which Y -> A^2 Y maps into
 itself.  Each closure is one call of exactlinalg.preimage_closure, and both
 answers read its one witness walk.  The center is M_K(Z) intersected with
 Q[A] (double centraliser), the saturation of Z[A] in M_K(Z), of rank
-deg m_A, built from the powers of A for every A and factoring no
-commutator form; for non-derogatory A it equals C(A), as the tests check.
+deg m_A, built from the powers of A for every A and reading no basis of
+B(A); for non-derogatory A it equals C(A), as the tests check.
 The subring is a tower like the groups: Z[x]/p_A(x), pushed by x^2.
 
 For nonsingular A both closures run in the saturation of their seed, which
@@ -43,16 +45,18 @@ lattice, with depth 0.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Optional, Sequence
 
 from . import exactlinalg
 from .exactlinalg import (
     IntMatrix,
     PreimageClosure,
-    RowHermiteForm,
     frozen,
+    hermite_pivots,
     hermite_row_basis,
     identity_rows,
+    integer_kernel,
     invariant_factors,
     matrix_power,
     memo,
@@ -105,14 +109,6 @@ def commutator_system(m: IntMatrix) -> IntMatrix:
     return IntMatrix(k * k, k * k, tuple(ents))
 
 
-@memo
-def _commutator_form(a: AdjacencyMatrix) -> RowHermiteForm:
-    """W . S = H for the commutator system S: the one factorisation that C(A),
-    B(A) and the K1 presentation read."""
-    # read through the module at call time, so a patched builder sees it
-    return exactlinalg.row_hermite_with_transform(commutator_system(a.matrix))
-
-
 @frozen
 class CentralizerLattice:
     """Saturated Hermite basis of a sublattice of the commuting matrices."""
@@ -123,46 +119,76 @@ class CentralizerLattice:
 
 @memo
 def centralizer_basis(a: AdjacencyMatrix) -> CentralizerLattice:
-    """Canonical saturated basis of C(A), the kernel of the commutator map."""
+    """Canonical saturated basis of C(A), the kernel of the commutator map.
+
+    Under the trace pairing the orthogonal complement of B(A) is C(A^T): X is
+    orthogonal to every AY - YA iff X^T commutes with A.  So C(A) is the
+    transpose of ker_Z H for the Hermite basis H of B(A).  In the presentation
+    of Q a unit row of H is x_p + row_p . x_J and the others are the relations
+    on Z^J, so ker_Z H is ker_Z(relations) in Z^J, lifted by x_p = -row_p . x_J.
+    """
     k = a.size
-    rows = _commutator_form(a).left_kernel()
-    basis = tuple(IntMatrix.from_vec(r, k, k) for r in rows)
+    pres = _k1_presentation(a)
+    rel = pres.relation_matrix()
+    kernel = integer_kernel(rel) if rel.rows else identity_rows(rel.cols)
+    tr = [j % k * k + j // k for j in range(k * k)]  # where X_ij sits in vec(X^T)
+    reads = [[] for _ in pres.coords]  # per coordinate of J, the unit rows' entries
+    for p, row in pres.unit_rows:
+        for t, x in enumerate(row):
+            if x:
+                reads[t].append((tr[p], x))
+    vectors = []
+    for y in kernel:
+        v = [0] * (k * k)
+        for t, c in enumerate(y):
+            if c:
+                v[tr[pres.coords[t]]] = c
+                for q, x in reads[t]:
+                    v[q] -= c * x
+        vectors.append(v)
+    basis = tuple(IntMatrix.from_vec(r, k, k) for r in hermite_row_basis(vectors, k * k))
     return CentralizerLattice(basis=basis, rank=len(basis))
 
 
 def centralizer_rank(a: AdjacencyMatrix) -> int:
     """rank C(A), which is at least K with equality exactly when A is
-    non-derogatory (deg m_A = K); only the derogatory case factors the
-    commutator map."""
+    non-derogatory (deg m_A = K); otherwise it is K^2 - rank B(A), read off
+    the K1 presentation without building C(A)."""
     mp = minimal_polynomial(a.matrix)
     if mp.k + mp.l == a.size:
         return a.size
-    return centralizer_basis(a).rank
+    pres = _k1_presentation(a)
+    return len(pres.coords) - len(pres.relations)
 
 
 @frozen
 class CommutatorLattice:
-    """Basis of B(A) together with a witness Y per basis element (AY - YA)."""
+    """Basis of B(A) for the matrix A.  ``witnesses`` holds a Y with AY - YA
+    equal to each basis element; it factors the commutator map on first read."""
 
+    matrix: IntMatrix
     basis: tuple
-    witnesses: tuple
     rank: int
+
+    @functools.cached_property
+    def witnesses(self) -> tuple:
+        k, solve = self.matrix.rows, exactlinalg.solve_integer_linear
+        cmap = commutator_system(self.matrix).transpose()
+        return tuple(IntMatrix.from_vec(solve(cmap, b.vec()), k, k) for b in self.basis)
 
 
 @memo
 def commutator_lattice(a: AdjacencyMatrix) -> CommutatorLattice:
+    """The canonical basis of B(A): the Hermite basis of the rows of the
+    commutator system, built with no transform, which C(A) and the K1
+    presentation read too.  The rows go in from the last one up, which
+    re-reduces least (see exactlinalg); the witnesses are solved for only
+    when read."""
     k = a.size
-    # The form W . cmap^T = H that centralizer_basis reads for the kernel
-    # also gives the image: its nonzero rows are the canonical basis of the
-    # column lattice, and h_i = cmap . w_i makes w_i a witness.
-    form = _commutator_form(a)
-    basis = []
-    witnesses = []
-    for row, wit in zip(form.h, form.w):
-        if any(row):
-            basis.append(IntMatrix.from_vec(row, k, k))
-            witnesses.append(IntMatrix.from_vec(wit, k, k))
-    return CommutatorLattice(basis=tuple(basis), witnesses=tuple(witnesses), rank=len(basis))
+    s = commutator_system(a.matrix)
+    rows = hermite_row_basis((s.row(i) for i in reversed(range(s.rows))), s.cols)
+    basis = tuple(IntMatrix.from_vec(row, k, k) for row in rows)
+    return CommutatorLattice(matrix=a.matrix, basis=basis, rank=len(basis))
 
 
 @frozen
@@ -186,10 +212,7 @@ def k1_group_structure(a: AdjacencyMatrix) -> K1Structure:
     commutator map is 1.
     """
     pres = _k1_presentation(a)
-    rel = IntMatrix(
-        len(pres.relations), len(pres.coords), tuple(x for r in pres.relations for x in r)
-    )
-    torsion = tuple(d for d in invariant_factors(rel) if d > 1)
+    torsion = tuple(d for d in invariant_factors(pres.relation_matrix()) if d > 1)
     k2 = a.size * a.size
     rank_b = k2 - len(pres.coords) + len(pres.relations)
     return K1Structure(
@@ -285,6 +308,11 @@ class K1Presentation:
     unit_rows: tuple  # (pivot, row restricted to coords) per unit pivot
     relations: tuple
 
+    def relation_matrix(self) -> IntMatrix:
+        """The relations as the rows of a matrix on Z^J."""
+        rows = self.relations
+        return IntMatrix(len(rows), len(self.coords), tuple(x for r in rows for x in r))
+
     def project(self, v: Sequence[int]) -> tuple:
         """Coordinates on Z^J of the class of ``v`` (row-major) in Q."""
         out = [v[j] for j in self.coords]
@@ -299,12 +327,13 @@ class K1Presentation:
 
 @memo
 def _k1_presentation(a: AdjacencyMatrix) -> K1Presentation:
-    form = _commutator_form(a)
-    unit = {p: row for row, p in zip(form.h, form.pivots) if row[p] == 1}
+    rows = [b.vec() for b in commutator_lattice(a).basis]
+    pivots = hermite_pivots(rows)
+    unit = {p: row for row, p in zip(rows, pivots) if row[p] == 1}
     coords = tuple(j for j in range(a.size * a.size) if j not in unit)
     unit_rows = tuple((p, tuple(row[j] for j in coords)) for p, row in unit.items())
     relations = tuple(
-        tuple(row[j] for j in coords) for row, p in zip(form.h, form.pivots) if p not in unit
+        tuple(row[j] for j in coords) for row, p in zip(rows, pivots) if p not in unit
     )
     return K1Presentation(coords, unit_rows, relations)
 

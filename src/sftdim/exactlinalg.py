@@ -20,15 +20,16 @@ pivot and dies well below the sizes this package targets.  Kernels and linear
 solving ride on a Hermite form with a tracked unimodular transform, built by
 inserting the augmented rows ``[m_i | e_i]`` from the last row up.  Those
 rows are independent, so the form is the same in any order, but the order
-sets the work: the systems here (commutator systems, closure stacks) arrive
-in roughly ascending pivot order, so bottom up a new row mostly becomes the
-first row and has no earlier rows to re-reduce.  Row operations skip the zero
-entries of the row they subtract, and a pivot row's nonzero entries are
-gathered once for all the rows above it: a commutator system row has at most
-2K nonzeros of K^2.  Lattice membership, coordinates in a Hermite basis and
-integer solving share one pivot read-off, :func:`hermite_coords`.  The Smith
-invariant factors come from alternating row and column Hermite passes with
-no transforms (:func:`invariant_factors`).  Both preimage closures go through
+sets the work: the systems here (closure stacks, and the commutator systems
+whose plain Hermite basis is built the same way) arrive in roughly ascending
+pivot order, so bottom up a new row mostly becomes the first row and has no
+earlier rows to re-reduce.  Row operations skip the zero entries of the row
+they subtract, and a pivot row's nonzero entries are gathered once for all
+the rows above it: a commutator system row has at most 2K nonzeros of K^2.
+Lattice membership, coordinates in a Hermite basis and integer solving share
+one pivot read-off, :func:`hermite_coords`.  The Smith invariant factors
+come from alternating row and column Hermite passes with no transforms
+(:func:`invariant_factors`).  Both preimage closures go through
 :func:`preimage_closure`, in the coordinates of a lattice the map keeps.  The
 Perron root is located once per matrix (:func:`perron_root`) in one record
 that every reader shares, :class:`LocatedRoot`: two dyadics that bracket it,

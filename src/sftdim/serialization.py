@@ -51,30 +51,36 @@ def element_to_dict(e: Element) -> dict:
     return {"payload": payload, "level": e.level, "flavor": flavor}
 
 
+def _shown(x) -> str:
+    """The repr of a refused value, cut short: a message never echoes a whole input."""
+    text = repr(x)
+    return text if len(text) <= 100 else text[:100] + "..."
+
+
 def _int(x) -> int:
     """``x`` itself when it is an int; JSON true/false and floats are refused."""
     if type(x) is not int:
-        raise TypeError(f"integer expected, got {x!r}")
+        raise TypeError(f"integer expected, got {_shown(x)}")
     return x
 
 
 def _ints(xs) -> tuple:
     """The ints of the JSON list ``xs``; a number, a string or an object is refused."""
     if type(xs) is not list:
-        raise TypeError(f"list of integers expected, got {xs!r}")
+        raise TypeError(f"list of integers expected, got {_shown(xs)}")
     return tuple(_int(x) for x in xs)
 
 
 def _int_token(tok: str) -> int:
     """An ASCII decimal integer; ``int`` alone would take ``1_0`` and non-ASCII digits."""
     if not re.fullmatch(r"[+-]?[0-9]+", tok):
-        raise ValueError(f"integer expected, got {tok!r}")
+        raise ValueError(f"integer expected, got {_shown(tok)}")
     return int(tok)
 
 
 def _int_rows(rows) -> list:
     if type(rows) is not list:
-        raise TypeError(f"list of rows expected, got {rows!r}")
+        raise TypeError(f"list of rows expected, got {_shown(rows)}")
     return [_ints(row) for row in rows]
 
 
@@ -84,7 +90,7 @@ def element_from_dict(a: AdjacencyMatrix, d: dict) -> Element:
     payload = d["payload"]
     cls = _FLAVORS.get(flavor) if isinstance(flavor, str) else None
     if cls is None:
-        raise ValueError(f"unknown flavor {flavor!r}")
+        raise ValueError(f"unknown flavor {_shown(flavor)}")
     if issubclass(cls, MatrixPayload):
         return cls(a, IntMatrix.from_rows(_int_rows(payload)), level)
     return cls(a, _ints(payload), level)

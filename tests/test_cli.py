@@ -552,6 +552,24 @@ class TestPayloadShapes:
         for argv, message in refused:
             assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv[0]
 
+    def test_a_refused_value_is_not_echoed_whole(self, capsys, matrix_file, tmp_path):
+        path = matrix_file([[1, 1], [1, 0]])
+        long = "x" * 900000
+        inputs = [
+            {"payload": long, "level": 0, "flavor": "s"},
+            {"payload": [[1, 0], long], "level": 0, "flavor": "h"},
+            {"payload": [1, 0], "level": long, "flavor": "s"},
+            {"payload": [1, 0], "level": 0, "flavor": long},
+        ]
+        for i, elem in enumerate(inputs):
+            arg = tmp_path / f"refused{i}.json"
+            arg.write_text(json.dumps(elem))
+            code, out, err = run_cli(capsys, "--format", "json", "positive", path, f"@{arg}")
+            assert (code, out) == (2, "") and err.startswith("error: ") and err.endswith("xxx...\n")
+            assert len(err.encode()) < 200
+        code, _, err = run_cli(capsys, "info", matrix_file([[1, 1], [1, "x" * 900000]]))
+        assert code == 2 and len(err.encode()) < 200
+
 
 class TestTraceOverflow:
     """trace scales by lambda^-N, so deep levels underflow to 0.0 instead of

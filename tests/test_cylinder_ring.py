@@ -1,11 +1,12 @@
 import functools
 import gc
+import json
 import random
 import weakref
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, find, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
@@ -49,6 +50,7 @@ from sftdim import (
     validate,
 )
 from sftdim import cylinder_ring, exactlinalg
+from sftdim.cli import main
 from sftdim.cylinder_ring import alpha_k0, commutator_system
 from sftdim.exactlinalg import (
     hermite_combine,
@@ -68,6 +70,7 @@ from conftest import (
     random_primitive_adjacency,
     top_down_row_hermite,
 )
+from make_cli_digests import LARGE
 
 X1 = IntMatrix.from_rows([[1, -1, 0], [-1, 1, 0], [0, 0, 0]])
 X2 = IntMatrix.from_rows([[0, 1, -1], [0, -1, 1], [0, 0, 0]])
@@ -181,8 +184,9 @@ def _live_forms():
 
 class TestSharedFactorisation:
     def test_commutator_map_is_factored_once(self, monkeypatch):
-        # a cold matrix: the centraliser, B(A) and the K1 structure share
-        # one factorisation
+        # a cold matrix: the centraliser, B(A) and the K1 structure share one
+        # transform-free Hermite basis, and only reading the witnesses factors
+        # the commutator map with its transform, once
         a = validate([[1, 2, 0, 1], [1, 0, 3, 1], [2, 1, 1, 0], [0, 1, 2, 1]])
 
         def counted(module, name):
@@ -197,21 +201,31 @@ class TestSharedFactorisation:
             return seen
 
         factored = counted(exactlinalg, "row_hermite_with_transform")
+        systems = counted(cylinder_ring, "commutator_system")
         solves = counted(exactlinalg, "solve_integer_linear")
         cmap = commutator_map(a)
+
+        def wide():
+            # the relations' kernel is factored too, but it is a few columns wide
+            return [m for m, *_ in factored if max(m.rows, m.cols) >= a.size ** 2]
+
         centralizer_basis(a)
-        commutator_lattice(a)
-        assert solves == []
+        lattice = commutator_lattice(a)
         structure = k1_group_structure(a)
-        assert sum(args[0] in (cmap, cmap.transpose()) for args in factored) == 1
+        assert (wide(), solves) == ([], [])
+        assert len(systems) == 1
+        assert lattice.witnesses == lattice.witnesses
+        assert wide() == [cmap.transpose()]
+        assert len(solves) == lattice.rank
         reference = invariant_factors(sympy.Matrix(cmap.to_rows()), domain=sympy.ZZ)
         assert structure.snf_diagonal == tuple(abs(int(d)) for d in reference)
 
     def test_one_shot_factorisations_are_not_cached(self):
-        # per cold matrix only the commutator system and the subring's
-        # witness system keep their factorisations; minimal polynomials,
-        # closure steps and the centre factor their one-shot systems without
-        # keeping them, and every kept form is freed with its matrix
+        # per cold matrix only the subring's witness system keeps its
+        # factorisation; minimal polynomials, closure steps, the kernel of
+        # the relations, the centre and the witnesses of B(A) factor their
+        # one-shot systems without keeping them, and every kept form is freed
+        # with its matrix
         rng = random.Random(20261018)
         matrices = [random_primitive_adjacency(rng, k) for k in (4, 5, 4, 5)]
         refs = [weakref.ref(a) for a in matrices]
@@ -219,13 +233,13 @@ class TestSharedFactorisation:
         for a in matrices:
             k = a.size
             centralizer_basis(a)
-            commutator_lattice(a)
+            commutator_lattice(a).witnesses
             k1_group_structure(a)
             center_basis(a)
             x = CylinderK1Element(a, IntMatrix.identity(k), 0)
             k1_equal(x, CylinderK1Element(a, IntMatrix.zeros(k, k), 0))
             ra_membership(CylinderK0Element(a, a.matrix, 1))
-        assert _live_forms() - before <= 2 * len(matrices)
+        assert _live_forms() - before <= len(matrices)
         del a, x, matrices
         gc.collect()
         assert all(r() is None for r in refs)
@@ -1028,7 +1042,7 @@ class TestSmallestSpaces:
             monkeypatch.setattr(module, name, counted)
         center = center_basis(a)
         assert calls == []
-        assert center == centralizer_basis(a)  # equal, reached without the form
+        assert center == centralizer_basis(a)  # equal, reached without the system
 
     def test_k1_structure_skips_the_full_map(self, monkeypatch):
         a = validate([
@@ -1115,10 +1129,12 @@ class TestCommutatorForm:
             assert commutator_system(a.matrix).row_apply(x.vec()) == commutator.vec()
 
     def test_bottom_up_form_equals_top_down(self, primitive_pool):
-        # the centraliser, B(A) and its witnesses are all read off this form
+        # the witnesses are read off this form, and B(A) is its Hermite part
         for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE, chord_cycle(12), chord_cycle(12, 5)]:
             cm = commutator_map(a)
-            assert cylinder_ring._commutator_form(a) == top_down_row_hermite(cm.transpose())
+            form = exactlinalg.row_hermite_with_transform(commutator_system(a.matrix))
+            assert form == top_down_row_hermite(cm.transpose())
+            assert tuple(b.vec() for b in commutator_lattice(a).basis) == tuple(r for r in form.h if any(r))
 
 
 class TestCentralizerRank:
@@ -1139,3 +1155,105 @@ class TestCentralizerRank:
         monkeypatch.setattr(exactlinalg, "row_hermite_with_transform", counted)
         assert centralizer_rank(a) == k
         assert factored == []
+
+
+def _transform_oracle(a):
+    """C(A), B(A) with its witnesses, and the K1 presentation as the transform
+    form W . S = H of the commutator system S gave them: C(A) is the W rows
+    beside the zero rows of H, B(A) and its witnesses the H and W rows beside
+    the others, and the presentation is read off the nonzero H rows."""
+    form = exactlinalg.row_hermite_with_transform(commutator_system(a.matrix))
+    image = [(h, w) for h, w in zip(form.h, form.w) if any(h)]
+    unit = {p: row for row, p in zip(form.h, form.pivots) if row[p] == 1}
+    coords = tuple(j for j in range(a.size ** 2) if j not in unit)
+    pres = cylinder_ring.K1Presentation(
+        coords,
+        tuple((p, tuple(row[j] for j in coords)) for p, row in unit.items()),
+        tuple(tuple(row[j] for j in coords) for row, p in zip(form.h, form.pivots) if p not in unit),
+    )
+    return form.left_kernel(), tuple(h for h, _ in image), tuple(w for _, w in image), pres
+
+
+@st.composite
+def _commutator_pool(draw):
+    """Random matrices, c J + d I (derogatory, with torsion in Q when c > 1)
+    and singular derogatory matrices."""
+    kind = draw(st.sampled_from(("random", "ones_plus_identity", "singular")))
+    if kind == "ones_plus_identity":
+        return _ones_plus_identity(draw(st.integers(2, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    return draw(_singular_derogatory() if kind == "singular" else _adjacency())
+
+
+class TestTransformFreeCommutator:
+    """C(A), B(A) and the K1 presentation read off one transform-free Hermite
+    basis of B(A), against the transform form they were read off before."""
+
+    def _assert_agrees(self, a, rng):
+        a = validate(a.matrix.to_rows())  # cold
+        kernel, image, witnesses, pres = _transform_oracle(a)
+        pairs = list(_k1_pairs(rng, a, 3))
+        # the old path: the same readers, fed the transform form's presentation
+        old = validate(a.matrix.to_rows())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cylinder_ring, "_k1_presentation", lambda _: pres)
+            structure = k1_group_structure(old)
+            decisions = [
+                k1_equal(CylinderK1Element(old, x.matrix, x.level), CylinderK1Element(old, y.matrix, y.level))
+                for x, y in pairs
+            ]
+        assert tuple(b.vec() for b in centralizer_basis(a).basis) == kernel
+        assert centralizer_rank(a) == len(kernel)
+        lattice = commutator_lattice(a)
+        assert tuple(b.vec() for b in lattice.basis) == image
+        assert tuple(y.vec() for y in lattice.witnesses) == witnesses
+        assert cylinder_ring._k1_presentation(a) == pres
+        assert k1_group_structure(a) == structure
+        assert [k1_equal(x, y) for x, y in pairs] == decisions
+
+    def test_matches_the_transform_form_on_pool(self, primitive_pool):
+        rng = random.Random(223)
+        extra = [CJ_PLUS_DI, REPEATED_ROW, BIPARTITE, chord_cycle(12), _ones_plus_identity(4, 2, 1), _all_ones(4)]
+        for a in [*primitive_pool, *extra]:
+            self._assert_agrees(a, rng)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_commutator_pool(), seed=st.integers(0, 2**16))
+    def test_matches_the_transform_form_on_generated_matrices(self, a, seed):
+        self._assert_agrees(a, random.Random(seed))
+
+    def test_generated_pool_reaches_torsion_and_derogatory_matrices(self):
+        def torsion_and_derogatory(a):
+            mp = exactlinalg.minimal_polynomial(a.matrix)
+            return bool(k1_group_structure(a).torsion) and mp.k + mp.l < a.size
+
+        assert torsion_and_derogatory(find(_commutator_pool(), torsion_and_derogatory))
+
+    def test_cold_kgroups_and_k1_equal_factor_nothing_k_squared_wide(self, monkeypatch, tmp_path, capsys):
+        rows = LARGE["seeded12"]
+        k = len(rows)
+        path = tmp_path / "seeded12.json"
+        path.write_text(json.dumps(rows))
+        widths = []
+        original = exactlinalg.row_hermite_with_transform
+
+        def counted(m):
+            widths.append(m.rows + m.cols)
+            return original(m)
+
+        monkeypatch.setattr(exactlinalg, "row_hermite_with_transform", counted)
+        m, rng = IntMatrix.from_rows(rows), random.Random(5)
+        x, w = random_matrix(rng, k, k, -2, 2), random_matrix(rng, k, k, -1, 1)
+        assert main(["--format", "json", "kgroups", str(path)]) == 0
+        verdicts = []
+        # x + (AW - WA) merges with x; x + I does not, as trace(A^2m) > 0
+        for y in (x + m @ w - w @ m, x + IntMatrix.identity(k)):
+            classes = [json.dumps({"payload": z.to_rows(), "level": 1, "flavor": "k1"}) for z in (x, y)]
+            capsys.readouterr()
+            assert main(["--format", "json", "equal", str(path), *classes]) == 0
+            verdicts.append(json.loads(capsys.readouterr().out)["verdict"])
+        assert verdicts == ["equal", "not_equal"]
+        assert all(width < k * k for width in widths)
+        lattice = commutator_lattice(validate(rows))
+        widths.clear()
+        assert lattice.witnesses is lattice.witnesses
+        assert widths == [2 * k * k]

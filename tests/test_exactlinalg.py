@@ -1033,7 +1033,7 @@ RECORDS = [
     (dimension_groups, "PositivityResult", ("kind",), {}),
     (duality, "StableHom", ("ambient", "z", "level"), {}),
     (cylinder_ring, "CentralizerLattice", ("basis", "rank"), {}),
-    (cylinder_ring, "CommutatorLattice", ("basis", "witnesses", "rank"), {}),
+    (cylinder_ring, "CommutatorLattice", ("matrix", "basis", "rank"), {}),
     (cylinder_ring, "K1Structure", ("free_rank", "torsion", "snf_diagonal"), {}),
     (cylinder_ring, "CylinderK0Element", ("ambient", "matrix", "level"), {}),
     (cylinder_ring, "CylinderK1Element", ("ambient", "matrix", "level"), {}),
