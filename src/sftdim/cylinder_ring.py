@@ -40,12 +40,22 @@ on Q tensor Q is injective: whatever some power maps into the relations L
 lies in sat(L), of rank len(relations), and sat(L)/L is the torsion of Q.
 A torsion-free Q is its own closure, and so is any seed that fills its
 lattice, with depth 0.
+
+Most matrices take a K-wide model instead.  When A mod p is cyclic for
+every prime p (locally cyclic, certified exactly by deg m_A = K and a gcd of
+Krylov determinants, see _locally_cyclic), C(A) = Z[A] is the centre, Q is
+Z^K through the K power traces X -> tr(A^i X), B(A) is their kernel, and
+degree-one equality reads the traces of the difference: no K^2-row basis,
+presentation or closure is built.  Every other A, derogatory or with a
+non-unit gcd, takes the general path above.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import operator
+from math import gcd
 from typing import Optional, Sequence
 
 from . import exactlinalg
@@ -109,6 +119,61 @@ def commutator_system(m: IntMatrix) -> IntMatrix:
     return IntMatrix(k * k, k * k, tuple(ents))
 
 
+def _determinant(rows: Sequence[Sequence[int]]) -> int:
+    """det of a square integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, top = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            c = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - c * top[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1]
+
+
+@memo
+def _locally_cyclic(a: AdjacencyMatrix) -> bool:
+    """Whether A mod p is cyclic for every prime p, certified exactly.
+
+    The certificate is deg m_A = K and gcd_i det[e_i, A e_i, ..., A^(K-1) e_i]
+    = 1: then every p misses some determinant, whose e_i is a cyclic vector of
+    A mod p.  A derogatory A computes no determinant, and the gcd stops at 1.
+    For such A, I, A, ..., A^(K-1) stay independent mod every p, so Z[A] is
+    saturated and equals C(A), and the commutator map has rank K^2 - K mod
+    every p: its nonzero invariant factors are 1, Q = M_K(Z)/B(A) is Z^K and
+    B(A) is saturated.  As B(A)^perp = C(A^T) under the trace pairing,
+    B(A) = {X : tr(A^i X) = 0, i < K}: the K power traces model Q.
+    """
+    k = a.size
+    mp = minimal_polynomial(a.matrix)
+    if mp.k + mp.l != k:
+        return False
+    powers = [matrix_power(a.matrix, t) for t in range(k)]
+    g = 0
+    for i in range(k):
+        g = gcd(g, _determinant([p.column(i) for p in powers]))
+        if g == 1:
+            return True
+    return False
+
+
+@memo
+def _trace_rows(a: AdjacencyMatrix) -> tuple:
+    """vec((A^T)^j) for j < 2 ceil(l/2) + K, so that tr(A^j X) is the dot
+    product of row j with vec(X); k1_equal reads them all, B(A) the first K."""
+    mp = minimal_polynomial(a.matrix)
+    count = 2 * ((mp.l + 1) // 2) + a.size
+    return tuple(matrix_power(a.matrix, j).transpose().vec() for j in range(count))
+
+
 @frozen
 class CentralizerLattice:
     """Saturated Hermite basis of a sublattice of the commuting matrices."""
@@ -126,11 +191,14 @@ def centralizer_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     transpose of ker_Z H for the Hermite basis H of B(A).  In the presentation
     of Q a unit row of H is x_p + row_p . x_J and the others are the relations
     on Z^J, so ker_Z H is ker_Z(relations) in Z^J, lifted by x_p = -row_p . x_J.
+    For locally cyclic A, C(A) = Z[A] is the centre, built from the powers of
+    A with no basis of B(A).
     """
+    if _locally_cyclic(a):
+        return center_basis(a)
     k = a.size
     pres = _k1_presentation(a)
-    rel = pres.relation_matrix()
-    kernel = integer_kernel(rel) if rel.rows else identity_rows(rel.cols)
+    kernel = integer_kernel(pres.relation_matrix())
     tr = [j % k * k + j // k for j in range(k * k)]  # where X_ij sits in vec(X^T)
     reads = [[] for _ in pres.coords]  # per coordinate of J, the unit rows' entries
     for p, row in pres.unit_rows:
@@ -182,11 +250,16 @@ def commutator_lattice(a: AdjacencyMatrix) -> CommutatorLattice:
     """The canonical basis of B(A): the Hermite basis of the rows of the
     commutator system, built with no transform, which C(A) and the K1
     presentation read too.  The rows go in from the last one up, which
-    re-reduces least (see exactlinalg); the witnesses are solved for only
-    when read."""
+    re-reduces least (see exactlinalg).  For locally cyclic A it is the
+    kernel of the K power traces X -> tr(A^i X), i < K, a K x K^2 system.
+    The witnesses are solved for only when read."""
     k = a.size
-    s = commutator_system(a.matrix)
-    rows = hermite_row_basis((s.row(i) for i in reversed(range(s.rows))), s.cols)
+    if _locally_cyclic(a):
+        traces = _trace_rows(a)[:k]
+        rows = integer_kernel(IntMatrix(k, k * k, tuple(x for r in traces for x in r)))
+    else:
+        s = commutator_system(a.matrix)
+        rows = hermite_row_basis((s.row(i) for i in reversed(range(s.rows))), s.cols)
     basis = tuple(IntMatrix.from_vec(row, k, k) for row in rows)
     return CommutatorLattice(matrix=a.matrix, basis=basis, rank=len(basis))
 
@@ -209,11 +282,16 @@ def k1_group_structure(a: AdjacencyMatrix) -> K1Structure:
 
     The relations are independent, so each gives one invariant factor; the
     non-unit ones are the torsion, and every other nonzero factor of the
-    commutator map is 1.
+    commutator map is 1.  For locally cyclic A, Q is Z^K: the structure is
+    known with nothing factored.
     """
+    k2 = a.size * a.size
+    if _locally_cyclic(a):
+        return K1Structure(
+            free_rank=a.size, torsion=(), snf_diagonal=(1,) * (k2 - a.size) + (0,) * a.size
+        )
     pres = _k1_presentation(a)
     torsion = tuple(d for d in invariant_factors(pres.relation_matrix()) if d > 1)
-    k2 = a.size * a.size
     rank_b = k2 - len(pres.coords) + len(pres.relations)
     return K1Structure(
         free_rank=k2 - rank_b,
@@ -357,6 +435,27 @@ def _k1_closure(a: AdjacencyMatrix) -> PreimageClosure:
     return preimage_closure(basis, image, pres.relations)
 
 
+def _trace_witness(a: AdjacencyMatrix, diff: Sequence[int]) -> Optional[int]:
+    """The least m with A^m D A^m in B(A) for locally cyclic A, or None.
+
+    With s_j = tr(A^j D), A^m D A^m lies in B(A) iff s_2m, ..., s_(2m+K-1)
+    all vanish.  From index l on, s obeys the recurrence of p_A both ways
+    (p_A(0) != 0), so once 2m >= l, K zeros in a row make every later s_j
+    zero: m = ceil(l/2) is the last level to test.
+    """
+    rows, k = _trace_rows(a), a.size
+    s = []
+    for m in range((len(rows) - k) // 2 + 1):
+        for j in range(2 * m, 2 * m + k):
+            while len(s) <= j:
+                s.append(sum(map(operator.mul, rows[len(s)], diff)))
+            if s[j]:
+                break
+        else:
+            return m
+    return None
+
+
 def k1_equal(x: CylinderK1Element, y: CylinderK1Element) -> K1Decision:
     """Equality in the degree-one limit group.
 
@@ -364,12 +463,18 @@ def k1_equal(x: CylinderK1Element, y: CylinderK1Element) -> K1Decision:
     non-membership in the stabilised closure; otherwise applying X -> AXA in
     Q reaches the relations within the closure depth, and the number of
     applications is the merge depth at which the difference lands in B(A).
+    For locally cyclic A the power traces of the difference decide both, with
+    no closure (see _trace_witness).
     """
     px, py, _ = align(x, y)
     diff = [s - t for s, t in zip(px, py)]
     if not any(diff):
         return K1Decision(Verdict.EQUAL, witness_level=0)
-    level = _k1_closure(x.ambient).witness(_k1_presentation(x.ambient).project(diff))
+    a = x.ambient
+    if _locally_cyclic(a):
+        level = _trace_witness(a, diff)
+    else:
+        level = _k1_closure(a).witness(_k1_presentation(a).project(diff))
     if level is None:
         return K1Decision(Verdict.NOT_EQUAL)
     return K1Decision(Verdict.EQUAL, witness_level=level)
@@ -541,11 +646,14 @@ def center_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     (the double centraliser theorem), so the center is M_K(Z) meet Q[A], of
     rank deg m_A: the saturation of Z[A] = span{I, A, ..., A^(deg m_A - 1)}
     in M_K(Z), one path for every A.  When deg m_A = K (A is non-derogatory)
-    that lattice is C(A) itself, which the tests check basis for basis.
+    that lattice is C(A) itself, which the tests check basis for basis.  For
+    locally cyclic A, Z[A] is saturated already and nothing is saturated.
     """
     mp = minimal_polynomial(a.matrix)
     k = a.size
     powers = [matrix_power(a.matrix, i).vec() for i in range(mp.k + mp.l)]
-    rows = saturation(hermite_row_basis(powers, k * k), k * k)
+    rows = hermite_row_basis(powers, k * k)
+    if not _locally_cyclic(a):
+        rows = saturation(rows, k * k)
     basis = tuple(IntMatrix.from_vec(rw, k, k) for rw in rows)
     return CentralizerLattice(basis=basis, rank=len(basis))

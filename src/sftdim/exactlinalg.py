@@ -26,6 +26,10 @@ pivot order, so bottom up a new row mostly becomes the first row and has no
 earlier rows to re-reduce.  Row operations skip the zero entries of the row
 they subtract, and a pivot row's nonzero entries are gathered once for all
 the rows above it: a commutator system row has at most 2K nonzeros of K^2.
+Those transforms are as wide as the system is tall, so the kernel of a wide
+matrix (the K power traces of a K x K matrix, the relations of a level group)
+is built column by column instead, with a transform slot only for the
+columns that are not unit pivots of the kernel (:func:`integer_kernel`).
 Lattice membership, coordinates in a Hermite basis and integer solving share
 one pivot read-off, :func:`hermite_coords`.  The Smith invariant factors
 come from alternating row and column Hermite passes with no transforms
@@ -596,9 +600,79 @@ def integer_kernel(m: IntMatrix) -> tuple:
 
     Returned as a tuple of coordinate tuples.  Saturation is automatic: the
     kernel of an integer matrix contains every integer vector that is
-    rationally in it.
+    rationally in it.  A tall or square M is read off the column Hermite form
+    that solving shares; a wide one is scanned column by column
+    (:func:`_wide_kernel`), with no transform as wide as M.
     """
+    if m.rows < m.cols:
+        return _wide_kernel(m)
     return _column_hermite(m).left_kernel()
+
+
+def _wide_kernel(m: IntMatrix) -> tuple:
+    """The kernel of a wide M, its columns scanned from the last one.
+
+    One builder holds [column | transform] for the columns J that are not in
+    the span of the later ones, with one transform slot per column of J.  A
+    column in that span reduces to zero against the rows pivoted in the
+    column part, and the transform entries it picks up give the kernel row
+    e_j - sum c t, whose pivot is a 1 at j: J holds only later columns.  The
+    builder rows with a zero column part are the relations among J; in
+    Hermite form over J in ascending order, and with each unit row reduced at
+    their pivots, the rows sorted by pivot are the canonical basis.
+    """
+    r = m.rows
+    builder = _HnfBuilder(r)
+    coords, units = [], []  # J in the order the columns joined; (j, transform) rows
+    for j in reversed(range(m.cols)):
+        v = list(m.column(j)) + [0] * len(coords)
+        for row, p in zip(builder.rows, builder.pivots):
+            if p >= r:
+                break
+            q, rem = divmod(v[p], row[p])
+            if rem:
+                break
+            if q:
+                for t in range(p, builder.width):
+                    x = row[t]
+                    if x:
+                        v[t] -= q * x
+        if any(v[:r]):
+            # v differs from [column | 0] by builder rows, so it spans the same
+            coords.append(j)
+            builder.width += 1
+            for row in builder.rows:
+                row.append(0)
+            builder.insert(v + [1])
+        else:
+            units.append((j, v[r:]))
+    n = len(coords)
+    ascending = coords[::-1]
+    relations = hermite_row_basis(
+        (row[r:][::-1] for row, p in zip(builder.rows, builder.pivots) if p >= r), n
+    )
+    rel_pivots = hermite_pivots(relations)
+
+    def lift(u, unit=None):
+        x = [0] * m.cols
+        if unit is not None:
+            x[unit] = 1
+        for c, y in zip(ascending, u):
+            if y:
+                x[c] = y
+        return tuple(x)
+
+    rows = [(ascending[p], lift(rel)) for rel, p in zip(relations, rel_pivots)]
+    for j, slots in units:
+        u = [0] * (n - len(slots)) + slots[::-1]
+        for rel, p in zip(relations, rel_pivots):
+            q = u[p] // rel[p]
+            if q:
+                for t in range(p, n):
+                    u[t] -= q * rel[t]
+        rows.append((j, lift(u, j)))
+    rows.sort()
+    return tuple(x for _, x in rows)
 
 
 def solve_integer_linear(m: IntMatrix, b: Sequence[int]) -> Optional[tuple]:

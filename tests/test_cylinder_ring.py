@@ -184,10 +184,12 @@ def _live_forms():
 
 class TestSharedFactorisation:
     def test_commutator_map_is_factored_once(self, monkeypatch):
-        # a cold matrix: the centraliser, B(A) and the K1 structure share one
-        # transform-free Hermite basis, and only reading the witnesses factors
-        # the commutator map with its transform, once
-        a = validate([[1, 2, 0, 1], [1, 0, 3, 1], [2, 1, 1, 0], [0, 1, 2, 1]])
+        # a cold matrix that is not locally cyclic (Q has torsion Z/2 + Z/2):
+        # the centraliser, B(A) and the K1 structure share one transform-free
+        # Hermite basis, and only reading the witnesses factors the
+        # commutator map with its transform, once
+        a = validate([[1, 3, 3, 1], [2, 3, 2, 3], [0, 3, 0, 2], [2, 3, 1, 1]])
+        assert not cylinder_ring._locally_cyclic(a)
 
         def counted(module, name):
             seen = []
@@ -219,6 +221,23 @@ class TestSharedFactorisation:
         assert len(solves) == lattice.rank
         reference = invariant_factors(sympy.Matrix(cmap.to_rows()), domain=sympy.ZZ)
         assert structure.snf_diagonal == tuple(abs(int(d)) for d in reference)
+        assert structure.torsion == (2, 2)
+
+        # a locally cyclic matrix builds no commutator system at all, and
+        # only reading the witnesses factors the commutator map, once
+        lc = validate([[1, 2, 0, 1], [1, 0, 3, 1], [2, 1, 1, 0], [0, 1, 2, 1]])
+        assert cylinder_ring._locally_cyclic(lc)
+        for seen in (factored, systems, solves):
+            seen.clear()
+        centralizer_basis(lc)
+        lattice = commutator_lattice(lc)
+        k1_group_structure(lc)
+        x = CylinderK1Element(lc, IntMatrix.identity(4), 0)
+        k1_equal(x, CylinderK1Element(lc, lc.matrix, 0))
+        assert (factored, systems, solves) == ([], [], [])
+        assert lattice.witnesses == lattice.witnesses
+        assert [m for m, *_ in factored] == [commutator_map(lc).transpose()]
+        assert len(systems) == 1 and len(solves) == lattice.rank
 
     def test_one_shot_factorisations_are_not_cached(self):
         # per cold matrix only the subring's witness system keeps its
@@ -1045,10 +1064,12 @@ class TestSmallestSpaces:
         assert center == centralizer_basis(a)  # equal, reached without the system
 
     def test_k1_structure_skips_the_full_map(self, monkeypatch):
+        # not locally cyclic: the invariant factors of the few relations
         a = validate([
-            [1, 2, 0, 1, 3, 1], [2, 1, 1, 0, 1, 2], [0, 3, 1, 2, 1, 1],
-            [1, 1, 2, 1, 0, 3], [2, 0, 1, 3, 1, 1], [1, 1, 3, 0, 2, 1],
+            [2, 0, 2, 1, 0, 2], [2, 2, 0, 0, 3, 3], [0, 2, 3, 2, 3, 2],
+            [3, 1, 0, 2, 0, 0], [0, 3, 3, 0, 1, 2], [2, 3, 2, 1, 0, 2],
         ])
+        assert not cylinder_ring._locally_cyclic(a)
         widths = []
 
         def record(m):
@@ -1059,6 +1080,15 @@ class TestSmallestSpaces:
         structure = k1_group_structure(a)
         assert len(widths) == 1 and widths[0] < 36
         assert len(structure.snf_diagonal) == 36
+        # locally cyclic: the structure is known, and no factor is computed
+        lc = validate([
+            [1, 2, 0, 1, 3, 1], [2, 1, 1, 0, 1, 2], [0, 3, 1, 2, 1, 1],
+            [1, 1, 2, 1, 0, 3], [2, 0, 1, 3, 1, 1], [1, 1, 3, 0, 2, 1],
+        ])
+        assert cylinder_ring._locally_cyclic(lc)
+        widths.clear()
+        assert k1_group_structure(lc) == cylinder_ring.K1Structure(6, (), (1,) * 30 + (0,) * 6)
+        assert widths == []
 
     def test_ra_witness_solves_no_k_squared_system(self, monkeypatch, primitive_pool):
         # the witness level is searched at the pivot entries of the closure's
@@ -1257,3 +1287,148 @@ class TestTransformFreeCommutator:
         widths.clear()
         assert lattice.witnesses is lattice.witnesses
         assert widths == [2 * k * k]
+
+
+def _five_readers(a, pairs):
+    """B(A), C(A), the centre, the K1 structure and k1_equal on ``pairs``,
+    read on a cold copy of ``a``."""
+    a = validate(a.matrix.to_rows())
+    decisions = [
+        k1_equal(CylinderK1Element(a, x.matrix, x.level), CylinderK1Element(a, y.matrix, y.level))
+        for x, y in pairs
+    ]
+    return (
+        commutator_lattice(a).basis,
+        centralizer_basis(a),
+        center_basis(a),
+        k1_group_structure(a),
+        decisions,
+    )
+
+
+def _companion(last_row):
+    k = len(last_row)
+    return validate([[int(j == i + 1) for j in range(k)] for i in range(k - 1)] + [list(last_row)])
+
+
+@st.composite
+def _zero_one(draw):
+    k = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=k, max_size=k))
+    try:
+        return validate(rows)
+    except ValueError:
+        assume(False)
+
+
+def _krylov_gcd(a):
+    """gcd_i det[e_i, A e_i, ..., A^(K-1) e_i], by sympy."""
+    k = a.size
+    powers = [sympy.Matrix(matrix_power(a.matrix, t).to_rows()) for t in range(k)]
+    return functools.reduce(sympy.gcd, (sympy.Matrix.hstack(*(p[:, i] for p in powers)).det() for i in range(k)))
+
+
+class TestLocallyCyclic:
+    """Locally cyclic A (A mod p cyclic for every prime p) reads B(A), C(A),
+    the centre, the K1 structure and degree-one equality off the K power
+    traces; the general path, reached with the certificate turned off, is
+    the oracle."""
+
+    def _assert_agrees(self, a, rng):
+        pairs = list(_k1_pairs(rng, a, 4))
+        fast = _five_readers(a, pairs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cylinder_ring, "_locally_cyclic", lambda _: False)
+            assert _five_readers(a, pairs) == fast
+        return cylinder_ring._locally_cyclic(validate(a.matrix.to_rows()))
+
+    def test_matches_the_general_path_on_pool(self, primitive_pool):
+        rng = random.Random(241)
+        companions = [_companion(r) for r in ([1, 1], [2, 0, 1], [1, 3, 0, 2], [3, 1, 2, 1, 1], [1, 0, 0, 2, 0, 1])]
+        chords = [chord_cycle(k, shift) for k in (5, 8, 12) for shift in (0, 3)]
+        inputs = [*primitive_pool, *companions, *chords, COMPANION, REPEATED_ROW, BIPARTITE]
+        certified = [self._assert_agrees(a, rng) for a in inputs]
+        assert any(certified) and not all(certified)  # both paths run
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_zero_one(), seed=st.integers(0, 2**16))
+    def test_matches_the_general_path_on_generated_matrices(self, a, seed):
+        self._assert_agrees(a, random.Random(seed))
+
+    def test_generated_pool_reaches_singular_locally_cyclic_matrices(self):
+        def singular_certified(a):
+            return exactlinalg.minimal_polynomial(a.matrix).l > 0 and cylinder_ring._locally_cyclic(a)
+
+        assert singular_certified(find(_zero_one(), singular_certified))
+
+    def test_singular_matrix_merges_at_the_last_tested_level(self):
+        # J_2 is cyclic mod every p (l = 1, g = 1); X has trace 1, so it is
+        # outside B(A), and A X A = 0: the classes merge one level up
+        a = validate([[1, 1], [1, 1]])
+        assert cylinder_ring._locally_cyclic(a)
+        x = CylinderK1Element(a, IntMatrix.from_rows([[1, -1], [0, 0]]), 0)
+        zero = CylinderK1Element(a, IntMatrix.zeros(2, 2), 0)
+        assert k1_equal(x, zero) == cylinder_ring.K1Decision(Verdict.EQUAL, witness_level=1)
+        y = CylinderK1Element(a, IntMatrix.identity(2), 0)
+        assert k1_equal(y, zero) == cylinder_ring.K1Decision(Verdict.NOT_EQUAL)
+        self._assert_agrees(a, random.Random(7))
+
+    @pytest.mark.parametrize(
+        "rows, g, torsion",
+        [([[1, 2], [2, 1]], 2, (2, 2)), ([[1, 2, 0], [0, 1, 2], [2, 0, 1]], 8, (2,) * 6)],
+    )
+    def test_certificate_refuses_torsion(self, rows, g, torsion):
+        a = validate(rows)
+        mp = exactlinalg.minimal_polynomial(a.matrix)
+        assert mp.k + mp.l == a.size and _krylov_gcd(a) == g
+        assert not cylinder_ring._locally_cyclic(a)
+        structure = k1_group_structure(a)
+        assert structure.torsion == torsion
+        reference = invariant_factors(sympy.Matrix(commutator_map(a).to_rows()), domain=sympy.ZZ)
+        assert structure.snf_diagonal == tuple(abs(int(d)) for d in reference)
+        self._assert_agrees(a, random.Random(g))
+
+    def test_certificate_is_the_krylov_gcd(self, primitive_pool):
+        for a in [*primitive_pool, COMPANION, REPEATED_ROW, BIPARTITE, CJ_PLUS_DI, chord_cycle(6)]:
+            mp = exactlinalg.minimal_polynomial(a.matrix)
+            certified = mp.k + mp.l == a.size and _krylov_gcd(a) == 1
+            assert cylinder_ring._locally_cyclic(a) == certified
+
+    def test_cold_kgroups_and_k1_equal_build_no_commutator_system(self, monkeypatch, tmp_path, capsys):
+        rows = LARGE["seeded12"]
+        k = len(rows)
+        assert cylinder_ring._locally_cyclic(validate(rows))
+        path = tmp_path / "seeded12.json"
+        path.write_text(json.dumps(rows))
+        calls = []
+        for module, name in (
+            (exactlinalg, "row_hermite_with_transform"),
+            (cylinder_ring, "commutator_system"),
+            (cylinder_ring, "invariant_factors"),
+            (cylinder_ring, "_k1_presentation"),
+        ):
+            def counted(*args, original=getattr(module, name), name=name):
+                calls.append((name, args))
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        m, rng = IntMatrix.from_rows(rows), random.Random(5)
+        x, w = random_matrix(rng, k, k, -2, 2), random_matrix(rng, k, k, -1, 1)
+        assert main(["--format", "json", "kgroups", str(path)]) == 0
+        verdicts = []
+        for y in (x + m @ w - w @ m, x + IntMatrix.identity(k)):
+            classes = [json.dumps({"payload": z.to_rows(), "level": 1, "flavor": "k1"}) for z in (x, y)]
+            capsys.readouterr()
+            assert main(["--format", "json", "equal", str(path), *classes]) == 0
+            verdicts.append(json.loads(capsys.readouterr().out)["verdict"])
+        assert verdicts == ["equal", "not_equal"]
+        # the minimal polynomials' builders factor nothing K^2 wide
+        assert [(name, args) for name, args in calls if name != "row_hermite_with_transform"] == []
+        assert all(args[0].rows + args[0].cols < k * k for _, args in calls)
+        lattice = commutator_lattice(validate(rows))
+        calls.clear()
+        assert lattice.witnesses is lattice.witnesses
+        assert [(name, args[0].rows + args[0].cols) for name, args in calls] == [
+            ("commutator_system", 2 * k),
+            ("row_hermite_with_transform", 2 * k * k),
+        ]
