@@ -42,12 +42,13 @@ A torsion-free Q is its own closure, and so is any seed that fills its
 lattice, with depth 0.
 
 Most matrices take a K-wide model instead.  When A mod p is cyclic for
-every prime p (locally cyclic, certified exactly by deg m_A = K and a gcd of
-Krylov determinants, see _locally_cyclic), C(A) = Z[A] is the centre, Q is
-Z^K through the K power traces X -> tr(A^i X), B(A) is their kernel, and
-degree-one equality reads the traces of the difference: no K^2-row basis,
-presentation or closure is built.  Every other A, derogatory or with a
-non-unit gcd, takes the general path above.
+every prime p (locally cyclic: exactly when deg m_A = K and Z[A] is
+saturated, so that the centre's Hermite rows decide it, see _locally_cyclic),
+C(A) = Z[A] is the centre, Q is Z^K through the K power traces
+X -> tr(A^i X), B(A) is their kernel, and degree-one equality reads the
+traces of the difference: no K^2-row basis, presentation or closure is
+built.  Every other A, derogatory or with torsion in Q, takes the general
+path above.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from math import gcd
 from typing import Optional, Sequence
 
 from . import exactlinalg
@@ -119,50 +119,24 @@ def commutator_system(m: IntMatrix) -> IntMatrix:
     return IntMatrix(k * k, k * k, tuple(ents))
 
 
-def _determinant(rows: Sequence[Sequence[int]]) -> int:
-    """det of a square integer matrix by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in rows]
-    n, sign, prev = len(a), 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, top = a[k][k], a[k]
-        for row in a[k + 1 :]:
-            c = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - c * top[j]) // prev
-        prev = pivot
-    return sign * a[-1][-1]
-
-
 @memo
 def _locally_cyclic(a: AdjacencyMatrix) -> bool:
-    """Whether A mod p is cyclic for every prime p, certified exactly.
+    """Whether A mod p is cyclic for every prime p, decided exactly.
 
-    The certificate is deg m_A = K and gcd_i det[e_i, A e_i, ..., A^(K-1) e_i]
-    = 1: then every p misses some determinant, whose e_i is a cyclic vector of
-    A mod p.  A derogatory A computes no determinant, and the gcd stops at 1.
-    For such A, I, A, ..., A^(K-1) stay independent mod every p, so Z[A] is
-    saturated and equals C(A), and the commutator map has rank K^2 - K mod
-    every p: its nonzero invariant factors are 1, Q = M_K(Z)/B(A) is Z^K and
-    B(A) is saturated.  As B(A)^perp = C(A^T) under the trace pairing,
+    A mod p is cyclic iff I, A, ..., A^(K-1) stay independent mod p.  They do
+    for every p exactly when deg m_A = K and Z[A] = span{I, ..., A^(K-1)} is
+    saturated in M_K(Z), that is when the Hermite rows of the powers equal
+    their saturation, which the centre builds anyway (_power_span).  For such
+    A, Z[A] equals C(A), and the commutator map has rank K^2 - K mod every p:
+    its nonzero invariant factors are 1, Q = M_K(Z)/B(A) is Z^K and B(A) is
+    saturated.  As B(A)^perp = C(A^T) under the trace pairing,
     B(A) = {X : tr(A^i X) = 0, i < K}: the K power traces model Q.
     """
-    k = a.size
     mp = minimal_polynomial(a.matrix)
-    if mp.k + mp.l != k:
+    if mp.k + mp.l != a.size:
         return False
-    powers = [matrix_power(a.matrix, t) for t in range(k)]
-    g = 0
-    for i in range(k):
-        g = gcd(g, _determinant([p.column(i) for p in powers]))
-        if g == 1:
-            return True
-    return False
+    rows, saturated = _power_span(a)
+    return rows == saturated
 
 
 @memo
@@ -637,6 +611,17 @@ def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
 
 
 @memo
+def _power_span(a: AdjacencyMatrix) -> tuple:
+    """The Hermite rows of Z[A] = span{I, A, ..., A^(deg m_A - 1)} in M_K(Z),
+    and those of their saturation."""
+    mp = minimal_polynomial(a.matrix)
+    k = a.size
+    powers = [matrix_power(a.matrix, i).vec() for i in range(mp.k + mp.l)]
+    rows = hermite_row_basis(powers, k * k)
+    return rows, saturation(rows, k * k)
+
+
+@memo
 def center_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     """Sublattice of C(A) commuting with every element of C(A).
 
@@ -646,14 +631,8 @@ def center_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     (the double centraliser theorem), so the center is M_K(Z) meet Q[A], of
     rank deg m_A: the saturation of Z[A] = span{I, A, ..., A^(deg m_A - 1)}
     in M_K(Z), one path for every A.  When deg m_A = K (A is non-derogatory)
-    that lattice is C(A) itself, which the tests check basis for basis.  For
-    locally cyclic A, Z[A] is saturated already and nothing is saturated.
+    that lattice is C(A) itself, which the tests check basis for basis.
     """
-    mp = minimal_polynomial(a.matrix)
     k = a.size
-    powers = [matrix_power(a.matrix, i).vec() for i in range(mp.k + mp.l)]
-    rows = hermite_row_basis(powers, k * k)
-    if not _locally_cyclic(a):
-        rows = saturation(rows, k * k)
-    basis = tuple(IntMatrix.from_vec(rw, k, k) for rw in rows)
+    basis = tuple(IntMatrix.from_vec(rw, k, k) for rw in _power_span(a)[1])
     return CentralizerLattice(basis=basis, rank=len(basis))

@@ -16,20 +16,21 @@ multiplications, not K^3), ``row_apply`` skips the vector's zeros, and
 
 The workhorse is a Hermite row reduction that keeps the basis fully reduced
 after every insertion; naive two-sided elimination doubles digit counts per
-pivot and dies well below the sizes this package targets.  Kernels and linear
-solving ride on a Hermite form with a tracked unimodular transform, built by
+pivot and dies well below the sizes this package targets.  Linear solving
+rides on a Hermite form with a tracked unimodular transform, built by
 inserting the augmented rows ``[m_i | e_i]`` from the last row up.  Those
 rows are independent, so the form is the same in any order, but the order
-sets the work: the systems here (closure stacks, and the commutator systems
-whose plain Hermite basis is built the same way) arrive in roughly ascending
-pivot order, so bottom up a new row mostly becomes the first row and has no
+sets the work: the systems solved here, and the commutator systems whose
+plain Hermite basis is built the same way, arrive in roughly ascending pivot
+order, so bottom up a new row mostly becomes the first row and has no
 earlier rows to re-reduce.  Row operations skip the zero entries of the row
 they subtract, and a pivot row's nonzero entries are gathered once for all
 the rows above it: a commutator system row has at most 2K nonzeros of K^2.
-Those transforms are as wide as the system is tall, so the kernel of a wide
-matrix (the K power traces of a K x K matrix, the relations of a level group)
-is built column by column instead, with a transform slot only for the
-columns that are not unit pivots of the kernel (:func:`integer_kernel`).
+Those transforms are as wide as the system is tall, so a kernel, of any
+shape, is built column by column instead, with a transform slot only for
+the columns that are not unit pivots of the kernel (:func:`integer_kernel`):
+the K power traces of a K x K matrix, the relations of a level group and
+each step of a preimage closure all take it.
 Lattice membership, coordinates in a Hermite basis and integer solving share
 one pivot read-off, :func:`hermite_coords`.  The Smith invariant factors
 come from alternating row and column Hermite passes with no transforms
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -540,6 +541,11 @@ def saturation(hermite_rows: Sequence[Sequence[int]], width: int) -> tuple:
                 [[x, *y] for x, y in zip(residues, ys)] + [[det] + [0] * s], s + 1
             )
             ys = [r[1:] for r in step[1:]]
+            # the y of L itself are the rows of T, of determinant D, and
+            # every cut keeps them: once the y left have that determinant
+            # too, they are those of L, and L is saturated
+            if prod(y[i] for i, y in enumerate(ys)) == det:
+                return tuple(rows)
             combos = [hermite_combine(g, y) for y in ys]
     vectors = [[x // det for x in r] for r in combos]
     return hermite_row_basis(vectors, width)
@@ -556,14 +562,6 @@ class RowHermiteForm:
     h: tuple
     w: tuple
     pivots: tuple  # pivot column per nonzero row of h
-
-    def left_kernel(self) -> tuple:
-        """Canonical Hermite basis of {y : y . M = 0}.
-
-        The W rows beside the zero rows of H already are that basis: the
-        augmented form is fully reduced, and their pivots lie in W.
-        """
-        return tuple(wr for hr, wr in zip(self.h, self.w) if not any(hr))
 
     def left_solve(self, b: Sequence[int]) -> Optional[tuple]:
         """Some integer y with y . M = b, or None when no integer solution exists."""
@@ -589,37 +587,27 @@ def row_hermite_with_transform(m: IntMatrix) -> RowHermiteForm:
 @memo
 def _column_hermite(m: IntMatrix) -> RowHermiteForm:
     # Row form of the transpose: W . M^T = H, so M . W^T = H^T gives the
-    # column structure that kernels, images and solving all read.  Only
-    # matrices that are read again belong here; a one-shot caller factors
-    # M^T with row_hermite_with_transform instead.
+    # column structure that solving reads.  Only matrices that are read
+    # again belong here; a one-shot caller factors M^T with
+    # row_hermite_with_transform instead.
     return row_hermite_with_transform(m.transpose())
 
 
 def integer_kernel(m: IntMatrix) -> tuple:
-    """Canonical basis of the saturated lattice {x : M x = 0}.
+    """Canonical basis of the saturated lattice {x : M x = 0}, as a tuple of
+    coordinate tuples, for M of any shape; the kernel of an integer matrix
+    contains every integer vector that is rationally in it.
 
-    Returned as a tuple of coordinate tuples.  Saturation is automatic: the
-    kernel of an integer matrix contains every integer vector that is
-    rationally in it.  A tall or square M is read off the column Hermite form
-    that solving shares; a wide one is scanned column by column
-    (:func:`_wide_kernel`), with no transform as wide as M.
-    """
-    if m.rows < m.cols:
-        return _wide_kernel(m)
-    return _column_hermite(m).left_kernel()
-
-
-def _wide_kernel(m: IntMatrix) -> tuple:
-    """The kernel of a wide M, its columns scanned from the last one.
-
-    One builder holds [column | transform] for the columns J that are not in
-    the span of the later ones, with one transform slot per column of J.  A
-    column in that span reduces to zero against the rows pivoted in the
-    column part, and the transform entries it picks up give the kernel row
-    e_j - sum c t, whose pivot is a 1 at j: J holds only later columns.  The
-    builder rows with a zero column part are the relations among J; in
-    Hermite form over J in ascending order, and with each unit row reduced at
-    their pivots, the rows sorted by pivot are the canonical basis.
+    The columns are scanned from the last one.  One builder holds
+    [column | transform] for the columns J that are not in the span of the
+    later ones, with one transform slot per column of J, so no transform is
+    as wide as M.  A column in that span reduces to zero against the rows
+    pivoted in the column part, and the transform entries it picks up give
+    the kernel row e_j - sum c t, whose pivot is a 1 at j: J holds only later
+    columns.  The builder rows with a zero column part are the relations
+    among J; in Hermite form over J in ascending order, and with each unit
+    row reduced at their pivots, the rows sorted by pivot are the canonical
+    basis.
     """
     r = m.rows
     builder = _HnfBuilder(r)
@@ -741,14 +729,14 @@ def lattice_closure_under_preimage(psi: IntMatrix, seed_rows: Iterable[Sequence[
     if not psi.is_square:
         raise DimensionMismatchError("closure needs a square map")
     d = psi.rows
-    # psi x lies in L iff (x, c) . [psi^T; -L] = 0 for some c: each step is
-    # the left kernel of this stack, a one-shot factorisation left uncached.
-    psi_rows = psi.transpose().to_rows()
+    # psi x lies in L iff [psi | -L^T] (x, c) = 0 for some c: each step is
+    # the kernel of this d-row matrix, scanned column by column.
+    psi_columns = psi.transpose().to_rows()
     current = hermite_row_basis(seed_rows, d)
     steps = 0
     while True:
-        stacked = IntMatrix.from_rows(psi_rows + [[-x for x in r] for r in current])
-        kernel = row_hermite_with_transform(stacked).left_kernel()
+        stacked = IntMatrix.from_columns(psi_columns + [[-x for x in r] for r in current], d)
+        kernel = integer_kernel(stacked)
         new = hermite_row_basis([k[:d] for k in kernel] + [list(r) for r in current], d)
         if new == current:
             return current, steps

@@ -271,6 +271,15 @@ def reference_left_solve(form, b):
     return tuple(y)
 
 
+# RowHermiteForm.left_kernel, which every kernel and every preimage-closure
+# step read before integer_kernel's column scan replaced it, kept as the
+# reference: the augmented form is fully reduced, and the W rows beside the
+# zero rows of H have their pivots in W.
+def left_kernel(form):
+    """Canonical Hermite basis of {y : y . M = 0} for the transform form of M."""
+    return tuple(wr for hr, wr in zip(form.h, form.w) if not any(hr))
+
+
 # The float positivity test that dimension_groups.is_positive_s replaced,
 # kept as a reference: the pairing with the float right Perron vector and a
 # sign search, capped at j_max steps near the boundary and at 4096 elsewhere.

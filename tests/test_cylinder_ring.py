@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, assume, find, given, settings
+from hypothesis import HealthCheck, assume, example, find, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
@@ -65,6 +65,7 @@ from conftest import (
     commutator_map,
     lattice_contains,
     lattice_coordinates,
+    left_kernel,
     random_centralizer_element,
     random_matrix,
     random_primitive_adjacency,
@@ -956,7 +957,7 @@ def _center_oracle(a):
         for bj in cent.basis:
             row.extend((bi @ bj - bj @ bi).vec())
         rows.append(row)
-    combos = exactlinalg.row_hermite_with_transform(IntMatrix.from_rows(rows)).left_kernel()
+    combos = left_kernel(exactlinalg.row_hermite_with_transform(IntMatrix.from_rows(rows)))
     vectors = []
     for combo in combos:
         acc = IntMatrix.zeros(k, k)
@@ -1064,10 +1065,11 @@ class TestSmallestSpaces:
         assert center == centralizer_basis(a)  # equal, reached without the system
 
     def test_k1_structure_skips_the_full_map(self, monkeypatch):
-        # not locally cyclic: the invariant factors of the few relations
+        # not locally cyclic (Q has torsion Z/3 + Z/3): the invariant factors
+        # of the few relations
         a = validate([
-            [2, 0, 2, 1, 0, 2], [2, 2, 0, 0, 3, 3], [0, 2, 3, 2, 3, 2],
-            [3, 1, 0, 2, 0, 0], [0, 3, 3, 0, 1, 2], [2, 3, 2, 1, 0, 2],
+            [1, 3, 2, 2, 0, 0], [1, 0, 2, 2, 1, 3], [3, 1, 1, 1, 0, 1],
+            [1, 0, 2, 2, 2, 3], [3, 2, 1, 3, 0, 1], [3, 3, 0, 3, 1, 0],
         ])
         assert not cylinder_ring._locally_cyclic(a)
         widths = []
@@ -1080,6 +1082,7 @@ class TestSmallestSpaces:
         structure = k1_group_structure(a)
         assert len(widths) == 1 and widths[0] < 36
         assert len(structure.snf_diagonal) == 36
+        assert structure.torsion == (3, 3)
         # locally cyclic: the structure is known, and no factor is computed
         lc = validate([
             [1, 2, 0, 1, 3, 1], [2, 1, 1, 0, 1, 2], [0, 3, 1, 2, 1, 1],
@@ -1201,7 +1204,7 @@ def _transform_oracle(a):
         tuple((p, tuple(row[j] for j in coords)) for p, row in unit.items()),
         tuple(tuple(row[j] for j in coords) for row, p in zip(form.h, form.pivots) if p not in unit),
     )
-    return form.left_kernel(), tuple(h for h, _ in image), tuple(w for _, w in image), pres
+    return left_kernel(form), tuple(h for h, _ in image), tuple(w for _, w in image), pres
 
 
 @st.composite
@@ -1328,6 +1331,25 @@ def _krylov_gcd(a):
     return functools.reduce(sympy.gcd, (sympy.Matrix.hstack(*(p[:, i] for p in powers)).det() for i in range(k)))
 
 
+# locally cyclic, but e_i is a cyclic vector mod every p for no unit vector e_i
+_CYCLIC_THROUGH_NO_UNIT_VECTOR = [[1, 0, 1, 1, 0], [1, 0, 1, 1, 1], [1, 0, 0, 0, 0], [0, 1, 0, 0, 1], [1, 0, 1, 1, 0]]
+
+
+def _exact_certificates(a):
+    """Two exact forms of "A mod p is cyclic for every prime p": A is
+    non-derogatory and Q is torsion-free on the general path (certificate
+    turned off), and the K x K^2 matrix of I, A, ..., A^(K-1) has a Smith
+    form of ones, by sympy."""
+    k = a.size
+    mp = exactlinalg.minimal_polynomial(a.matrix)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cylinder_ring, "_locally_cyclic", lambda _: False)
+        torsion_free = k1_group_structure(validate(a.matrix.to_rows())).torsion == ()
+    powers = sympy.Matrix([list(matrix_power(a.matrix, t).vec()) for t in range(k)])
+    smith = [abs(int(d)) for d in invariant_factors(powers, domain=sympy.ZZ)]
+    return mp.k + mp.l == k and torsion_free, smith == [1] * k
+
+
 class TestLocallyCyclic:
     """Locally cyclic A (A mod p cyclic for every prime p) reads B(A), C(A),
     the centre, the K1 structure and degree-one equality off the K power
@@ -1347,6 +1369,7 @@ class TestLocallyCyclic:
         companions = [_companion(r) for r in ([1, 1], [2, 0, 1], [1, 3, 0, 2], [3, 1, 2, 1, 1], [1, 0, 0, 2, 0, 1])]
         chords = [chord_cycle(k, shift) for k in (5, 8, 12) for shift in (0, 3)]
         inputs = [*primitive_pool, *companions, *chords, COMPANION, REPEATED_ROW, BIPARTITE]
+        inputs.append(validate(_CYCLIC_THROUGH_NO_UNIT_VECTOR))
         certified = [self._assert_agrees(a, rng) for a in inputs]
         assert any(certified) and not all(certified)  # both paths run
 
@@ -1388,11 +1411,21 @@ class TestLocallyCyclic:
         assert structure.snf_diagonal == tuple(abs(int(d)) for d in reference)
         self._assert_agrees(a, random.Random(g))
 
-    def test_certificate_is_the_krylov_gcd(self, primitive_pool):
-        for a in [*primitive_pool, COMPANION, REPEATED_ROW, BIPARTITE, CJ_PLUS_DI, chord_cycle(6)]:
-            mp = exactlinalg.minimal_polynomial(a.matrix)
-            certified = mp.k + mp.l == a.size and _krylov_gcd(a) == 1
-            assert cylinder_ring._locally_cyclic(a) == certified
+    def test_certificate_is_exact_on_pool(self, primitive_pool):
+        # no unit vector is a cyclic vector of this A mod every p, yet A is
+        # locally cyclic
+        found = validate(_CYCLIC_THROUGH_NO_UNIT_VECTOR)
+        assert _krylov_gcd(found) != 1 and cylinder_ring._locally_cyclic(found)
+        for a in [*primitive_pool, COMPANION, REPEATED_ROW, BIPARTITE, CJ_PLUS_DI, chord_cycle(6), found]:
+            certified = cylinder_ring._locally_cyclic(a)
+            assert _exact_certificates(a) == (certified, certified)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_zero_one())
+    @example(a=validate(_CYCLIC_THROUGH_NO_UNIT_VECTOR))
+    def test_certificate_is_exact_on_generated_matrices(self, a):
+        certified = cylinder_ring._locally_cyclic(a)
+        assert _exact_certificates(a) == (certified, certified)
 
     def test_cold_kgroups_and_k1_equal_build_no_commutator_system(self, monkeypatch, tmp_path, capsys):
         rows = LARGE["seeded12"]

@@ -46,6 +46,7 @@ from sftdim.exactlinalg import (
 from conftest import (
     chord_cycle,
     lattice_contains,
+    left_kernel,
     random_matrix,
     random_primitive_adjacency,
     reference_newton_root,
@@ -214,17 +215,18 @@ class TestKernel:
 
 @st.composite
 def _kernel_shapes(draw):
-    """Matrices of every shape, 0..5 rows and 0..10 columns: dense, sparse or
+    """Matrices of every shape, 0..9 rows and 0..10 columns: dense, sparse or
     0/1 entries, some scaled so that no column is a unit pivot."""
-    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 10))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 10))
     entries = draw(st.sampled_from((st.integers(-3, 3), st.sampled_from((0, 0, 0, 1, -1, 2, -3)), st.integers(0, 1))))
     scale = draw(st.sampled_from((1, 1, 2, 3)))
     return IntMatrix(rows, cols, tuple(scale * x for x in draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))))
 
 
 class TestWideKernel:
-    """integer_kernel scans the columns of a wide matrix; the column Hermite
-    form, which tall and square matrices still read, is the oracle."""
+    """integer_kernel scans the columns of a matrix of every shape, wide,
+    square or tall; the column Hermite form, which only solving still reads,
+    is the oracle."""
 
     @settings(deadline=None)
     @given(m=_kernel_shapes())
@@ -234,7 +236,7 @@ class TestWideKernel:
         -1, 2, -3, -1, -3, -1, -1, -1, -3, 1, 0, -2, 3, 0, 2, -1,
     )))
     def test_matches_the_column_hermite_form(self, m):
-        assert integer_kernel(m) == exactlinalg._column_hermite(m).left_kernel()
+        assert integer_kernel(m) == left_kernel(exactlinalg._column_hermite(m))
 
     def test_trace_rows_and_scaled_relations(self):
         # the K power traces of chord cycles, and c B(J) for c J + d I, whose
@@ -242,12 +244,12 @@ class TestWideKernel:
         for a in (chord_cycle(6), chord_cycle(8, 3)):
             k = a.size
             m = IntMatrix(k, k * k, tuple(x for j in range(k) for x in matrix_power(a.matrix, j).transpose().vec()))
-            assert integer_kernel(m) == exactlinalg._column_hermite(m).left_kernel()
+            assert integer_kernel(m) == left_kernel(exactlinalg._column_hermite(m))
         for c in (2, 3):
             rel = cylinder_ring._k1_presentation(sft.validate([[c + 1 if i == j else c for j in range(4)] for i in range(4)]))
             assert len(rel.coords) == 16
             m = rel.relation_matrix()
-            assert integer_kernel(m) == exactlinalg._column_hermite(m).left_kernel()
+            assert integer_kernel(m) == left_kernel(exactlinalg._column_hermite(m))
 
     def test_wide_matrices_build_no_transform(self, monkeypatch):
         def refuse(m):
@@ -256,6 +258,10 @@ class TestWideKernel:
         monkeypatch.setattr(exactlinalg, "row_hermite_with_transform", refuse)
         assert integer_kernel(IntMatrix.from_rows([[2, 4, 6]])) == ((1, 1, -1), (0, 3, -2))
         assert integer_kernel(IntMatrix.zeros(0, 2)) == ((1, 0), (0, 1))
+        # nor does a tall one, or a preimage closure's step
+        assert integer_kernel(IntMatrix.from_rows([[1, 2], [2, 4], [3, 6]])) == ((2, -1),)
+        psi = IntMatrix.from_rows([[2, 1], [0, 2]])
+        assert exactlinalg.lattice_closure_under_preimage(psi, [[4, 0], [0, 4]]) == (((1, 0), (0, 1)), 2)
         # c J + d I: the relations on all K^2 coordinates give C(A) with no
         # transform K^2 + 2K - 2 wide
         a = sft.validate([[3 if i == j else 2 for j in range(6)] for i in range(6)])
@@ -649,8 +655,8 @@ class TestEntryAccess:
 def _saturation_oracle(rows, width):
     """The kernel of the kernel: the integer vectors orthogonal to every
     integer vector orthogonal to the lattice."""
-    relations = row_hermite_with_transform(IntMatrix.from_columns(rows, width)).left_kernel()
-    return row_hermite_with_transform(IntMatrix.from_columns(relations, width)).left_kernel()
+    relations = left_kernel(row_hermite_with_transform(IntMatrix.from_columns(rows, width)))
+    return left_kernel(row_hermite_with_transform(IntMatrix.from_columns(relations, width)))
 
 
 @st.composite
