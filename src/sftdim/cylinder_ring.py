@@ -29,7 +29,7 @@ itself.  Each closure is one call of exactlinalg.preimage_closure, and both
 answers read its one witness walk.  The center is M_K(Z) intersected with
 Q[A] (double centraliser), the saturation of Z[A] in M_K(Z), of rank
 deg m_A, built from the powers of A for every A and reading no basis of
-B(A); for non-derogatory A it equals C(A), as the tests check.
+B(A); for non-derogatory A it is C(A), and centralizer_basis returns it.
 The subring is a tower like the groups: Z[x]/p_A(x), pushed by x^2.
 
 For nonsingular A both closures run in the saturation of their seed, which
@@ -71,6 +71,7 @@ from .exactlinalg import (
     matrix_power,
     memo,
     minimal_polynomial,
+    non_derogatory,
     poly_mod,
     poly_eval_matrix,
     poly_mul,
@@ -132,20 +133,15 @@ def _locally_cyclic(a: AdjacencyMatrix) -> bool:
     saturated.  As B(A)^perp = C(A^T) under the trace pairing,
     B(A) = {X : tr(A^i X) = 0, i < K}: the K power traces model Q.
     """
-    mp = minimal_polynomial(a.matrix)
-    if mp.k + mp.l != a.size:
-        return False
-    rows, saturated = _power_span(a)
-    return rows == saturated
+    return non_derogatory(a.matrix) and operator.eq(*_power_span(a))
 
 
 @memo
 def _trace_rows(a: AdjacencyMatrix) -> tuple:
-    """vec((A^T)^j) for j < 2 ceil(l/2) + K, so that tr(A^j X) is the dot
-    product of row j with vec(X); k1_equal reads them all, B(A) the first K."""
-    mp = minimal_polynomial(a.matrix)
-    count = 2 * ((mp.l + 1) // 2) + a.size
-    return tuple(matrix_power(a.matrix, j).transpose().vec() for j in range(count))
+    """vec((A^T)^j) for j < K, so that tr(A^j X) is the dot product of row j
+    with vec(X): B(A) is their kernel, and k1_equal extends the traces past
+    j = K - 1 by the recurrence of chi_A (see _trace_witness)."""
+    return tuple(matrix_power(a.matrix, j).transpose().vec() for j in range(a.size))
 
 
 @frozen
@@ -165,10 +161,11 @@ def centralizer_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     transpose of ker_Z H for the Hermite basis H of B(A).  In the presentation
     of Q a unit row of H is x_p + row_p . x_J and the others are the relations
     on Z^J, so ker_Z H is ker_Z(relations) in Z^J, lifted by x_p = -row_p . x_J.
-    For locally cyclic A, C(A) = Z[A] is the centre, built from the powers of
-    A with no basis of B(A).
+    For non-derogatory A the centraliser of A over Q is Q[A], so C(A) is
+    Q[A] meet M_K(Z), the centre, built from the powers of A with no basis
+    of B(A).
     """
-    if _locally_cyclic(a):
+    if non_derogatory(a.matrix):
         return center_basis(a)
     k = a.size
     pres = _k1_presentation(a)
@@ -196,8 +193,7 @@ def centralizer_rank(a: AdjacencyMatrix) -> int:
     """rank C(A), which is at least K with equality exactly when A is
     non-derogatory (deg m_A = K); otherwise it is K^2 - rank B(A), read off
     the K1 presentation without building C(A)."""
-    mp = minimal_polynomial(a.matrix)
-    if mp.k + mp.l == a.size:
+    if non_derogatory(a.matrix):
         return a.size
     pres = _k1_presentation(a)
     return len(pres.coords) - len(pres.relations)
@@ -229,8 +225,7 @@ def commutator_lattice(a: AdjacencyMatrix) -> CommutatorLattice:
     The witnesses are solved for only when read."""
     k = a.size
     if _locally_cyclic(a):
-        traces = _trace_rows(a)[:k]
-        rows = integer_kernel(IntMatrix(k, k * k, tuple(x for r in traces for x in r)))
+        rows = integer_kernel(IntMatrix(k, k * k, tuple(x for r in _trace_rows(a) for x in r)))
     else:
         s = commutator_system(a.matrix)
         rows = hermite_row_basis((s.row(i) for i in reversed(range(s.rows))), s.cols)
@@ -261,9 +256,7 @@ def k1_group_structure(a: AdjacencyMatrix) -> K1Structure:
     """
     k2 = a.size * a.size
     if _locally_cyclic(a):
-        return K1Structure(
-            free_rank=a.size, torsion=(), snf_diagonal=(1,) * (k2 - a.size) + (0,) * a.size
-        )
+        return K1Structure(a.size, (), (1,) * (k2 - a.size) + (0,) * a.size)
     pres = _k1_presentation(a)
     torsion = tuple(d for d in invariant_factors(pres.relation_matrix()) if d > 1)
     rank_b = k2 - len(pres.coords) + len(pres.relations)
@@ -415,14 +408,18 @@ def _trace_witness(a: AdjacencyMatrix, diff: Sequence[int]) -> Optional[int]:
     With s_j = tr(A^j D), A^m D A^m lies in B(A) iff s_2m, ..., s_(2m+K-1)
     all vanish.  From index l on, s obeys the recurrence of p_A both ways
     (p_A(0) != 0), so once 2m >= l, K zeros in a row make every later s_j
-    zero: m = ceil(l/2) is the last level to test.
+    zero: m = ceil(l/2) is the last level to test.  Past j = K - 1 the s_j
+    come from the recurrence of m_A = chi_A, s_j = -sum c_i s_(j-K+i), i < K,
+    so no power past A^(K-1) is built.
     """
-    rows, k = _trace_rows(a), a.size
+    rows, k, mp = _trace_rows(a), a.size, minimal_polynomial(a.matrix)
     s = []
-    for m in range((len(rows) - k) // 2 + 1):
+    for m in range((mp.l + 1) // 2 + 1):
         for j in range(2 * m, 2 * m + k):
             while len(s) <= j:
-                s.append(sum(map(operator.mul, rows[len(s)], diff)))
+                i = len(s)
+                s.append(sum(map(operator.mul, rows[i], diff)) if i < k
+                         else -sum(map(operator.mul, mp.m_coeffs, s[i - k :])))
             if s[j]:
                 break
         else:
@@ -572,8 +569,7 @@ def _ra_closure(a: AdjacencyMatrix) -> PreimageClosure:
     blocks: Y lies in the center, which Y -> A^2 Y maps into itself.  A
     payload outside the center is no member.
     """
-    mp = minimal_polynomial(a.matrix)
-    k = a.size
+    mp, k = minimal_polynomial(a.matrix), a.size
     a2 = matrix_power(a.matrix, 2)
     return preimage_closure(
         [b.vec() for b in center_basis(a).basis],
@@ -631,7 +627,7 @@ def center_basis(a: AdjacencyMatrix) -> CentralizerLattice:
     (the double centraliser theorem), so the center is M_K(Z) meet Q[A], of
     rank deg m_A: the saturation of Z[A] = span{I, A, ..., A^(deg m_A - 1)}
     in M_K(Z), one path for every A.  When deg m_A = K (A is non-derogatory)
-    that lattice is C(A) itself, which the tests check basis for basis.
+    that lattice is C(A) itself, and centralizer_basis returns it.
     """
     k = a.size
     basis = tuple(IntMatrix.from_vec(rw, k, k) for rw in _power_span(a)[1])

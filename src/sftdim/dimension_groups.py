@@ -319,7 +319,7 @@ def is_positive_s(a: StableElement) -> PositivityResult:
             kind = Positivity.POSITIVE if sign > 0 else Positivity.NEGATIVE_OR_MIXED
             return PositivityResult(kind)
         if p_v is None:
-            p_v = annihilator(a.vector, m.row_apply, m.rows)
+            p_v = annihilator(a.vector, m.row_apply, m.rows)[0]
         if root.sign(p_v):  # v . r = 0: the class is on the boundary
             return PositivityResult(Positivity.NEGATIVE_OR_MIXED)
         root = root.refined()

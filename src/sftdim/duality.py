@@ -8,7 +8,8 @@ reduced minimal polynomial p(x) = x^k + a_{k-1} x^{k-1} + ... + a_0:
     H_0 = 1,  H_{j+1}(x) = x H_j(x) + a_{k-1-j}.
 
 Evaluation runs the recurrence on the vectors H_j(A) z, one application of
-A a step, so it forms no matrix.
+A a step, so it forms no matrix: exactlinalg.horner_tails, which reads the
+edges of adj(tI - A) off chi_A the same way.
 
 The pairs form the inductive system z -> A^2 z, which is the unstable system
 with levels counted twice; that identification realises the duality between
@@ -19,7 +20,9 @@ the deterministic choice that makes both round trips the identity.
 
 from __future__ import annotations
 
-from .exactlinalg import frozen, matrix_power, minimal_polynomial, poly_apply
+from operator import mul
+
+from .exactlinalg import frozen, horner_tails, matrix_power, minimal_polynomial, poly_apply
 from .sft import AdjacencyMatrix
 from .dimension_groups import (
     StableElement,
@@ -61,14 +64,10 @@ def hom_eval(phi: StableHom, a: StableElement) -> RAElement:
     mp = minimal_polynomial(amb.matrix)
     m0 = (mp.l + 1) // 2
     z = phi._push(m0)
-    hom_level = phi.level + m0
     w = a._push(a.level)
-    tz = z  # H_j(A) z, from j = 0 up
-    coeffs = [sum(x * y for x, y in zip(w, tz))]
-    for c in mp.p_coeffs[mp.k - 1 : 0 : -1]:  # H_(j+1)(A) z = A H_j(A) z + a_(k-1-j) z
-        tz = [x + c * y for x, y in zip(amb.matrix.col_apply(tz), z)]
-        coeffs.append(sum(x * y for x, y in zip(w, tz)))
-    return RAElement(amb, tuple(reversed(coeffs)), hom_level + a.level)
+    tails = horner_tails(mp.p_coeffs, amb.matrix.col_apply, z)
+    coeffs = tuple(sum(map(mul, w, tz)) for tz in reversed(tails))
+    return RAElement(amb, coeffs, phi.level + m0 + a.level)
 
 
 # equality is tested once at the kernel-stabilising depth, as in every tower

@@ -39,9 +39,12 @@ come from alternating row and column Hermite passes with no transforms
 Perron root is located once per matrix (:func:`perron_root`) in one record
 that every reader shares, :class:`LocatedRoot`: two dyadics that bracket it,
 its Horner rule and sign test, and refinements from the last upper end.
-The minimal polynomial is the lcm of the annihilators of the unit vectors
-(:func:`minimal_polynomial`), each found in a builder 2K + 1 wide, for every
-matrix alike.
+Every polynomial of a matrix is read off Krylov vectors, with no K x K
+product: the minimal polynomial is the lcm of the annihilators of the unit
+vectors (:func:`minimal_polynomial`), each found in a builder 2K + 1 wide;
+chi_M is m_M when deg m_M = K and otherwise the product of the annihilators
+of e_i modulo the Krylov span of e_0, ..., e_(i-1); the edges of adj(tI - M)
+are the Horner tails of chi_M at e_0 (:func:`horner_tails`).
 """
 
 from __future__ import annotations
@@ -237,11 +240,6 @@ class IntMatrix:
     @property
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
-
-    def trace(self) -> int:
-        if not self.is_square:
-            raise DimensionMismatchError("trace needs a square matrix")
-        return sum(self.entries[:: self.cols + 1])
 
     def transpose(self) -> "IntMatrix":
         c, ents = self.cols, self.entries
@@ -883,41 +881,36 @@ def poly_apply(coeffs: Sequence[int], m: IntMatrix, v: Sequence[int]) -> tuple:
 
 
 @memo
-def _faddeev_leverrier(m: IntMatrix) -> tuple:
-    """(chi, row edge, column edge) of ``m`` by Faddeev-LeVerrier.
-
-    With M_1 = I and M_(k+1) = M M_k + c_(n-k) I, c_(n-k) = -tr(M M_k) / k:
-    one product M M_k per step gives the trace and the next M_(k+1), and the
-    division is exact.  adj(tI - M) = sum M_k t^(n-k); the rows 0 and columns 0
-    of the M_k (the edges) cost O(n) a step.
-    """
-    if not m.is_square:
-        raise DimensionMismatchError("characteristic polynomial needs a square matrix")
-    n = m.rows
-    coeffs = [0] * n + [1]
-    ident = mk = IntMatrix.identity(n)
-    product, rows, cols = m, [], []  # M M_1
-    for k in range(1, n + 1):
-        rows.append(mk.row(0))
-        cols.append(mk.column(0))
-        t = product.trace()
-        assert t % k == 0
-        c = -(t // k)
-        coeffs[n - k] = c
-        if k < n:
-            mk = product + ident.scale(c)
-            product = m @ mk
-    return tuple(coeffs), tuple(rows), tuple(cols)
-
-
 def characteristic_polynomial(m: IntMatrix) -> tuple:
-    """Monic characteristic polynomial, low degree first."""
-    return _faddeev_leverrier(m)[0]
+    """Monic characteristic polynomial, low degree first: m_M when deg m_M = K,
+    else the product of the annihilators of e_i modulo the Krylov span W_(i-1)
+    of e_0, ..., e_(i-1), the characteristic polynomials of M on W_i / W_(i-1)."""
+    if non_derogatory(m):
+        return minimal_polynomial(m).m_coeffs
+    chi, span, units = (1,), (), iter(identity_rows(m.rows))
+    while len(chi) <= m.rows:
+        q, span = annihilator(next(units), m.col_apply, m.rows, span)
+        chi = poly_mul(chi, q)
+    return chi
 
 
+def horner_tails(p: Sequence[int], step, z: Sequence[int]) -> tuple:
+    """The vectors H_j(M) z, j < deg p, for the Horner tails of the monic ``p``
+    (H_0 = 1, H_(j+1)(x) = x H_j(x) + p_(d-1-j), d = deg p) and step(x) = M x:
+    one step a tail, no matrix formed."""
+    tails = [tuple(z)]
+    for c in p[-2:0:-1]:
+        tails.append(tuple(x + c * y for x, y in zip(step(tails[-1]), z)))
+    return tuple(tails)
+
+
+@memo
 def adjugate_edges(m: IntMatrix) -> tuple:
-    """(rows 0, columns 0) of the coefficients M_1..M_n of adj(tI - M) = sum M_k t^(n-k)."""
-    return _faddeev_leverrier(m)[1:]
+    """(rows 0, columns 0) of the coefficients M_1..M_n of adj(tI - M) = sum M_k t^(n-k):
+    M_1 = I and M_(k+1) = M M_k + c_(n-k) I make M_k the Horner tail H_(k-1)(M)
+    of chi_M, so they are the tails at e_0 under ``row_apply`` and ``col_apply``."""
+    chi, e0 = characteristic_polynomial(m), identity_rows(m.rows)[0]
+    return horner_tails(chi, m.row_apply, e0), horner_tails(chi, m.col_apply, e0)
 
 
 @frozen
@@ -1016,24 +1009,35 @@ def minimal_polynomial(m: IntMatrix) -> MinPolyData:
             break
         v = poly_apply(p, m, tuple(int(t == i) for t in range(n)))
         if any(v):
-            p = poly_mul(p, annihilator(v, m.col_apply, n))
+            p = poly_mul(p, annihilator(v, m.col_apply, n)[0])
     return _min_poly_data(p)
 
 
-def annihilator(x: Sequence[int], step, n: int) -> tuple:
-    """The least-degree relation sum c_d x_d = 0 among x_0 = x, x_(d+1) = step(x_d), d <= n.
+def non_derogatory(m: IntMatrix) -> bool:
+    """Whether deg m_M = K, that is m_M = chi_M."""
+    return len(minimal_polynomial(m).m_coeffs) == m.rows + 1
 
-    The rows x_d | e_d go one at a time into one Hermite builder; its first row
-    with a pivot right of the vector part holds the primitive coefficients, low
-    degree first: for a linear integer ``step``, x's monic annihilating polynomial.
+
+def annihilator(x: Sequence[int], step, n: int, span: Iterable[Sequence[int]] = ()) -> tuple:
+    """(q, basis): the monic least-degree q with q(step) x in the span of ``span``,
+    low degree first, and a basis of that span with x, step(x), ... added.
+
+    The rows x_d | e_d, x_0 = x and x_(d+1) = step(x_d), go one at a time into
+    one Hermite builder loaded with the rows s | 0; its first row with a pivot
+    right of the vector part is t q for the least t that puts t q(step) x in
+    the lattice of ``span`` (t = 1 with no span).  For a linear integer
+    ``step`` q divides a monic integer characteristic polynomial, so by
+    Gauss's lemma it is integral and dividing by the top coefficient is exact.
     """
     width = len(x)
     builder = _HnfBuilder(width + n + 1)
+    for s in span:
+        builder.insert(tuple(s) + (0,) * (n + 1))
     for deg in range(n + 1):
         builder.insert(tuple(x) + tuple(1 if t == deg else 0 for t in range(n + 1)))
-        last = builder.rows[-1]
         if builder.pivots[-1] >= width:
-            sign = 1 if last[width + deg] > 0 else -1
-            return tuple(sign * c for c in last[width : width + deg + 1])
+            relation = builder.rows[-1][width : width + deg + 1]
+            basis = tuple(tuple(r[:width]) for r in builder.rows[:-1])
+            return tuple(c // relation[-1] for c in relation), basis
         x = step(x)
     raise RuntimeError("no annihilating polynomial up to the matrix size")

@@ -2,7 +2,10 @@
 
 Elements serialise as {"payload": ..., "level": N, "flavor": ...} with
 flavors "s", "u", "h", "k0", "k1", "ra"; homomorphisms as {"z": [...],
-"level": N}; witnesses as {"R": rows, "S": rows, "k": lag}.  Reports carry a
+"level": N}; witnesses as {"R": rows, "S": rows, "k": lag}; a matrix file
+holds rows, whitespace rows, or {"matrix": rows} with an optional string
+"label".  Each object is read with exactly its keys: a missing or unknown
+key is refused by name.  Reports carry a
 SHA-256 of the compact matrix JSON so runs are attributable to their input.
 """
 
@@ -84,7 +87,22 @@ def _int_rows(rows) -> list:
     return [_ints(row) for row in rows]
 
 
+def _object(d, what: str, keys: tuple, optional: tuple = ()) -> dict:
+    """``d`` itself when it is a JSON object with every one of ``keys`` and no
+    key beyond them and ``optional``; the message names what is missing or unknown."""
+    if type(d) is not dict:
+        raise TypeError(f"{what} must be a JSON object, got {_shown(d)}")
+    missing = [k for k in keys if k not in d]
+    unknown = [k for k in d if k not in keys and k not in optional]
+    if missing or unknown:
+        problems = [f"missing key {k!r}" for k in missing]
+        problems += [f"unknown key {_shown(k)}" for k in unknown]
+        raise ValueError(f"{what}: {', '.join(problems)}")
+    return d
+
+
 def element_from_dict(a: AdjacencyMatrix, d: dict) -> Element:
+    d = _object(d, "element", ("payload", "level", "flavor"))
     flavor = d["flavor"]
     level = _int(d["level"])
     payload = d["payload"]
@@ -101,6 +119,7 @@ def hom_to_dict(phi: StableHom) -> dict:
 
 
 def hom_from_dict(a: AdjacencyMatrix, d: dict) -> StableHom:
+    d = _object(d, "homomorphism", ("z", "level"))
     return StableHom(a, _ints(d["z"]), _int(d["level"]))
 
 
@@ -109,6 +128,7 @@ def witness_to_dict(w: ShiftEquivalenceWitness) -> dict:
 
 
 def witness_from_dict(d: dict) -> ShiftEquivalenceWitness:
+    d = _object(d, "witness", ("R", "S", "k"))
     return ShiftEquivalenceWitness(
         r=IntMatrix.from_rows(_int_rows(d["R"])),
         s=IntMatrix.from_rows(_int_rows(d["S"])),
@@ -128,7 +148,10 @@ def parse_matrix_text(text: str) -> tuple:
     if stripped[0] in "[{":
         data = json.loads(stripped)
         if isinstance(data, dict):
+            data = _object(data, "matrix object", ("matrix",), ("label",))
             label = data.get("label")
+            if "label" in data and type(label) is not str:
+                raise TypeError(f"label must be a string, got {_shown(label)}")
             data = data["matrix"]
         rows = _int_rows(data)
     else:

@@ -227,8 +227,36 @@ def reference_minimal_polynomial(m: IntMatrix) -> MinPolyData:
     """Minimal polynomial: the annihilator of I under X -> X M."""
     n = m.rows
     return _min_poly_data(
-        annihilator(IntMatrix.identity(n).entries, lambda x: (IntMatrix(n, n, x) @ m).entries, n)
+        annihilator(IntMatrix.identity(n).entries, lambda x: (IntMatrix(n, n, x) @ m).entries, n)[0]
     )
+
+
+# The Faddeev-LeVerrier recurrence that gave exactlinalg.characteristic_polynomial
+# and adjugate_edges before the Krylov vectors replaced it, kept as the
+# reference: K dense K x K products, with the trace of each read inline.
+def reference_faddeev_leverrier(m: IntMatrix) -> tuple:
+    """(chi, row edge, column edge) of ``m``.
+
+    With M_1 = I and M_(k+1) = M M_k + c_(n-k) I, c_(n-k) = -tr(M M_k) / k:
+    one product M M_k per step gives the trace and the next M_(k+1), and the
+    division is exact.  adj(tI - M) = sum M_k t^(n-k); the edges are the rows
+    0 and columns 0 of the M_k.
+    """
+    n = m.rows
+    coeffs = [0] * n + [1]
+    ident = mk = IntMatrix.identity(n)
+    product, rows, cols = m, [], []  # M M_1
+    for k in range(1, n + 1):
+        rows.append(mk.row(0))
+        cols.append(mk.column(0))
+        t = sum(product.entries[:: n + 1])
+        assert t % k == 0
+        c = -(t // k)
+        coeffs[n - k] = c
+        if k < n:
+            mk = product + ident.scale(c)
+            product = m @ mk
+    return tuple(coeffs), tuple(rows), tuple(cols)
 
 
 # The Hermite read-offs that exactlinalg.hermite_coords replaced, kept

@@ -11,7 +11,9 @@ conftest matrices, scaled all-ones matrices ``cJ + dI``, ``J_4``, a period-2
 matrix, chord cycles at K = 12, 16 and 20 and a seeded random K = 12 matrix,
 plus inputs the CLI refuses (exit 2), ``@file`` arguments, positivity that
 needs the Perron root to more than 64 bits, integers past Python's default
-4300-digit limit, printed and read back, and failing witnesses (exit 4).
+4300-digit limit, printed and read back, failing witnesses (exit 4), and
+element, homomorphism, witness and matrix objects that are not JSON objects
+or have a missing or unknown key (exit 2).
 ``kgroups`` and ``ra member`` (on ``p(A)`` at two levels) run on nothing
 larger than K = 12, so a replay stays within a few seconds.
 
@@ -320,6 +322,37 @@ def _edge_cases():
     return cases
 
 
+def _object_cases():
+    """Objects read with exactly their keys: each refused shape exits 2."""
+    elem = {"payload": [1, 2], "level": 0, "flavor": "s"}
+    hom = {"z": [1, 0], "level": 0}
+    witness = {"R": [[1, 0], [0, 1]], "S": [[1, 1], [1, 0]], "k": 1}
+    refused = [
+        ["trace", "fib.json", "[1, 2]"],
+        ["trace", "fib.json", json.dumps({"payload": [1, 2], "level": 0})],
+        ["trace", "fib.json", json.dumps({**elem, "extra": 1})],
+        ["equal", "fib.json", json.dumps(elem), json.dumps({"payload": [1, 2], "flavor": "s", "lvl": 0})],
+        ["duality", "to-unstable", "fib.json", "[1, 0]"],
+        ["duality", "to-unstable", "fib.json", json.dumps({"z": [1, 0]})],
+        ["duality", "eval", "fib.json", json.dumps({**hom, "flavor": "s"}), json.dumps(elem)],
+        ["se-verify", "fib.json", "fib.json", json.dumps([witness])],
+        ["se-verify", "fib.json", "fib.json", json.dumps({"R": witness["R"], "S": witness["S"]})],
+        ["se-verify", "fib.json", "fib.json", json.dumps({**witness, "r": 1})],
+        *(["info", name] for name in OBJECT_FILES),
+    ]
+    return [["--format", fmt, *argv] for argv in refused for fmt in ("json", "text")]
+
+
+# matrix objects the CLI refuses: no "matrix" key, an unknown key, a label
+# that is not a string
+OBJECT_FILES = {
+    "rows_key.json": json.dumps({"rows": [[1, 1], [1, 0]]}),
+    "unknown_key.json": json.dumps({"matrix": [[1, 1], [1, 0]], "lable": "fib"}),
+    "label_number.json": json.dumps({"matrix": [[1, 1], [1, 0]], "label": 3}),
+    "label_null.json": json.dumps({"matrix": [[1, 1], [1, 0]], "label": None}),
+}
+
+
 def _deep_files() -> dict:
     """Arguments past Python's default 4300-digit limit: a 5001-digit stable
     payload, and the level-30000 ``duality eval`` result over fib.json beside
@@ -372,6 +405,7 @@ def matrix_files() -> dict:
     files["negative.json"] = json.dumps([[1, -1], [1, 0]])
     files["ragged.json"] = json.dumps([[1, 1], [1]])
     files.update(REFUSED)
+    files.update(OBJECT_FILES)
     files["reducible.txt"] = "1 1\n0 1\n"
     files["cycles.json"] = json.dumps([[0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
     files["huge.json"] = json.dumps([[10**12, 1, 0], [1, 10**12, 3], [2, 0, 10**12 - 1]])
@@ -392,6 +426,7 @@ def corpus() -> list:
         cases.extend(_large_cases(name, rows))
     cases.extend(_other_cases())
     cases.extend(_edge_cases())
+    cases.extend(_object_cases())
     return cases
 
 

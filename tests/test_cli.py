@@ -571,6 +571,70 @@ class TestPayloadShapes:
         assert code == 2 and len(err.encode()) < 200
 
 
+class TestObjectKeys:
+    """An element, homomorphism, witness or matrix object is read with exactly
+    its keys: a value that is not a JSON object, a missing key and an unknown
+    key are each refused with exit 2 and a message that names them."""
+
+    ELEMENT = {"payload": [1, 2], "level": 0, "flavor": "s"}
+
+    def test_element_shapes(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        refused = [
+            ([1, 2], "element must be a JSON object, got [1, 2]"),
+            (5, "element must be a JSON object, got 5"),
+            ({"payload": [1, 2], "level": 0}, "element: missing key 'flavor'"),
+            ({**self.ELEMENT, "extra": 1}, "element: unknown key 'extra'"),
+            ({"payload": [1, 2], "flavor": "s", "lvl": 0},
+             "element: missing key 'level', unknown key 'lvl'"),
+        ]
+        for value, message in refused:
+            assert run_cli(capsys, "trace", path, json.dumps(value)) == (2, "", f"error: {message}\n")
+        assert run_cli(capsys, "trace", path, json.dumps(self.ELEMENT))[0] == 0
+
+    def test_homomorphism_and_witness_shapes(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        hom = {"z": [1, 0], "level": 0}
+        witness = {"R": [[1, 0], [0, 1]], "S": [[1, 1], [1, 0]], "k": 1}
+        refused = [
+            (["duality", "to-unstable", path, "[1, 0]"], "homomorphism must be a JSON object, got [1, 0]"),
+            (["duality", "to-unstable", path, json.dumps({"z": [1, 0]})], "homomorphism: missing key 'level'"),
+            (["duality", "eval", path, json.dumps({**hom, "flavor": "s"}), json.dumps(self.ELEMENT)],
+             "homomorphism: unknown key 'flavor'"),
+            (["se-verify", path, path, json.dumps([witness])], "witness must be a JSON object, got [{"),
+            (["se-verify", path, path, json.dumps({"R": witness["R"], "S": witness["S"]})],
+             "witness: missing key 'k'"),
+            (["se-verify", path, path, json.dumps({**witness, "r": 1})], "witness: unknown key 'r'"),
+        ]
+        for argv, message in refused:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "") and err.startswith(f"error: {message}"), argv
+        assert run_cli(capsys, "duality", "to-unstable", path, json.dumps(hom))[0] == 0
+        assert run_cli(capsys, "se-verify", path, path, json.dumps(witness))[0] == 0
+
+    def test_matrix_object_shapes(self, capsys, tmp_path):
+        rows = [[1, 1], [1, 0]]
+        refused = [
+            ({"rows": rows}, "matrix object: missing key 'matrix', unknown key 'rows'"),
+            ({"matrix": rows, "lable": "fib"}, "matrix object: unknown key 'lable'"),
+            ({"matrix": rows, "label": 3}, "label must be a string, got 3"),
+            ({"matrix": rows, "label": None}, "label must be a string, got None"),
+        ]
+        path = tmp_path / "matrix.json"
+        for value, message in refused:
+            path.write_text(json.dumps(value))
+            assert run_cli(capsys, "info", str(path)) == (2, "", f"error: {message}\n")
+        for value, label in (({"matrix": rows}, None), ({"matrix": rows, "label": "fib"}, "fib")):
+            path.write_text(json.dumps(value))
+            code, out, _ = run_cli(capsys, "--format", "json", "info", str(path))
+            assert code == 0 and json.loads(out).get("label") == label
+
+    def test_a_long_unknown_key_is_cut_short(self, capsys, matrix_file):
+        path = matrix_file([[1, 1], [1, 0]])
+        code, out, err = run_cli(capsys, "trace", path, json.dumps({**self.ELEMENT, "x" * 900000: 1}))
+        assert (code, out) == (2, "") and err.endswith("xxx...\n") and len(err.encode()) < 200
+
+
 class TestTraceOverflow:
     """trace scales by lambda^-N, so deep levels underflow to 0.0 instead of
     overflowing, and an input too large for a float exits 2."""

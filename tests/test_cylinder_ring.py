@@ -1004,9 +1004,12 @@ class TestSmallestSpaces:
         k = a.size
         cent = centralizer_basis(a)
         assert tuple(b.vec() for b in center_basis(a).basis) == _center_oracle(a)
-        mp = exactlinalg.minimal_polynomial(a.matrix)
-        if mp.k + mp.l == k:  # non-derogatory: sat(Z[A]) is C(A), basis for basis
-            assert center_basis(a) == cent
+        if exactlinalg.non_derogatory(a.matrix):
+            # sat(Z[A]) is C(A), basis for basis, against the general path's C(A)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cylinder_ring, "non_derogatory", lambda _: False)
+                general = centralizer_basis(validate(a.matrix.to_rows()))
+            assert center_basis(a) == general == cent
         reference = invariant_factors(sympy.Matrix(commutator_map(a).to_rows()), domain=sympy.ZZ)
         structure = k1_group_structure(a)
         assert structure.snf_diagonal == tuple(abs(int(d)) for d in reference)
@@ -1189,6 +1192,28 @@ class TestCentralizerRank:
         assert centralizer_rank(a) == k
         assert factored == []
 
+    def test_non_derogatory_centralizer_is_the_centre(self, monkeypatch):
+        # torsion in Q (Z/2 + Z/2), so not locally cyclic, but non-derogatory:
+        # C(A) = Q[A] meet M_K(Z) is read off the centre, with no kernel of
+        # the relations and no K1 presentation
+        rows = [[1, 3, 3, 1], [2, 3, 2, 3], [0, 3, 0, 2], [2, 3, 1, 1]]
+        a = validate(rows)
+        assert exactlinalg.non_derogatory(a.matrix) and not cylinder_ring._locally_cyclic(a)
+        assert k1_group_structure(a).torsion == (2, 2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cylinder_ring, "non_derogatory", lambda _: False)
+            general = centralizer_basis(validate(rows))
+        calls = []
+        for name in ("_k1_presentation", "integer_kernel"):
+            def counted(*args, original=getattr(cylinder_ring, name), name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(cylinder_ring, name, counted)
+        cold = validate(rows)
+        assert centralizer_basis(cold) == general == center_basis(cold)
+        assert calls == []
+
 
 def _transform_oracle(a):
     """C(A), B(A) with its witnesses, and the K1 presentation as the transform
@@ -1353,14 +1378,14 @@ def _exact_certificates(a):
 class TestLocallyCyclic:
     """Locally cyclic A (A mod p cyclic for every prime p) reads B(A), C(A),
     the centre, the K1 structure and degree-one equality off the K power
-    traces; the general path, reached with the certificate turned off, is
-    the oracle."""
+    traces, and every non-derogatory A reads C(A) off the centre; the general
+    path, reached with deg m_A = K hidden from both routes, is the oracle."""
 
     def _assert_agrees(self, a, rng):
         pairs = list(_k1_pairs(rng, a, 4))
         fast = _five_readers(a, pairs)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cylinder_ring, "_locally_cyclic", lambda _: False)
+            patch.setattr(cylinder_ring, "non_derogatory", lambda _: False)
             assert _five_readers(a, pairs) == fast
         return cylinder_ring._locally_cyclic(validate(a.matrix.to_rows()))
 
@@ -1394,6 +1419,8 @@ class TestLocallyCyclic:
         assert k1_equal(x, zero) == cylinder_ring.K1Decision(Verdict.EQUAL, witness_level=1)
         y = CylinderK1Element(a, IntMatrix.identity(2), 0)
         assert k1_equal(y, zero) == cylinder_ring.K1Decision(Verdict.NOT_EQUAL)
+        # s_2, s_3 came from the recurrence of chi_A: no power past A^(K-1)
+        assert len(cylinder_ring._trace_rows(a)) == a.size
         self._assert_agrees(a, random.Random(7))
 
     @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
@@ -30,10 +30,12 @@ from sftdim.exactlinalg import (
     hermite_coords,
     hermite_pivots,
     hermite_row_basis,
+    horner_tails,
     integer_kernel,
     invariant_factors,
     matrix_power,
     minimal_polynomial,
+    non_derogatory,
     perron_root,
     poly_eval_matrix,
     poly_mod,
@@ -57,6 +59,7 @@ from conftest import (
     reference_matmul,
     reference_row_apply,
     reference_col_apply,
+    reference_faddeev_leverrier,
     top_down_row_hermite,
 )
 
@@ -611,8 +614,8 @@ class TestInvariantFactors:
 
 
 class TestEntryAccess:
-    """transpose, kron, submatrix and trace read ``entries`` by slice or
-    stride; each must equal its per-entry formula."""
+    """transpose, kron and submatrix read ``entries`` by slice or stride;
+    each must equal its per-entry formula."""
 
     @settings(max_examples=100, deadline=None)
     @given(m=_int_matrix())
@@ -644,12 +647,6 @@ class TestEntryAccess:
         sub = m.submatrix(rows, cols)
         assert (sub.rows, sub.cols) == (len(rows), len(cols))
         assert sub.to_rows() == [[m.entry(i, j) for j in cols] for i in rows]
-
-    @settings(max_examples=50, deadline=None)
-    @given(data=st.data(), n=st.integers(0, 5))
-    def test_trace(self, data, n):
-        m = data.draw(_int_matrix(n, n))
-        assert m.trace() == sum(m.entry(i, i) for i in range(n))
 
 
 def _saturation_oracle(rows, width):
@@ -802,6 +799,126 @@ class TestCharPoly:
             mine = characteristic_polynomial(m)
             ref = sympy_matrix(m).charpoly(lam).all_coeffs()[::-1]
             assert list(mine) == [int(c) for c in ref]
+
+
+@st.composite
+def _scalar_or_block_diagonal(draw):
+    """c I (the zero matrix at c = 0) or diag(B_1, ..., B_r), K <= 8, each
+    block drawn afresh or a copy of an earlier one, conjugated."""
+    if draw(st.booleans()):
+        k, c = draw(st.integers(1, 6)), draw(st.sampled_from((0, 0, 1, -2, 3)))
+        return IntMatrix.from_rows([[c * (i == j) for j in range(k)] for i in range(k)])
+    blocks = []
+    for _ in range(draw(st.integers(2, 3))):
+        if blocks and draw(st.booleans()):
+            blocks.append(draw(st.sampled_from(blocks)))
+        else:
+            h = draw(st.integers(1, 3))
+            blocks.append(draw(st.lists(st.lists(st.integers(-2, 2), min_size=h, max_size=h),
+                                        min_size=h, max_size=h)))
+    k = sum(len(b) for b in blocks)
+    rows = [[0] * k for _ in range(k)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[start + i][start : start + len(b)] = row
+        start += len(b)
+    return _conjugated(draw, IntMatrix.from_rows(rows))
+
+
+def _derogatory_pool():
+    """Derogatory, scalar, zero, nilpotent-Jordan and block-diagonal matrices,
+    beside random ones."""
+    return st.one_of(_square(), _jordan(), _scalar_or_block_diagonal())
+
+
+class TestKrylovCharacteristicPolynomial:
+    """chi_M and the adjugate edges from Krylov vectors against the
+    Faddeev-LeVerrier recurrence they replaced and sympy's charpoly, and the
+    guard that no K x K product serves them."""
+
+    @settings(deadline=None)
+    @given(m=_derogatory_pool())
+    @example(m=IntMatrix.zeros(4, 4))
+    @example(m=IntMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    @example(m=IntMatrix.from_rows([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]))
+    def test_matches_faddeev_leverrier_and_sympy(self, m):
+        chi, rows, cols = reference_faddeev_leverrier(m)
+        assert characteristic_polynomial(m) == chi
+        assert adjugate_edges(m) == (rows, cols)
+        t = sympy.symbols("t")
+        assert chi == tuple(int(c) for c in reversed(sympy_matrix(m).charpoly(t).all_coeffs()))
+
+    def test_pool_reaches_every_kind(self):
+        def kinds(m):
+            mp = minimal_polynomial(m)
+            return {
+                "derogatory": not non_derogatory(m),
+                "scalar": mp.k + mp.l == 1 and m.rows > 1,
+                "nilpotent": mp.k == 0 and m.rows > 1,
+                "zero": m.is_zero and m.rows > 1,
+            }
+
+        for kind in ("derogatory", "scalar", "nilpotent", "zero"):
+            assert kinds(find(_derogatory_pool(), lambda m: kinds(m)[kind]))[kind]
+
+    def test_horner_tails_are_the_adjugate_coefficients(self):
+        # M_k = H_(k-1)(M) for the tails of chi: their columns are adj(tI - M)'s
+        rng = random.Random(311)
+        for n in range(1, 6):
+            m = random_matrix(rng, n, n, lo=-3, hi=3)
+            chi = characteristic_polynomial(m)
+            for j in range(n):
+                e = tuple(int(t == j) for t in range(n))
+                mk = IntMatrix.identity(n)
+                for k, tail in enumerate(horner_tails(chi, m.col_apply, e), 1):
+                    assert tail == mk.column(j)
+                    mk = m @ mk + IntMatrix.identity(n).scale(chi[n - k])
+
+    def test_no_matrix_product_serves_chi_or_the_edges(self, monkeypatch):
+        def refused(self, other):
+            raise AssertionError("a K x K product")
+
+        inputs = [
+            IntMatrix.from_rows(rows)
+            for rows in (
+                chord_cycle(20).matrix.to_rows(),
+                [[2 + (i == j) for j in range(8)] for i in range(8)],  # 2J + I
+                [[1, 2, 0, 0], [3, 1, 0, 0], [0, 0, 1, 2], [0, 0, 3, 1]],  # diag(B, B)
+                [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]],  # nilpotent
+                [[0] * 3] * 3,
+            )
+        ]
+        want = [reference_faddeev_leverrier(m) for m in inputs]
+        monkeypatch.setattr(IntMatrix, "__matmul__", refused)
+        for m, (chi, rows, cols) in zip(inputs, want):
+            m = IntMatrix(m.rows, m.cols, m.entries)  # a fresh matrix: nothing is memoised
+            assert characteristic_polynomial(m) == chi
+            assert adjugate_edges(m) == (rows, cols)
+
+    @pytest.mark.parametrize("rows, derogatory", [
+        (chord_cycle(12).matrix.to_rows(), False),
+        ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], False),
+        ([[2 + (i == j) for j in range(5)] for i in range(5)], True),
+        ([[1, 2, 0, 0], [3, 1, 0, 0], [0, 0, 1, 2], [0, 0, 3, 1]], True),
+    ])
+    def test_non_derogatory_runs_no_further_annihilator(self, rows, derogatory, monkeypatch):
+        calls = []
+        real = exactlinalg.annihilator
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(exactlinalg, "annihilator", counted)
+        minimal_polynomial(IntMatrix.from_rows(rows))
+        by_minimal = len(calls)
+        calls.clear()
+        m = IntMatrix.from_rows(rows)  # fresh: the minimal polynomial is found again
+        characteristic_polynomial(m)
+        assert non_derogatory(m) is not derogatory
+        assert (len(calls) > by_minimal) is derogatory
+        assert all(len(args) == 3 for args in calls[:by_minimal])
 
 
 class TestMinimalPolynomial:
@@ -1054,7 +1171,7 @@ class TestAdjugateAndPerronRoot:
     @given(m=_square(), data=st.data())
     def test_annihilator_is_the_least_relation(self, m, data):
         v = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=m.rows, max_size=m.rows)))
-        p = annihilator(v, m.row_apply, m.rows)
+        p, _ = annihilator(v, m.row_apply, m.rows)
         assert p[-1] == 1
         assert (IntMatrix.from_rows([v]) @ poly_eval_matrix(p, m)).is_zero
         krylov = [v]
