@@ -18,18 +18,27 @@ pivot 1 eliminates its coordinate, and J keeps the rest (usually far fewer
 than K^2).  The torsion of Q is read off the invariant factors of those
 relations, and C(A), the transpose of the orthogonal complement of B(A),
 off their kernel (see centralizer_basis).  Degree-one equality
-has no single-shot test like the degree-zero one: the preimages of the
-relations under the map induced by X -> AXA form an ascending chain that
-stabilises, membership of the projected difference in the stabilised
-closure settles equality outright, and applying the induced map until the
-relations are reached gives the merge depth.  Membership in the polynomial
-subring generated by [A, 0] and [A, 1] is the same question in the
-coordinates of the matrix-level center of C(A), which Y -> A^2 Y maps into
-itself.  Each closure is one call of exactlinalg.preimage_closure, and both
-answers read its one witness walk.  The center is M_K(Z) intersected with
-Q[A] (double centraliser), the saturation of Z[A] in M_K(Z), of rank
-deg m_A, built from the powers of A for every A and reading no basis of
-B(A); for non-derogatory A it is C(A), and centralizer_basis returns it.
+has no single-shot test like the degree-zero one, but two exact
+certificates come first.  With D the aligned difference, the power traces
+s_j = tr(A^j D) vanish from j = 2m on when A^m D A^m lies in B(A), and
+from j = l on they obey the recurrence of p_A, so a nonzero among s_l, ...,
+s_(deg m_A - 1) proves the classes differ, for every A; and a projected
+difference already in the relations is equal at level 0.  Only the rest
+needs the preimages of the relations under the map induced by X -> AXA,
+an ascending chain that stabilises: membership of the projected difference
+in the stabilised closure settles equality outright, and applying the
+induced map until the relations are reached gives the merge depth.
+Membership in the polynomial subring generated by [A, 0] and [A, 1] has a
+certificate too: a payload q(A) with integer q is [q mod p_A, N].  Any
+other payload is the same closure question in the coordinates of the
+matrix-level center of C(A), which Y -> A^2 Y maps into itself.  Each
+closure is one lazy record of exactlinalg.preimage_closure, which holds
+only the span of its seed until a witness outside that span needs the
+lattice, the map and the chain; both answers read its one witness walk.
+The center is M_K(Z) intersected with Q[A] (double centraliser), the
+saturation of Z[A] in M_K(Z), of rank deg m_A, built from the powers of A
+for every A and reading no basis of B(A); for non-derogatory A it is C(A),
+and centralizer_basis returns it.
 The subring is a tower like the groups: Z[x]/p_A(x), pushed by x^2.
 
 For nonsingular A both closures run in the saturation of their seed, which
@@ -63,6 +72,7 @@ from .exactlinalg import (
     IntMatrix,
     PreimageClosure,
     frozen,
+    hermite_combine,
     hermite_pivots,
     hermite_row_basis,
     identity_rows,
@@ -76,6 +86,7 @@ from .exactlinalg import (
     poly_eval_matrix,
     poly_mul,
     preimage_closure,
+    row_hermite_with_transform,
     saturation,
 )
 from .sft import AdjacencyMatrix
@@ -139,8 +150,8 @@ def _locally_cyclic(a: AdjacencyMatrix) -> bool:
 @memo
 def _trace_rows(a: AdjacencyMatrix) -> tuple:
     """vec((A^T)^j) for j < K, so that tr(A^j X) is the dot product of row j
-    with vec(X): B(A) is their kernel, and k1_equal extends the traces past
-    j = K - 1 by the recurrence of chi_A (see _trace_witness)."""
+    with vec(X): B(A) lies in their kernel, and is that kernel for locally
+    cyclic A.  k1_equal reads the first deg m_A of them (see _trace_witness)."""
     return tuple(matrix_power(a.matrix, j).transpose().vec() for j in range(a.size))
 
 
@@ -290,6 +301,10 @@ class CylinderK0Element(MatrixPayload):
     def _lattice(cls, a: AdjacencyMatrix) -> tuple:
         return tuple(b.vec() for b in centralizer_basis(a).basis)
 
+    def _lift(self, j: int) -> tuple:
+        """A^j X A^j = A^(2j) X, as X commutes with A: one product."""
+        return (matrix_power(self.ambient.matrix, 2 * j) @ self.matrix).entries
+
 
 @frozen
 class CylinderK1Element(MatrixPayload):
@@ -388,10 +403,13 @@ def _k1_closure(a: AdjacencyMatrix) -> PreimageClosure:
     """The preimage closure of the relations under the map X -> AXA induces on
     Z^J, run in all of Z^J for singular A and otherwise in the saturation of
     the relations (module docstring), which is the relations themselves when
-    Q is torsion-free."""
+    Q is torsion-free.  The record is lazy: a difference that already lies in
+    the relations is decided before the saturation is taken."""
     pres = _k1_presentation(a)
     m, k, width = a.matrix, a.size, len(pres.coords)
-    basis = identity_rows(width) if minimal_polynomial(m).l else saturation(pres.relations, width)
+
+    def lattice():
+        return identity_rows(width) if minimal_polynomial(m).l else saturation(pres.relations, width)
 
     def image(v):
         x = [0] * (k * k)
@@ -399,52 +417,51 @@ def _k1_closure(a: AdjacencyMatrix) -> PreimageClosure:
             x[j] = c
         return pres.project((m @ IntMatrix(k, k, tuple(x)) @ m).entries)
 
-    return preimage_closure(basis, image, pres.relations)
+    return preimage_closure(lattice, image, pres.relations)
 
 
 def _trace_witness(a: AdjacencyMatrix, diff: Sequence[int]) -> Optional[int]:
-    """The least m with A^m D A^m in B(A) for locally cyclic A, or None.
+    """None when no m puts A^m D A^m in B(A), certified by the power traces
+    of D, for every A; otherwise the least m the traces allow, which is the
+    merge depth for locally cyclic A.
 
-    With s_j = tr(A^j D), A^m D A^m lies in B(A) iff s_2m, ..., s_(2m+K-1)
-    all vanish.  From index l on, s obeys the recurrence of p_A both ways
-    (p_A(0) != 0), so once 2m >= l, K zeros in a row make every later s_j
-    zero: m = ceil(l/2) is the last level to test.  Past j = K - 1 the s_j
-    come from the recurrence of m_A = chi_A, s_j = -sum c_i s_(j-K+i), i < K,
-    so no power past A^(K-1) is built.
+    With s_j = tr(A^j D): the trace vanishes on A^i B(A), so A^m D A^m in
+    B(A) forces s_j = 0 for every j >= 2m.  From index l on, s obeys the
+    recurrence of p_A both ways (A^j p_A(A) = 0 for j >= l, and p_A(0) != 0),
+    so s_l, ..., s_(l+k-1) all vanish iff s_j = 0 for every j >= l.  A nonzero
+    among them certifies that the classes differ; otherwise the least m with
+    s_2m, ..., s_(l-1) zero is at most ceil(l/2).  Every index read is below
+    deg m_A = l + k <= K, where the rows of _trace_rows are.  For locally
+    cyclic A, B(A) is the kernel of the K power traces, so A^m D A^m lies in
+    it iff s_j = 0 for j >= 2m: the bound is the depth.
     """
-    rows, k, mp = _trace_rows(a), a.size, minimal_polynomial(a.matrix)
-    s = []
-    for m in range((mp.l + 1) // 2 + 1):
-        for j in range(2 * m, 2 * m + k):
-            while len(s) <= j:
-                i = len(s)
-                s.append(sum(map(operator.mul, rows[i], diff)) if i < k
-                         else -sum(map(operator.mul, mp.m_coeffs, s[i - k :])))
-            if s[j]:
-                break
-        else:
-            return m
-    return None
+    mp = minimal_polynomial(a.matrix)
+    s = [sum(map(operator.mul, row, diff)) for row in _trace_rows(a)[: mp.l + mp.k]]
+    if any(s[mp.l :]):
+        return None
+    return next(m for m in range(mp.l + 1) if not any(s[2 * m :]))
 
 
 def k1_equal(x: CylinderK1Element, y: CylinderK1Element) -> K1Decision:
     """Equality in the degree-one limit group.
 
-    The difference is projected into Q once.  NOT_EQUAL is certified by
-    non-membership in the stabilised closure; otherwise applying X -> AXA in
-    Q reaches the relations within the closure depth, and the number of
-    applications is the merge depth at which the difference lands in B(A).
-    For locally cyclic A the power traces of the difference decide both, with
-    no closure (see _trace_witness).
+    Two exact certificates come first.  Nonzero power traces s_l, ...,
+    s_(l+k-1) of the aligned difference certify NOT_EQUAL for every A, and
+    for locally cyclic A the traces decide both the verdict and the merge
+    depth (see _trace_witness).  Otherwise the difference is projected into
+    Q, and the lazy closure record answers: a projection inside the relations
+    is EQUAL at level 0 with nothing more built; NOT_EQUAL is non-membership
+    in the stabilised closure, and applying X -> AXA in Q reaches the
+    relations within the closure depth, the number of applications being the
+    merge depth at which the difference lands in B(A).
     """
     px, py, _ = align(x, y)
     diff = [s - t for s, t in zip(px, py)]
     if not any(diff):
         return K1Decision(Verdict.EQUAL, witness_level=0)
     a = x.ambient
-    if _locally_cyclic(a):
-        level = _trace_witness(a, diff)
-    else:
+    level = _trace_witness(a, diff)
+    if level is not None and not _locally_cyclic(a):
         level = _k1_closure(a).witness(_k1_presentation(a).project(diff))
     if level is None:
         return K1Decision(Verdict.NOT_EQUAL)
@@ -572,23 +589,50 @@ def _ra_closure(a: AdjacencyMatrix) -> PreimageClosure:
     mp, k = minimal_polynomial(a.matrix), a.size
     a2 = matrix_power(a.matrix, 2)
     return preimage_closure(
-        [b.vec() for b in center_basis(a).basis],
+        lambda: [b.vec() for b in center_basis(a).basis],
         lambda y: (a2 @ IntMatrix.from_vec(y, k, k)).vec(),
         [matrix_power(a.matrix, 2 * mp.l + i).vec() for i in range(mp.k)],
     )
 
 
+@memo
+def _power_form(a: AdjacencyMatrix) -> tuple:
+    """(powers, pivots, W . P = H): the entries of I, A, ..., A^(n-1), n =
+    deg m_A, and P, the powers at the pivot columns of their Hermite rows,
+    where they are independent, so that a polynomial in A is fixed there."""
+    mp = minimal_polynomial(a.matrix)
+    powers = [matrix_power(a.matrix, i).entries for i in range(mp.l + mp.k)]
+    pivots = hermite_pivots(_power_span(a)[0])
+    form = row_hermite_with_transform(IntMatrix.from_rows([[p[j] for j in pivots] for p in powers]))
+    return powers, pivots, form
+
+
+def _power_coordinates(a: AdjacencyMatrix, x: IntMatrix) -> Optional[tuple]:
+    """The integer q with X = sum q_i A^i, i < deg m_A, or None when X is no
+    polynomial in A with integer coefficients."""
+    powers, pivots, form = _power_form(a)
+    q = form.left_solve([x.entries[j] for j in pivots])
+    return None if q is None or hermite_combine(powers, q) != x.entries else q
+
+
 def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
     """Witness [p(A), N + m] equal to [X, N], or None when no such class exists.
 
-    [X, N] equals [p(A), N + m] iff A^(2m) (A^l X A^l) = p(A) A^(2l); the set
-    of payloads solvable for some m is the stabilised division closure of the
-    span of {A^(2l + i)}, so membership is one lattice test and the witness
-    level is the closure's walk.  The powers are independent (k = deg p), so
+    [X, N] equals [p(A), N + m] iff A^(2m) (A^l X A^l) = p(A) A^(2l).  A
+    payload X = q(A) with integer q is its own certificate: A^(2l) (q - c)(A)
+    = 0 for c = q mod p_A, as x^(2l) p_A is a multiple of m_A, so the witness
+    is [c(A), N] with m = 0 and no closure.  Otherwise the set of payloads
+    solvable for some m is the stabilised division closure of the span of
+    {A^(2l + i)}, so membership is one lattice test and the witness level is
+    the closure's walk; the lazy record builds its chain only for a centre
+    member outside that span.  The powers are independent (k = deg p), so
     the coefficients of A^(2m) A^l X A^l in them are unique.  A^l X A^l is
     the element's push by l, which is X itself when l = 0.
     """
     amb = x.ambient
+    q = _power_coordinates(amb, x.matrix)
+    if q is not None:
+        return RAElement(amb, _reduce(amb, q), x.level)
     mp = minimal_polynomial(amb.matrix)
     y = x._push(mp.l)
     closure = _ra_closure(amb)

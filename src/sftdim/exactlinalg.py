@@ -35,16 +35,19 @@ Lattice membership, coordinates in a Hermite basis and integer solving share
 one pivot read-off, :func:`hermite_coords`.  The Smith invariant factors
 come from alternating row and column Hermite passes with no transforms
 (:func:`invariant_factors`).  Both preimage closures go through
-:func:`preimage_closure`, in the coordinates of a lattice the map keeps.  The
-Perron root is located once per matrix (:func:`perron_root`) in one record
-that every reader shares, :class:`LocatedRoot`: two dyadics that bracket it,
-its Horner rule and sign test, and refinements from the last upper end.
+:func:`preimage_closure`, in the coordinates of a lattice the map keeps: a
+lazy record that builds that lattice, the map and the chain only for a
+vector outside the span of its seed.  The Perron root is located once per
+matrix (:func:`perron_root`) in one record that every reader shares,
+:class:`LocatedRoot`: two dyadics that bracket it, its Horner rule and sign
+test, and refinements from the last upper end.
 Every polynomial of a matrix is read off Krylov vectors, with no K x K
 product: the minimal polynomial is the lcm of the annihilators of the unit
 vectors (:func:`minimal_polynomial`), each found in a builder 2K + 1 wide;
 chi_M is m_M when deg m_M = K and otherwise the product of the annihilators
-of e_i modulo the Krylov span of e_0, ..., e_(i-1); the edges of adj(tI - M)
-are the Horner tails of chi_M at e_0 (:func:`horner_tails`).
+of e_i modulo the Krylov span of e_0, ..., e_(i-1), in one builder that
+carries the span; the edges of adj(tI - M) are the Horner tails of chi_M at
+e_0 (:func:`horner_tails`).
 """
 
 from __future__ import annotations
@@ -756,18 +759,59 @@ def _coordinates(basis: Sequence[Sequence[int]], pivots: Sequence[int], v: Seque
 
 @frozen
 class PreimageClosure:
-    """A preimage closure in the coordinates of the lattice with Hermite basis
-    ``basis`` (ambient rows): ``seed`` and ``closure`` are Hermite bases there, the
-    map ``psi`` takes the closure into the seed in ``depth`` steps, and is None
-    when the seed spanned by ``generators`` fills the lattice."""
+    """The closure of the span of ``generators`` (ambient rows) under preimages of
+    ``image``, a map that sends a saturated lattice into itself, built lazily.
 
-    basis: tuple
-    pivots: tuple
-    psi: Optional[IntMatrix]
+    Only ``span``, the Hermite basis of the generators, comes with the record,
+    and ``witness`` reads it first.  The rest is built on first read:
+    ``basis``, the lattice's Hermite basis from ``lattice()``; ``seed``, the
+    span in its coordinates; the map ``psi`` there, None when the seed fills
+    the lattice; and the ``closure`` that psi takes into the seed in ``depth``
+    steps."""
+
+    lattice: object  # () -> the Hermite basis of the lattice, in ambient rows
+    image: object  # ambient row -> ambient row
     generators: tuple
-    seed: tuple
-    closure: tuple
-    depth: int
+    span: tuple
+    span_pivots: tuple
+
+    @functools.cached_property
+    def basis(self) -> tuple:
+        return tuple(self.lattice())
+
+    @functools.cached_property
+    def pivots(self) -> tuple:
+        return hermite_pivots(self.basis)
+
+    @functools.cached_property
+    def seed(self) -> tuple:
+        rows = [_coordinates(self.basis, self.pivots, g) for g in self.span]
+        return hermite_row_basis(rows, len(self.basis))
+
+    @functools.cached_property
+    def psi(self) -> Optional[IntMatrix]:
+        """The map in the lattice's coordinates; None when the seed fills the
+        lattice, which is then its own closure."""
+        seed, rank = self.seed, len(self.basis)
+        if len(seed) == rank and all(row[i] == 1 for i, row in enumerate(seed)):
+            return None
+        return IntMatrix.from_columns(
+            [_coordinates(self.basis, self.pivots, self.image(b)) for b in self.basis], rank
+        )
+
+    @functools.cached_property
+    def _chain(self) -> tuple:
+        if self.psi is None:
+            return self.seed, 0
+        return lattice_closure_under_preimage(self.psi, self.seed)
+
+    @property
+    def closure(self) -> tuple:
+        return self._chain[0]
+
+    @property
+    def depth(self) -> int:
+        return self._chain[1]
 
     @functools.cached_property
     def seed_form(self) -> RowHermiteForm:
@@ -786,33 +830,35 @@ class PreimageClosure:
         return hermite_pivots(self.seed)
 
     def witness(self, v: Sequence[int]) -> Optional[int]:
-        """The least m with psi^m v in the seed; None when ``v`` is outside the closure."""
+        """The least m with psi^m v in the seed; None when ``v`` is outside the closure.
+
+        A member of the span is found at m = 0 with nothing else built.  Any
+        other ``v`` needs its coordinates in the lattice, and then psi and the
+        closure; with no psi the seed holds every member of the lattice."""
+        if hermite_coords(self.span, self.span_pivots, v) is not None:
+            return 0
         c = _coordinates(self.basis, self.pivots, v)
-        # with no psi the seed fills the lattice and holds every member
-        if c is None or (
-            self.psi is not None and hermite_coords(self.closure, self.closure_pivots, c) is None
-        ):
+        if c is None or self.psi is None:
             return None
-        for m in range(self.depth + 1):
-            if self.psi is None or hermite_coords(self.seed, self.seed_pivots, c) is not None:
-                return m
+        if hermite_coords(self.closure, self.closure_pivots, c) is None:
+            return None
+        for m in range(1, self.depth + 1):
             c = self.psi.col_apply(c)
+            if hermite_coords(self.seed, self.seed_pivots, c) is not None:
+                return m
         raise RuntimeError("closure membership without a witness level")
 
 
-def preimage_closure(basis, image, generators) -> PreimageClosure:
+def preimage_closure(lattice, image, generators) -> PreimageClosure:
     """The closure of the span of ``generators`` under preimages of a map that
-    sends the saturated lattice with Hermite basis ``basis`` into itself, and a
-    member (an ambient row) to ``image(member)``.  A seed that fills the lattice
-    is its own closure and needs no psi."""
-    basis, generators = tuple(basis), tuple(generators)
-    pivots, rank = hermite_pivots(basis), len(basis)
-    seed = hermite_row_basis([_coordinates(basis, pivots, g) for g in generators], rank)
-    if len(seed) == rank and all(row[i] == 1 for i, row in enumerate(seed)):
-        return PreimageClosure(basis, pivots, None, generators, seed, seed, 0)
-    psi = IntMatrix.from_columns([_coordinates(basis, pivots, image(b)) for b in basis], rank)
-    closure, depth = lattice_closure_under_preimage(psi, seed)
-    return PreimageClosure(basis, pivots, psi, generators, seed, closure, depth)
+    sends a saturated lattice into itself, and a member (an ambient row) to
+    ``image(member)``; ``lattice()`` gives the lattice's Hermite basis.  Only
+    the Hermite basis of the generators is built here: the lattice, the map
+    on its coordinates and the chain of preimages wait for a ``witness`` that
+    is not in that span (see :class:`PreimageClosure`)."""
+    generators = tuple(generators)
+    span = hermite_row_basis(generators, len(generators[0]) if generators else 0)
+    return PreimageClosure(lattice, image, generators, span, hermite_pivots(span))
 
 
 # ---------------------------------------------------------------------------
@@ -884,10 +930,11 @@ def poly_apply(coeffs: Sequence[int], m: IntMatrix, v: Sequence[int]) -> tuple:
 def characteristic_polynomial(m: IntMatrix) -> tuple:
     """Monic characteristic polynomial, low degree first: m_M when deg m_M = K,
     else the product of the annihilators of e_i modulo the Krylov span W_(i-1)
-    of e_0, ..., e_(i-1), the characteristic polynomials of M on W_i / W_(i-1)."""
+    of e_0, ..., e_(i-1), the characteristic polynomials of M on W_i / W_(i-1),
+    found in one Hermite builder that holds W_i from one step to the next."""
     if non_derogatory(m):
         return minimal_polynomial(m).m_coeffs
-    chi, span, units = (1,), (), iter(identity_rows(m.rows))
+    chi, span, units = (1,), None, iter(identity_rows(m.rows))
     while len(chi) <= m.rows:
         q, span = annihilator(next(units), m.col_apply, m.rows, span)
         chi = poly_mul(chi, q)
@@ -1018,26 +1065,32 @@ def non_derogatory(m: IntMatrix) -> bool:
     return len(minimal_polynomial(m).m_coeffs) == m.rows + 1
 
 
-def annihilator(x: Sequence[int], step, n: int, span: Iterable[Sequence[int]] = ()) -> tuple:
-    """(q, basis): the monic least-degree q with q(step) x in the span of ``span``,
-    low degree first, and a basis of that span with x, step(x), ... added.
+def annihilator(x: Sequence[int], step, n: int, builder: Optional[_HnfBuilder] = None) -> tuple:
+    """(q, builder): the monic least-degree q with q(step) x in the span held
+    by ``builder``, low degree first, and that builder, now holding the span
+    with x, step(x), ... added.
 
-    The rows x_d | e_d, x_0 = x and x_(d+1) = step(x_d), go one at a time into
-    one Hermite builder loaded with the rows s | 0; its first row with a pivot
-    right of the vector part is t q for the least t that puts t q(step) x in
-    the lattice of ``span`` (t = 1 with no span).  For a linear integer
+    The builder is len(x) + n + 1 wide and holds the span as rows s | 0 (a
+    new one holds nothing), so one builder carries a growing span from call
+    to call with nothing reloaded.  The rows x_d | e_d, x_0 = x and x_(d+1) =
+    step(x_d), go into it one at a time; its first row with a pivot right of
+    the vector part is t q for the least t that puts t q(step) x in the
+    lattice of the span (t = 1 with no span).  That row leaves the builder,
+    and the e_d parts of the rows left are cleared.  For a linear integer
     ``step`` q divides a monic integer characteristic polynomial, so by
     Gauss's lemma it is integral and dividing by the top coefficient is exact.
     """
     width = len(x)
-    builder = _HnfBuilder(width + n + 1)
-    for s in span:
-        builder.insert(tuple(s) + (0,) * (n + 1))
+    if builder is None:
+        builder = _HnfBuilder(width + n + 1)
     for deg in range(n + 1):
         builder.insert(tuple(x) + tuple(1 if t == deg else 0 for t in range(n + 1)))
         if builder.pivots[-1] >= width:
-            relation = builder.rows[-1][width : width + deg + 1]
-            basis = tuple(tuple(r[:width]) for r in builder.rows[:-1])
-            return tuple(c // relation[-1] for c in relation), basis
+            builder.pivots.pop()
+            relation = builder.rows.pop()[width : width + deg + 1]
+            cleared = [0] * (n + 1)
+            for row in builder.rows:
+                row[width:] = cleared
+            return tuple(c // relation[-1] for c in relation), builder
         x = step(x)
     raise RuntimeError("no annihilating polynomial up to the matrix size")

@@ -49,7 +49,7 @@ from sftdim import (
     ra_to_cylinder,
     validate,
 )
-from sftdim import cylinder_ring, exactlinalg
+from sftdim import cylinder_ring, dimension_groups, exactlinalg
 from sftdim.cli import main
 from sftdim.cylinder_ring import alpha_k0, commutator_system
 from sftdim.exactlinalg import (
@@ -560,10 +560,10 @@ class TestK1CokernelCoordinates:
         monkeypatch.setattr(exactlinalg, "lattice_closure_under_preimage", record_closure)
         monkeypatch.setattr(exactlinalg, "kron", no_kron)
         relations = cylinder_ring._k1_presentation(a).relations
-        cylinder_ring._k1_closure(a)
+        cylinder_ring._k1_closure(a).depth  # the record is lazy: reading depth runs the chain
         assert dims == [len(relations)] and len(relations) < 36
         dims.clear()
-        cylinder_ring._ra_closure(a)
+        cylinder_ring._ra_closure(a).depth
         assert dims == [2]
 
     def test_seeds_that_fill_their_lattice_build_nothing(self, monkeypatch):
@@ -1419,7 +1419,7 @@ class TestLocallyCyclic:
         assert k1_equal(x, zero) == cylinder_ring.K1Decision(Verdict.EQUAL, witness_level=1)
         y = CylinderK1Element(a, IntMatrix.identity(2), 0)
         assert k1_equal(y, zero) == cylinder_ring.K1Decision(Verdict.NOT_EQUAL)
-        # s_2, s_3 came from the recurrence of chi_A: no power past A^(K-1)
+        # the traces read stop below deg m_A: no power past A^(K-1)
         assert len(cylinder_ring._trace_rows(a)) == a.size
         self._assert_agrees(a, random.Random(7))
 
@@ -1492,3 +1492,246 @@ class TestLocallyCyclic:
             ("commutator_system", 2 * k),
             ("row_hermite_with_transform", 2 * k * k),
         ]
+
+
+# ---------------------------------------------------------------------------
+# certificates first, and the lazy closure records behind them
+# ---------------------------------------------------------------------------
+
+# 2(J + I): derogatory and nonsingular, with torsion (Z/2)^4 in Q.  B(A) =
+# 2 B(J), and A X A lies in 4 B(J) for X in B(J), so such an X merges with 0
+# one level up, while every power trace of it vanishes
+DOUBLED_ONES = validate([[4, 2, 2], [2, 4, 2], [2, 2, 4]])
+# singular (l = 1): a centre element that is no integer polynomial in A and
+# joins the subring one level up
+SINGULAR_CENTRE = validate([[0, 2, 2], [2, 2, 2], [0, 2, 2]])
+SINGULAR_CENTRE_PAYLOAD = IntMatrix.from_rows([[0, 1, 1], [0, 1, 2], [1, 1, 0]])
+
+
+def _built(record):
+    """Which of the lazy parts of a PreimageClosure have been built."""
+    return {name for name in ("basis", "seed", "psi", "_chain") if name in vars(record)}
+
+
+def _eager(record):
+    """A record with its lattice, psi and chain read before any witness."""
+    record.basis, record.psi, record.closure, record.depth
+    return record
+
+
+def _closure_probes(rng, a):
+    """(K1 vectors in Z^J, subring payloads in M_K(Z)): members of the seeds,
+    of the closures and of neither."""
+    k = a.size
+    pres = cylinder_ring._k1_presentation(a)
+    mp = exactlinalg.minimal_polynomial(a.matrix)
+    k1 = [pres.project(random_matrix(rng, k, k, -3, 3).vec()) for _ in range(6)]
+    k1 += [hermite_combine(pres.relations, [rng.randint(-2, 2) for _ in pres.relations]) for _ in range(3)]
+    k1 += [pres.project((random_matrix(rng, k, k, -2, 2) + IntMatrix.identity(k)).vec())]
+    lattice = _eager(cylinder_ring._k1_closure(validate(a.matrix.to_rows())))
+    k1 += [
+        hermite_combine(lattice.basis, hermite_combine(lattice.closure, [rng.randint(-2, 2) for _ in lattice.closure]))
+        for _ in range(3)
+        if lattice.closure
+    ]
+    p_l = matrix_power(a.matrix, mp.l)
+    payloads = [*center_basis(a).basis, *centralizer_basis(a).basis[:4], random_centralizer_element(rng, a, 2)]
+    payloads.append(exactlinalg.poly_eval_matrix([rng.randint(-2, 2) for _ in range(k)], a.matrix))
+    ra = [(p_l @ x @ p_l).vec() for x in payloads] + [random_matrix(rng, k, k, -2, 2).vec()]
+    return k1, ra
+
+
+class TestLazyClosures:
+    """The lazy PreimageClosure records against eager ones, whose lattice,
+    psi and chain are built before the first witness, and the queries that
+    still need the chain."""
+
+    def _assert_agrees(self, a, rng):
+        k1, ra = _closure_probes(rng, a)
+        for build, probes in ((cylinder_ring._k1_closure, k1), (cylinder_ring._ra_closure, ra)):
+            lazy = build(validate(a.matrix.to_rows()))
+            eager = _eager(build(validate(a.matrix.to_rows())))
+            assert _built(lazy) == set()
+            in_span = [v for v in probes if lattice_contains(lazy.span, v)]
+            assert [lazy.witness(v) for v in in_span] == [0] * len(in_span)
+            assert _built(lazy) == set()  # a member of the span builds nothing
+            assert [lazy.witness(v) for v in probes] == [eager.witness(v) for v in probes]
+            assert (lazy.basis, lazy.seed, lazy.psi, lazy.closure, lazy.depth) == (
+                eager.basis, eager.seed, eager.psi, eager.closure, eager.depth
+            )
+
+    def test_lazy_and_eager_witnesses_agree_on_pool(self, primitive_pool):
+        rng = random.Random(251)
+        for a in [*primitive_pool, CJ_PLUS_DI, REPEATED_ROW, BIPARTITE, DOUBLED_ONES, SINGULAR_CENTRE]:
+            self._assert_agrees(a, rng)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_commutator_pool(), seed=st.integers(0, 2**16))
+    def test_lazy_and_eager_witnesses_agree_on_generated_matrices(self, a, seed):
+        self._assert_agrees(a, random.Random(seed))
+
+    def test_torsion_class_merges_above_level_zero_through_the_chain(self):
+        a = validate(DOUBLED_ONES.matrix.to_rows())  # cold
+        assert not cylinder_ring._locally_cyclic(a) and exactlinalg.minimal_polynomial(a.matrix).l == 0
+        assert k1_group_structure(a).torsion == (2, 2, 2, 2)
+        j, w = IntMatrix.from_rows([[1] * 3] * 3), IntMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+        x = CylinderK1Element(a, j @ w - w @ j, 2)  # in B(J), not in B(A) = 2 B(J)
+        zero = CylinderK1Element(a, IntMatrix.zeros(3, 3), 2)
+        assert cylinder_ring._trace_witness(a, x.matrix.vec()) == 0  # the traces cannot tell
+        decision = k1_equal(x, zero)
+        assert (decision.verdict, decision.witness_level) == _k1_equal_oracle(x, zero) == (Verdict.EQUAL, 1)
+        assert _built(cylinder_ring._k1_closure(a)) == {"basis", "seed", "psi", "_chain"}
+
+    def test_singular_centre_payload_joins_above_level_zero_through_the_chain(self):
+        a = validate(SINGULAR_CENTRE.matrix.to_rows())  # cold
+        assert exactlinalg.minimal_polynomial(a.matrix).l == 1
+        assert lattice_coordinates(center_basis(a), SINGULAR_CENTRE_PAYLOAD) is not None
+        assert cylinder_ring._power_coordinates(a, SINGULAR_CENTRE_PAYLOAD) is None
+        x = CylinderK0Element(a, SINGULAR_CENTRE_PAYLOAD, 1)
+        witness = ra_membership(x)
+        assert (witness.coeffs, witness.level) == _ra_membership_oracle(x)
+        assert witness.level == 2
+        assert _built(cylinder_ring._ra_closure(a)) == {"basis", "seed", "psi", "_chain"}
+
+
+def _decisions(a, pairs):
+    """k1_equal on ``pairs``, read on a cold copy of ``a``."""
+    a = validate(a.matrix.to_rows())
+    return [
+        k1_equal(CylinderK1Element(a, x.matrix, x.level), CylinderK1Element(a, y.matrix, y.level))
+        for x, y in pairs
+    ]
+
+
+def _witnesses(a, payloads):
+    """ra_membership of [X, level] for each (X, level), on a cold copy of ``a``."""
+    a = validate(a.matrix.to_rows())
+    out = []
+    for x, level in payloads:
+        w = ra_membership(CylinderK0Element(a, x, level))
+        out.append(None if w is None else (w.coeffs, w.level))
+    return out
+
+
+@st.composite
+def _commutators_plus_identity(draw):
+    """A derogatory or torsion matrix and pairs whose difference is a member
+    of B(A) plus a multiple of I, pushed up to two levels."""
+    a = draw(_commutator_pool())
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    k, pairs = a.size, []
+    for _ in range(3):
+        x = CylinderK1Element(a, random_matrix(rng, k, k, -3, 3), rng.randint(0, 2))
+        j = rng.randint(0, 2)
+        p = matrix_power(a.matrix, j)
+        w = random_matrix(rng, k, k, -2, 2)
+        c = draw(st.integers(-2, 2))
+        payload = p @ x.matrix @ p + a.matrix @ w - w @ a.matrix + IntMatrix.identity(k).scale(c)
+        pairs.append((x, CylinderK1Element(a, payload, x.level + j)))
+    return a, pairs
+
+
+class TestCertificates:
+    """The trace certificate for degree-one equality and the polynomial
+    certificate for subring membership, against the closures with each
+    certificate patched off."""
+
+    def _assert_k1_agrees(self, a, pairs):
+        fast = _decisions(a, pairs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cylinder_ring, "_trace_witness", lambda a, diff: 0)
+            patch.setattr(cylinder_ring, "_locally_cyclic", lambda a: False)
+            assert _decisions(a, pairs) == fast
+        return fast
+
+    def _assert_ra_agrees(self, a, payloads):
+        fast = _witnesses(a, payloads)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cylinder_ring, "_power_coordinates", lambda a, x: None)
+            assert _witnesses(a, payloads) == fast
+
+    def test_match_the_closures_on_pool(self, primitive_pool):
+        rng = random.Random(257)
+        extra = [CJ_PLUS_DI, REPEATED_ROW, BIPARTITE, DOUBLED_ONES, SINGULAR_CENTRE, _ones_plus_identity(4, 2, 1)]
+        for a in [*primitive_pool, *extra, _all_ones(4), COMPANION]:
+            k = a.size
+            self._assert_k1_agrees(a, list(_k1_pairs(rng, a, 6)))
+            payloads = [(b, 1) for b in (*center_basis(a).basis, *centralizer_basis(a).basis[:4])]
+            payloads += [(exactlinalg.poly_eval_matrix([rng.randint(-3, 3) for _ in range(k + 2)], a.matrix), 2)]
+            self._assert_ra_agrees(a, payloads)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(case=_commutators_plus_identity())
+    def test_trace_certificate_is_sound(self, case):
+        a, pairs = case
+        decisions = self._assert_k1_agrees(a, pairs)
+        for (x, y), decision in zip(pairs, decisions):
+            px, py, _ = dimension_groups.align(x, y)
+            bound = cylinder_ring._trace_witness(a, [s - t for s, t in zip(px, py)])
+            if bound is None:  # certified: the closure finds no merge either
+                assert decision.verdict is Verdict.NOT_EQUAL
+            elif decision.verdict is Verdict.EQUAL:  # the traces bound the depth from below
+                assert decision.witness_level >= bound
+
+    def test_generated_pairs_reach_derogatory_torsion_certificates(self):
+        def certified_on_torsion_and_derogatory(case):
+            a, pairs = case
+            mp = exactlinalg.minimal_polynomial(a.matrix)
+            if not k1_group_structure(a).torsion or mp.k + mp.l == a.size:
+                return False
+            diffs = [[s - t for s, t in zip(*dimension_groups.align(x, y)[:2])] for x, y in pairs]
+            return any(cylinder_ring._trace_witness(a, d) is None for d in diffs)
+
+        assert certified_on_torsion_and_derogatory(find(_commutators_plus_identity(), certified_on_torsion_and_derogatory))
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=_commutator_pool(), coeffs=st.lists(st.integers(-3, 3), min_size=1, max_size=7), level=st.integers(0, 3))
+    def test_polynomial_payloads_are_their_own_witnesses(self, a, coeffs, level):
+        x = exactlinalg.poly_eval_matrix(coeffs, a.matrix)
+        q = cylinder_ring._power_coordinates(a, x)
+        assert q is not None and exactlinalg.poly_eval_matrix(q, a.matrix) == x
+        self._assert_ra_agrees(a, [(x, level)])
+
+    def test_trace_certified_not_equal_builds_no_commutator_lattice(self, monkeypatch):
+        a = _ones_plus_identity(6, 2, 1)  # derogatory, Q with torsion
+        for name in ("commutator_lattice", "_k1_presentation", "_k1_closure", "commutator_system"):
+            def refuse(*args, name=name):
+                raise AssertionError(f"{name} called")
+
+            monkeypatch.setattr(cylinder_ring, name, refuse)
+        x = CylinderK1Element(a, IntMatrix.identity(6), 1)
+        zero = CylinderK1Element(a, IntMatrix.zeros(6, 6), 0)
+        assert k1_equal(x, zero) == cylinder_ring.K1Decision(Verdict.NOT_EQUAL)
+
+    def test_polynomial_payload_builds_no_psi(self, monkeypatch):
+        a = _all_ones(4)  # singular and derogatory: its subring closure has a psi
+        x = CylinderK0Element(a, exactlinalg.poly_eval_matrix([3, -1, 2], a.matrix), 2)
+        want = _ra_membership_oracle(x)
+        assert cylinder_ring._ra_closure(validate(a.matrix.to_rows())).psi is not None
+
+        def refuse(*args):
+            raise AssertionError("closure built")
+
+        monkeypatch.setattr(exactlinalg.PreimageClosure, "psi", property(refuse))
+        monkeypatch.setattr(cylinder_ring, "preimage_closure", refuse)
+        witness = ra_membership(x)
+        assert (witness.coeffs, witness.level) == want
+
+    def test_level_zero_equal_runs_no_closure(self, monkeypatch):
+        for a in (validate(CJ_PLUS_DI.matrix.to_rows()), _all_ones(4), DOUBLED_ONES):
+            k = a.size
+            assert cylinder_ring._k1_closure(a).psi is not None  # torsion or singular
+            a = validate(a.matrix.to_rows())  # cold closures
+            assert not cylinder_ring._locally_cyclic(a)  # its centre takes a saturation too
+            rng = random.Random(k)
+            w, z = random_matrix(rng, k, k, -3, 3), random_matrix(rng, k, k, -2, 2)
+            x, y = CylinderK1Element(a, w, 1), CylinderK1Element(a, w + a.matrix @ z - z @ a.matrix, 1)
+
+            def refuse(*args):
+                raise AssertionError("closure chain built")
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(exactlinalg, "lattice_closure_under_preimage", refuse)
+                patch.setattr(cylinder_ring, "saturation", refuse)
+                assert k1_equal(x, y) == cylinder_ring.K1Decision(Verdict.EQUAL, witness_level=0)
+            assert _built(cylinder_ring._k1_closure(a)) == set()
