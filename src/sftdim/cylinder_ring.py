@@ -86,7 +86,6 @@ from .exactlinalg import (
     poly_eval_matrix,
     poly_mul,
     preimage_closure,
-    row_hermite_with_transform,
     saturation,
 )
 from .sft import AdjacencyMatrix
@@ -603,7 +602,9 @@ def _power_form(a: AdjacencyMatrix) -> tuple:
     mp = minimal_polynomial(a.matrix)
     powers = [matrix_power(a.matrix, i).entries for i in range(mp.l + mp.k)]
     pivots = hermite_pivots(_power_span(a)[0])
-    form = row_hermite_with_transform(IntMatrix.from_rows([[p[j] for j in pivots] for p in powers]))
+    form = exactlinalg.row_hermite_with_transform(
+        IntMatrix.from_rows([[p[j] for j in pivots] for p in powers])
+    )
     return powers, pivots, form
 
 
@@ -626,8 +627,9 @@ def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
     {A^(2l + i)}, so membership is one lattice test and the witness level is
     the closure's walk; the lazy record builds its chain only for a centre
     member outside that span.  The powers are independent (k = deg p), so
-    the coefficients of A^(2m) A^l X A^l in them are unique.  A^l X A^l is
-    the element's push by l, which is X itself when l = 0.
+    the coefficients of A^(2m) A^l X A^l in them are unique, read at the
+    span's pivot columns.  A^l X A^l is the element's push by l, which is X
+    itself when l = 0.
     """
     amb = x.ambient
     q = _power_coordinates(amb, x.matrix)
@@ -641,7 +643,7 @@ def ra_membership(x: CylinderK0Element) -> Optional[RAElement]:
         return None
     if m:
         y = (matrix_power(amb.matrix, 2 * m) @ IntMatrix.from_vec(y, amb.size, amb.size)).vec()
-    coeffs = closure.seed_form.left_solve([y[p] for p in closure.pivots])
+    coeffs = closure.seed_form.left_solve([y[p] for p in closure.span_pivots])
     return RAElement(amb, coeffs, x.level + m)
 
 

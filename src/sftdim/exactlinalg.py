@@ -815,10 +815,11 @@ class PreimageClosure:
 
     @functools.cached_property
     def seed_form(self) -> RowHermiteForm:
-        """W . S = H for the generators S at the pivot columns, built on first read: a
-        member's pivot entries give its coefficients in independent generators."""
+        """W . S = H for the generators S at the pivot columns of ``span``, built on
+        first read: a member's entries there give its coefficients in
+        independent generators, with no lattice built."""
         return row_hermite_with_transform(
-            IntMatrix.from_rows([[g[p] for p in self.pivots] for g in self.generators])
+            IntMatrix.from_rows([[g[p] for p in self.span_pivots] for g in self.generators])
         )
 
     @functools.cached_property

@@ -1712,10 +1712,16 @@ class TestCertificates:
         def refuse(*args):
             raise AssertionError("closure built")
 
+        factored = []
+        original = exactlinalg.row_hermite_with_transform
         monkeypatch.setattr(exactlinalg.PreimageClosure, "psi", property(refuse))
+        monkeypatch.setattr(exactlinalg, "lattice_closure_under_preimage", refuse)
         monkeypatch.setattr(cylinder_ring, "preimage_closure", refuse)
+        monkeypatch.setattr(exactlinalg, "row_hermite_with_transform", lambda m: factored.append(m) or original(m))
         witness = ra_membership(x)
         assert (witness.coeffs, witness.level) == want
+        # the one factorisation is the power form's, deg m_A = 2 square, seen through the module
+        assert [(m.rows, m.cols) for m in factored] == [(2, 2)]
 
     def test_level_zero_equal_runs_no_closure(self, monkeypatch):
         for a in (validate(CJ_PLUS_DI.matrix.to_rows()), _all_ones(4), DOUBLED_ONES):
